@@ -23,6 +23,11 @@ VERT_BEAMWIDTH_DEG = 10.0
 TURN_SIGMA_RAD = 0.1
 # Path-loss distance floor: 1 m, keeps co-located links finite.
 MIN_DISTANCE_KM = 1e-3
+# UE drop: attempts per UE, uniforms per UE in the first block (a UE uses
+# about 46) and candidates evaluated per chunk (about 1 MB of temporaries).
+DROP_MAX_ATTEMPTS = 100_000
+DROP_DRAWS_PER_UE = 50
+DROP_CHUNK_ROWS = 1024
 
 OUTAGE_SINR_DB = float("-inf")
 NO_SERVING_CELL = -1
@@ -155,6 +160,25 @@ def _make_cells(config: ClusterConfig) -> list[CellState]:
     return cells
 
 
+def _rx_dbm(points: np.ndarray, cells: list[CellState],
+            config: ClusterConfig) -> np.ndarray:
+    """Unshadowed received power in dBm from every cell at every point of
+    ``points`` (M, 2), shape (M, C)."""
+    sites = np.array([c.site_position for c in cells], dtype=float)
+    boresight = np.array([c.boresight for c in cells], dtype=float)
+    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
+
+    dx = points[:, None, 0] - sites[None, :, 0]
+    dy = points[:, None, 1] - sites[None, :, 1]
+    dist_km = np.hypot(dx, dy) / 1000.0
+    bearing = np.degrees(np.arctan2(dy, dx))
+
+    gain = antenna_gain(bearing - boresight[None, :]) - config.tilt_offset_db
+    pl = path_loss_cost231(dist_km, config.carrier_freq,
+                           config.bs_height, config.ue_height)
+    return config.bs_tx_power + delta[None, :] + gain - pl
+
+
 def rx_power_matrix(ues: list[UEState], cells: list[CellState],
                     config: ClusterConfig) -> np.ndarray:
     """Received power in dBm from every cell at every UE, shape (N, C).
@@ -163,34 +187,7 @@ def rx_power_matrix(ues: list[UEState], cells: list[CellState],
     """
     pos = np.array([ue.position for ue in ues], dtype=float)
     shadow = np.array([ue.shadow_map for ue in ues], dtype=float)
-    sites = np.array([c.site_position for c in cells], dtype=float)
-    boresight = np.array([c.boresight for c in cells], dtype=float)
-    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
-
-    dx = pos[:, None, 0] - sites[None, :, 0]
-    dy = pos[:, None, 1] - sites[None, :, 1]
-    dist_km = np.hypot(dx, dy) / 1000.0
-    bearing = np.degrees(np.arctan2(dy, dx))
-
-    gain = antenna_gain(bearing - boresight[None, :]) - config.tilt_offset_db
-    pl = path_loss_cost231(dist_km, config.carrier_freq,
-                           config.bs_height, config.ue_height)
-    return config.bs_tx_power + delta[None, :] + gain - pl + shadow
-
-
-def _point_rx_dbm(point, cells: list[CellState], config: ClusterConfig) -> np.ndarray:
-    """Unshadowed received power from every cell at one point (for drops)."""
-    p = np.asarray(point, dtype=float)
-    sites = np.array([c.site_position for c in cells], dtype=float)
-    boresight = np.array([c.boresight for c in cells], dtype=float)
-    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
-    dx = p[0] - sites[:, 0]
-    dy = p[1] - sites[:, 1]
-    dist_km = np.hypot(dx, dy) / 1000.0
-    gain = antenna_gain(np.degrees(np.arctan2(dy, dx)) - boresight) - config.tilt_offset_db
-    pl = path_loss_cost231(dist_km, config.carrier_freq,
-                           config.bs_height, config.ue_height)
-    return config.bs_tx_power + delta + gain - pl
+    return _rx_dbm(pos, cells, config) + shadow
 
 
 def best_server(rx_dbm: np.ndarray, cells: list[CellState]) -> np.ndarray:
@@ -214,46 +211,64 @@ def reassign_serving(ues: list[UEState], cells: list[CellState],
     return rx_dbm
 
 
+def _drop_owners(u: np.ndarray, start: int, cells: list[CellState],
+                 config: ClusterConfig) -> np.ndarray:
+    """Strongest unshadowed cell of the drop candidate at each offset k in
+    ``start .. len(u) - 3``: radius ``R sqrt(u[k])``, angle ``2 pi u[k + 1]``."""
+    out = []
+    for a in range(start, len(u) - 2, DROP_CHUNK_ROWS):
+        b = min(a + DROP_CHUNK_ROWS, len(u) - 2)
+        r = config.bounding_radius * np.sqrt(u[a:b])
+        theta = 2.0 * math.pi * u[a + 1:b + 1]
+        points = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        out.append(_rx_dbm(points, cells, config).argmax(axis=1))
+    return np.concatenate(out)
+
+
 def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], list[UEState]]:
     """Build cells and drop ``ues_per_cell`` UEs uniformly in each cell's
     dominance area (strongest unshadowed server wins), then draw per-link
     shadowing and attach each UE to its strongest shadowed up cell.
 
-    ``seed`` is an int or a numpy Generator.
+    ``seed`` is an int or a numpy Generator, consumed exactly as one-at-a-time
+    rejection sampling would (two draws per attempt, one for the heading).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cells = _make_cells(config)
-    radius = config.bounding_radius
 
+    start = rng.bit_generator.state
+    u = rng.random(DROP_DRAWS_PER_UE * len(cells) * config.ues_per_cell + 2)
+    owner = _drop_owners(u, 0, cells, config)
+    pos = 0  # stream offset of the next attempt
     ues: list[UEState] = []
     for cell in cells:
         for _ in range(config.ues_per_cell):
-            for _attempt in range(100_000):
-                r = radius * math.sqrt(rng.random())
-                theta = 2.0 * math.pi * rng.random()
-                point = np.array([r * math.cos(theta), r * math.sin(theta)])
-                if int(_point_rx_dbm(point, cells, config).argmax()) == cell.cell_id:
-                    break
-            else:
-                raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
-            ues.append(UEState(ue_id=len(ues), position=point,
+            window = min(64, DROP_MAX_ATTEMPTS)  # attempts at pos, pos + 2, ... scanned
+            while not (hits := np.flatnonzero(owner[pos:pos + 2 * window:2]
+                                              == cell.cell_id)).size:
+                if len(owner) < pos + 2 * window:  # the block ends inside the window
+                    u = np.concatenate([u, rng.random(len(u))])
+                    owner = np.concatenate([owner, _drop_owners(u, len(owner), cells, config)])
+                elif window == DROP_MAX_ATTEMPTS:
+                    raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
+                window = min(2 * window, DROP_MAX_ATTEMPTS)
+            j = pos + 2 * int(hits[0])
+            r = config.bounding_radius * math.sqrt(u[j])
+            theta = 2.0 * math.pi * float(u[j + 1])
+            ues.append(UEState(ue_id=len(ues),
+                               position=np.array([r * math.cos(theta), r * math.sin(theta)]),
                                serving_cell=cell.cell_id,
                                shadow_map=np.zeros(len(cells)),
-                               heading=2.0 * math.pi * rng.random()))
+                               heading=2.0 * math.pi * float(u[j + 2])))
+            pos = j + 3
+    rng.bit_generator.state = start  # leave the stream where one-at-a-time
+    rng.random(pos)                  # sampling would have left it
 
     shadow = rng.normal(0.0, config.shadow_sigma, size=(len(ues), len(cells)))
     for i, ue in enumerate(ues):
         ue.shadow_map = shadow[i]
     reassign_serving(ues, cells, config)
     return cells, ues
-
-
-def draw_shadowing(ues: list[UEState], num_cells: int, sigma: float,
-                   rng: np.random.Generator) -> None:
-    """Redraw every UE-cell shadowing value (used at episode boundaries)."""
-    shadow = rng.normal(0.0, sigma, size=(len(ues), num_cells))
-    for i, ue in enumerate(ues):
-        ue.shadow_map = shadow[i]
 
 
 def compute_sinr_all(ues: list[UEState], cells: list[CellState],

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sonsim import radio
 from sonsim.faults import FaultKind, FaultRegister, apply_fault
-from sonsim.radio import (ClusterConfig, antenna_gain, build_cluster,
+from sonsim.radio import (CellState, ClusterConfig, antenna_gain, build_cluster,
                           compute_sinr, compute_sinr_all, compute_throughputs,
                           path_loss_cost231, reassign_serving, rx_power_matrix,
                           site_positions, step_mobility)
@@ -106,6 +107,93 @@ class TestGeometry:
         rx = rx_power_matrix(ues, cells, cfg)
         dropped_in = np.repeat(np.arange(len(cells)), cfg.ues_per_cell)
         assert np.array_equal(rx.argmax(axis=1), dropped_in)
+
+
+def oracle_point_rx(point, cells, cfg):
+    # unshadowed link budget from every cell at one point
+    sites = np.array([c.site_position for c in cells], dtype=float)
+    boresight = np.array([c.boresight for c in cells], dtype=float)
+    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
+    dx = point[0] - sites[:, 0]
+    dy = point[1] - sites[:, 1]
+    gain = antenna_gain(np.degrees(np.arctan2(dy, dx)) - boresight) - cfg.tilt_offset_db
+    pl = path_loss_cost231(np.hypot(dx, dy) / 1000.0, cfg.carrier_freq,
+                           cfg.bs_height, cfg.ue_height)
+    return cfg.bs_tx_power + delta + gain - pl
+
+
+def scalar_drop_oracle(cfg, rng):
+    # one candidate at a time: two uniforms per attempt, accept when the
+    # target cell is the strongest unshadowed server, then one heading draw;
+    # shadowing follows and every UE attaches to its strongest shadowed cell
+    step = 360.0 / cfg.sectors_per_site
+    cells = [CellState(cell_id=s * cfg.sectors_per_site + j, site_position=pos,
+                       azimuth=j * step)
+             for s, pos in enumerate(site_positions(cfg))
+             for j in range(cfg.sectors_per_site)]
+    radius = cfg.bounding_radius
+    positions, headings = [], []
+    for cell in cells:
+        for _ in range(cfg.ues_per_cell):
+            for _attempt in range(100_000):
+                r = radius * math.sqrt(rng.random())
+                theta = 2.0 * math.pi * rng.random()
+                point = np.array([r * math.cos(theta), r * math.sin(theta)])
+                if int(oracle_point_rx(point, cells, cfg).argmax()) == cell.cell_id:
+                    break
+            else:
+                raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
+            positions.append(point)
+            headings.append(2.0 * math.pi * rng.random())
+    shadow = rng.normal(0.0, cfg.shadow_sigma, size=(len(positions), len(cells)))
+    rx = np.array([oracle_point_rx(p, cells, cfg) for p in positions]) + shadow
+    return np.array(positions), np.array(headings), shadow, rx.argmax(axis=1)
+
+
+def assert_drop_matches_oracle(cfg, seed):
+    _, ues = build_cluster(cfg, seed)
+    positions, headings, shadow, serving = scalar_drop_oracle(cfg, np.random.default_rng(seed))
+    assert np.array([ue.position for ue in ues]).tobytes() == positions.tobytes()
+    assert np.array([ue.heading for ue in ues]).tobytes() == headings.tobytes()
+    assert np.array([ue.shadow_map for ue in ues]).tobytes() == shadow.tobytes()
+    assert [ue.serving_cell for ue in ues] == serving.tolist()
+
+
+class TestBatchedDrop:
+    def test_block_draw_equals_scalar_draws(self):
+        block = np.random.default_rng(3).random(1000)
+        rng = np.random.default_rng(3)
+        scalar = np.array([rng.random() for _ in range(1000)])
+        assert block.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scalar_oracle(self, seed, q):
+        assert_drop_matches_oracle(ClusterConfig(ues_per_cell=q), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_cell_matches_scalar_oracle(self, seed):
+        assert_drop_matches_oracle(ClusterConfig(num_sites=1, sectors_per_site=1,
+                                                 ues_per_cell=3), seed)
+
+    def test_block_extension_matches_scalar_oracle(self, monkeypatch):
+        # a block of one uniform per UE runs out many times per drop
+        monkeypatch.setattr(radio, "DROP_DRAWS_PER_UE", 1)
+        for seed in (0, 5):
+            assert_drop_matches_oracle(ClusterConfig(ues_per_cell=1), seed)
+
+    def test_leaves_generator_where_scalar_sampling_does(self):
+        cfg = ClusterConfig(ues_per_cell=2)
+        batched = np.random.default_rng(11)
+        build_cluster(cfg, batched)
+        scalar = np.random.default_rng(11)
+        scalar_drop_oracle(cfg, scalar)
+        assert batched.random() == scalar.random()
+
+    def test_unplaceable_ue_raises(self, monkeypatch):
+        monkeypatch.setattr(radio, "DROP_MAX_ATTEMPTS", 1)
+        with pytest.raises(RuntimeError, match="could not place a UE"):
+            build_cluster(ClusterConfig(ues_per_cell=1), seed=0)
 
 
 def single_cell_config(**kw):
