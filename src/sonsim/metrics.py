@@ -134,11 +134,15 @@ def _fmt(x) -> str:
 def write_cdf_csv(path, samples) -> None:
     """cdf_<agent>.csv: value, probability."""
     steps = empirical_cdf(samples)
+    for digits in range(8, 18):  # fewest that keep values apart; 17 always does
+        values = ["%.*g" % (digits, v) for v, _ in steps]
+        if all(float(a) < float(b) for a, b in zip(values, values[1:])):
+            break
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "probability"])
-        for value, prob in steps:
-            writer.writerow([_fmt(value), _fmt(prob)])
+        for value, (_, prob) in zip(values, steps):
+            writer.writerow([value, _fmt(prob)])
 
 
 def write_episodes_csv(path, episode_results) -> None:

@@ -212,6 +212,14 @@ class TestCsvWriters:
         write_cdf_csv(path, [math.pi])
         assert "3.1415927" in path.read_text()
 
+    def test_cdf_csv_keeps_close_values_distinct(self, tmp_path):
+        path = tmp_path / "cdf_x.csv"
+        write_cdf_csv(path, [-1.41029791, -1.41029794, 0.5, 0.5, 2.0])
+        rows = path.read_text().strip().splitlines()[1:]
+        values = [float(row.split(",")[0]) for row in rows]
+        assert len(rows) == 4
+        assert all(b > a for a, b in zip(values, values[1:]))
+
     def test_trace_csv(self, tmp_path):
         tr = make_trace(3, rates=[[1.0, 2.0]], sinrs=[[6.0, 10.0]],
                         alarm_counts=[2])
@@ -241,3 +249,17 @@ def test_percentile_brackets_sample(samples, p):
     value = percentile(samples, p)
     assert min(samples) <= value <= max(samples)
     assert value == percentile_oracle(samples, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+       st.integers(0, 5))
+def test_cdf_csv_prints_strictly_increasing_values(tmp_path_factory, samples, neighbours):
+    # add next-door doubles, which need up to 17 digits to print apart
+    samples = samples + [float(np.nextafter(x, 0.0)) for x in samples[:neighbours]]
+    path = tmp_path_factory.mktemp("cdf") / "cdf_x.csv"
+    write_cdf_csv(path, samples)
+    rows = [row.split(",") for row in path.read_text().strip().splitlines()[1:]]
+    values = [float(v) for v, _ in rows]
+    assert all(b > a for a, b in zip(values, values[1:]))
+    assert rows[-1][1] == "1"
