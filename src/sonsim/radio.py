@@ -23,8 +23,7 @@ VERT_BEAMWIDTH_DEG = 10.0
 TURN_SIGMA_RAD = 0.1
 # Path-loss distance floor: 1 m, keeps co-located links finite.
 MIN_DISTANCE_KM = 1e-3
-# UE drop: attempts per UE, uniforms per UE in the first block (a UE uses
-# about 46) and candidates evaluated per chunk (about 1 MB of temporaries).
+# UE drop: attempts per UE, first-block uniforms per UE (~46 used), chunk rows.
 DROP_MAX_ATTEMPTS = 100_000
 DROP_DRAWS_PER_UE = 50
 DROP_CHUNK_ROWS = 1024
@@ -160,8 +159,7 @@ def _make_cells(config: ClusterConfig) -> list[CellState]:
     return cells
 
 
-def _rx_dbm(points: np.ndarray, cells: list[CellState],
-            config: ClusterConfig) -> np.ndarray:
+def _rx_dbm(points: np.ndarray, cells: list[CellState], config: ClusterConfig) -> np.ndarray:
     """Unshadowed received power in dBm from every cell at every point of
     ``points`` (M, 2), shape (M, C)."""
     sites = np.array([c.site_position for c in cells], dtype=float)
@@ -211,8 +209,7 @@ def reassign_serving(ues: list[UEState], cells: list[CellState],
     return rx_dbm
 
 
-def _drop_owners(u: np.ndarray, start: int, cells: list[CellState],
-                 config: ClusterConfig) -> np.ndarray:
+def _drop_owners(u, start, cells, config) -> np.ndarray:
     """Strongest unshadowed cell of the drop candidate at each offset k in
     ``start .. len(u) - 3``: radius ``R sqrt(u[k])``, angle ``2 pi u[k + 1]``."""
     out = []
