@@ -132,17 +132,21 @@ def _fmt(x) -> str:
 
 
 def write_cdf_csv(path, samples) -> None:
-    """cdf_<agent>.csv: value, probability."""
+    """cdf_<agent>.csv: value, probability.  Values print with the fewest
+    significant digits, at least 8, that keep them strictly increasing."""
     steps = empirical_cdf(samples)
-    for digits in range(8, 18):  # fewest that keep values apart; 17 always does
-        values = ["%.*g" % (digits, v) for v, _ in steps]
-        if all(float(a) < float(b) for a, b in zip(values, values[1:])):
-            break
+    v = np.array([value for value, _ in steps])
+    # only neighbours within a relative 1e-7 can print alike at 8 digits or more
+    near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    digits = 8  # 17 always suffices
+    while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
+              for i in near):
+        digits += 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "probability"])
-        for value, (_, prob) in zip(values, steps):
-            writer.writerow([value, _fmt(prob)])
+        for value, prob in steps:
+            writer.writerow(["%.*g" % (digits, value), _fmt(prob)])
 
 
 def write_episodes_csv(path, episode_results) -> None:
