@@ -240,7 +240,7 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], list[UE
     ues: list[UEState] = []
     for cell in cells:
         for _ in range(config.ues_per_cell):
-            window = min(64, DROP_MAX_ATTEMPTS)  # attempts at pos, pos + 2, ... scanned
+            window = 64  # attempts scanned, at offsets pos, pos + 2, ...
             while not (hits := np.flatnonzero(owner[pos:pos + 2 * window:2]
                                               == cell.cell_id)).size:
                 if len(owner) < pos + 2 * window:  # the block ends inside the window
