@@ -136,7 +136,7 @@ def write_cdf_csv(path, samples) -> None:
     significant digits, at least 8, that keep them strictly increasing."""
     steps = empirical_cdf(samples)
     v = np.fromiter((value for value, _ in steps), float, len(steps))
-    # only neighbours within a relative 1e-7 can print alike at 8 digits or more
+    # neighbours print alike at 8+ digits only when closer than a relative ~1e-7
     near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
     digits = 8  # 17 always suffices
     while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
