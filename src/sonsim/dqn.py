@@ -12,7 +12,6 @@ import numpy as np
 
 from .mdp import MdpAction, MdpState, encode_state, NUM_ACTIONS
 from .nn import AdamState, adam_step, backward, forward
-from .runner import EpisodeResult, run_episode
 
 
 @dataclass
@@ -78,14 +77,14 @@ def select_action(state: MdpState, params, schedule: ExplorationSchedule,
     return MdpAction(int(np.argmax(q)))
 
 
-def compute_target(exp: Experience, params_prev, gamma: float) -> float:
-    """Bootstrap target: the raw reward on terminal transitions, otherwise
-    reward + gamma * max value of the next state under the snapshot
-    parameters from before this TTI's update."""
-    if exp.next_is_terminal:
-        return float(exp.reward)
-    q_next = forward(params_prev, encode_state(exp.next_state))
-    return float(exp.reward + gamma * q_next.max())
+def compute_targets(batch: list[Experience], params_prev, gamma: float) -> np.ndarray:
+    """Bootstrap targets, one per experience: the raw reward on terminal
+    transitions, otherwise reward + gamma * max value of the next state
+    under the snapshot parameters from before this TTI's update."""
+    rewards = np.array([e.reward for e in batch], dtype=float)
+    terminal = np.array([e.next_is_terminal for e in batch], dtype=bool)
+    q_next = forward(params_prev, encode_state([e.next_state for e in batch]))
+    return np.where(terminal, rewards, rewards + gamma * q_next.max(axis=1))
 
 
 class DqnAgent:
@@ -112,26 +111,16 @@ class DqnAgent:
         return select_action(state, self.params, self.schedule, self.rng)
 
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:
-        """Store the transition, then one optimizer step on a replay batch.
-        Targets are computed before the update, from the parameters as they
-        stood at the start of this TTI."""
+        """Store the transition, then one optimizer step on a replay batch,
+        the whole batch in one forward and one backward pass.  Targets are
+        computed before the update, from the parameters as they stood at
+        the start of this TTI."""
         self.memory.push(Experience(state, action, reward, next_state, terminal))
         batch = self.memory.sample(self.rng, self.batch_size)
-        snapshot = self.params  # adam_step never mutates, so this is the pre-update view
-        targets = [compute_target(e, snapshot, self.gamma) for e in batch]
-
-        grads = None
-        for exp, y in zip(batch, targets):
-            g = backward(self.params, encode_state(exp.state), int(exp.action), y)
-            if grads is None:
-                grads = g
-            else:
-                grads = [a + b for a, b in zip(grads, g)]
+        # adam_step never mutates, so self.params is the pre-update snapshot
+        targets = compute_targets(batch, self.params, self.gamma)
+        grads = backward(self.params, encode_state([e.state for e in batch]),
+                         [int(e.action) for e in batch], targets)
         grads = [g / len(batch) for g in grads]
         self.params, self.opt_state = adam_step(self.params, grads, self.opt_state)
 
-
-def train_episode(env, agent: DqnAgent, episode_index: int = 0) -> EpisodeResult:
-    """Run one full episode of the training loop against ``env``."""
-    result, _ = run_episode(env, agent, episode_index, record=False)
-    return result

@@ -97,11 +97,10 @@ def transition(state: MdpState, prev_count: int, cur_count: int) -> MdpState:
     return MdpState(state)
 
 
-def encode_state(state: MdpState) -> np.ndarray:
-    """One-hot feature vector over the three control states."""
-    vec = np.zeros(NUM_STATES)
-    vec[int(state)] = 1.0
-    return vec
+def encode_state(state) -> np.ndarray:
+    """One-hot feature vector over the three control states; a sequence of
+    states gives one row per state."""
+    return np.eye(NUM_STATES)[np.asarray(state, dtype=int)]
 
 
 class SonEnv:

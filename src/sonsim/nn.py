@@ -1,5 +1,6 @@
 """Dense value network in plain numpy: forward pass, masked-MSE
-backpropagation and the adaptive-moments optimizer.
+backpropagation (both on one input or a batch) and the adaptive-moments
+optimizer.
 
 The network is a stack of affine layers with ReLU between them and a linear
 output head, so negative value targets stay representable.  Parameters are
@@ -31,48 +32,52 @@ def layer_sizes_of(params: list[np.ndarray]) -> tuple[int, ...]:
     return (params[0].shape[0],) + tuple(w.shape[1] for w in params[0::2])
 
 
-def forward(params: list[np.ndarray], x) -> np.ndarray:
-    """Evaluate the network; returns the value vector for all actions."""
-    h = np.asarray(x, dtype=float)
-    num_layers = len(params) // 2
-    for i in range(num_layers):
-        h = h @ params[2 * i] + params[2 * i + 1]
-        if i < num_layers - 1:
-            h = np.maximum(h, 0.0)
-    return h
-
-
-def mse_loss(predicted: float, target: float) -> float:
-    """Squared error of the taken action's value against its target."""
-    return (target - predicted) ** 2
-
-
-def backward(params: list[np.ndarray], x, action_index: int,
-             target: float) -> list[np.ndarray]:
-    """Exact gradients of (target - q[action_index])^2 w.r.t. every
-    parameter; the loss is masked to the taken action's output unit."""
-    x = np.asarray(x, dtype=float)
-    num_layers = len(params) // 2
-
+def _activations(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, the input first, for one input (in,) or a
+    batch (B, in).  Each row goes through its own vector-matrix product, so
+    a batch row is bit-identical to the same input evaluated alone."""
     acts = [x]
-    pre = []
-    h = x
+    num_layers = len(params) // 2
     for i in range(num_layers):
-        z = h @ params[2 * i] + params[2 * i + 1]
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < num_layers - 1 else z
-        acts.append(h)
+        z = (acts[-1][..., None, :] @ params[2 * i])[..., 0, :] + params[2 * i + 1]
+        acts.append(np.maximum(z, 0.0) if i < num_layers - 1 else z)
+    return acts
 
+
+def forward(params: list[np.ndarray], x) -> np.ndarray:
+    """Evaluate the network on one input (in,) or a batch (B, in); returns
+    the value vector for all actions, one row per batch row."""
+    return _activations(params, np.asarray(x, dtype=float))[-1]
+
+
+def backward(params: list[np.ndarray], x, action_index,
+             target) -> list[np.ndarray]:
+    """Exact gradients of (target - q[action_index])^2 w.r.t. every
+    parameter; the loss is masked to the taken action's output unit.
+
+    ``x`` is one input (in,) or a batch (B, in) with an action index and a
+    target per row.  A batch returns the per-row gradients summed in row
+    order, bit-identical to a running sum of single-row calls.
+    """
+    acts = _activations(params, np.atleast_2d(np.asarray(x, dtype=float)))
     q = acts[-1]
+    rows = np.arange(len(q))
     delta = np.zeros_like(q)
-    delta[action_index] = 2.0 * (q[action_index] - target)
+    delta[rows, action_index] = 2.0 * (q[rows, action_index] - target)
 
+    # The bias is the weight of a constant-one input.  With it stacked in,
+    # a row's gradient has two or more elements, so numpy sums the rows over
+    # the leading axis one after another (a one-element row would be summed
+    # pairwise); starting from -0.0, the exact additive identity, keeps the
+    # sign of a zero as a running sum of single rows gives it.
+    ones = np.ones((len(q), 1))
     grads: list[np.ndarray] = [np.empty(0)] * len(params)
-    for i in reversed(range(num_layers)):
-        grads[2 * i] = np.outer(acts[i], delta)
-        grads[2 * i + 1] = delta.copy()
+    for i in reversed(range(len(params) // 2)):
+        inputs = np.hstack([acts[i], ones])
+        g = (inputs[:, :, None] * delta[:, None, :]).sum(axis=0, initial=-0.0)
+        grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
         if i > 0:
-            delta = (params[2 * i] @ delta) * (pre[i - 1] > 0)
+            delta = (params[2 * i] @ delta[:, :, None])[:, :, 0] * (acts[i] > 0)
     return grads
 
 

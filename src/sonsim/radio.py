@@ -301,11 +301,6 @@ def compute_sinr_all(ues: list[UEState], cells: list[CellState],
     return sinr
 
 
-def compute_sinr(ue: UEState, cells: list[CellState], config: ClusterConfig) -> float:
-    """Downlink SINR in dB for a single UE."""
-    return float(compute_sinr_all([ue], cells, config)[0])
-
-
 def step_mobility(ues: list[UEState], cells: list[CellState],
                   config: ClusterConfig, rng: np.random.Generator,
                   duration_ms: float = 1.0) -> np.ndarray:

@@ -3,14 +3,15 @@ import pytest
 from scipy import stats
 
 from sonsim.config import default_config
-from sonsim.dqn import (Experience, ExplorationSchedule, ReplayMemory,
-                        compute_target, decay_epsilon, select_action,
-                        train_episode)
+from sonsim.dqn import (DqnAgent, Experience, ExplorationSchedule,
+                        ReplayMemory, compute_targets, decay_epsilon,
+                        select_action)
 from sonsim.experiment import build_agent
 from sonsim.faults import FaultRates
 from sonsim.mdp import MdpAction, MdpState, SonEnv
-from sonsim.nn import AdamState, adam_step
+from sonsim.nn import AdamState, adam_step, init_params
 from sonsim.radio import ClusterConfig
+from sonsim.runner import run_episode
 
 
 def params_with_q(q_rows):
@@ -80,28 +81,28 @@ class TestComputeTarget:
     def test_terminal_returns_raw_reward(self):
         exp = Experience(MdpState.INCREASED, MdpAction.RECOVER_POWER, 5.0,
                          MdpState.DECREASED, True)
-        assert compute_target(exp, params_with_q(np.ones(5)), 0.95) == 5.0
+        assert compute_targets([exp], params_with_q(np.ones(5)), 0.95)[0] == 5.0
 
     def test_bootstrap_arithmetic(self):
         params = params_with_q([0.0, 2.0, 1.0, 0.0, 0.0])
         exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, 1.0,
                          MdpState.INCREASED, False)
-        assert compute_target(exp, params, 0.95) == pytest.approx(2.9, abs=1e-12)
+        assert compute_targets([exp], params, 0.95)[0] == pytest.approx(2.9, abs=1e-12)
 
     def test_zero_discount_reduces_to_reward(self):
         params = params_with_q([4.0, 4.0, 4.0, 4.0, 4.0])
         exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, -1.0,
                          MdpState.DECREASED, False)
-        assert compute_target(exp, params, 0.0) == -1.0
+        assert compute_targets([exp], params, 0.0)[0] == -1.0
 
     def test_snapshot_unaffected_by_later_update(self):
         params = params_with_q([0.0, 2.0, 1.0, 0.0, 0.0])
         exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, 1.0,
                          MdpState.INCREASED, False)
-        y_before = compute_target(exp, params, 0.95)
+        y_before = compute_targets([exp], params, 0.95)[0]
         grads = [np.ones_like(p) for p in params]
         adam_step(params, grads, AdamState.for_params(params, 0.5))
-        assert compute_target(exp, params, 0.95) == y_before
+        assert compute_targets([exp], params, 0.95)[0] == y_before
 
 
 class TestReplayMemory:
@@ -142,7 +143,7 @@ class TestTrainEpisode:
         env = SonEnv(ClusterConfig(ues_per_cell=2),
                      rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         agent = build_agent("dqn", cfg, 1)
-        result = train_episode(env, agent, 0)
+        result = run_episode(env, agent, 0)[0]
         assert result.ttis == 1
         assert result.total_reward == 5.0
         assert result.cleared
@@ -154,7 +155,7 @@ class TestTrainEpisode:
                      rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         agent = build_agent("dqn", cfg, 1)
         for ep in range(3):
-            train_episode(env, agent, ep)
+            run_episode(env, agent, ep)
         assert agent.schedule.epsilon == pytest.approx(0.91 ** 3, abs=1e-12)
 
     def test_full_run_deterministic(self):
@@ -162,8 +163,8 @@ class TestTrainEpisode:
             cfg = default_config()
             env = SonEnv(ClusterConfig(ues_per_cell=2), seed=seed)
             agent = build_agent("dqn", cfg, seed)
-            return [(train_episode(env, agent, ep).total_reward,
-                     train_episode(env, agent, ep + 1).ttis)
+            return [(run_episode(env, agent, ep)[0].total_reward,
+                     run_episode(env, agent, ep + 1)[0].ttis)
                     for ep in range(0, 10, 2)]
 
         assert run(5) == run(5)
@@ -174,6 +175,88 @@ class TestTrainEpisode:
         agent = build_agent("dqn", cfg, 3)
         before = [p.copy() for p in agent.params]
         for ep in range(5):
-            train_episode(env, agent, ep)
+            run_episode(env, agent, ep)
         assert any(not np.array_equal(a, b)
                    for a, b in zip(agent.params, before))
+
+
+def per_sample_forward(params, x):
+    h = np.asarray(x, dtype=float)
+    for i in range(len(params) // 2):
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if i < len(params) // 2 - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def per_sample_backward(params, x, action_index, target):
+    x = np.asarray(x, dtype=float)
+    num_layers = len(params) // 2
+    acts, pre, h = [x], [], x
+    for i in range(num_layers):
+        z = h @ params[2 * i] + params[2 * i + 1]
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < num_layers - 1 else z
+        acts.append(h)
+    q = acts[-1]
+    delta = np.zeros_like(q)
+    delta[action_index] = 2.0 * (q[action_index] - target)
+    grads = [None] * len(params)
+    for i in reversed(range(num_layers)):
+        grads[2 * i] = np.outer(acts[i], delta)
+        grads[2 * i + 1] = delta.copy()
+        if i > 0:
+            delta = (params[2 * i] @ delta) * (pre[i - 1] > 0)
+    return grads
+
+
+class PerSampleLearner:
+    """Transcription of the one-experience-at-a-time update: a target per
+    experience, a backward pass per sample, gradients summed list by list
+    in batch order, then divided by the batch size."""
+
+    def __init__(self, params, gamma, rng, batch_size, capacity):
+        self.params = params
+        self.opt_state = AdamState.for_params(params)
+        self.memory = ReplayMemory(capacity)
+        self.gamma, self.rng, self.batch_size = gamma, rng, batch_size
+
+    def observe(self, state, action, reward, next_state, terminal):
+        self.memory.push(Experience(state, action, reward, next_state, terminal))
+        batch = self.memory.sample(self.rng, self.batch_size)
+        targets = []
+        for e in batch:
+            if e.next_is_terminal:
+                targets.append(float(e.reward))
+            else:
+                q_next = per_sample_forward(self.params, np.eye(3)[int(e.next_state)])
+                targets.append(float(e.reward + self.gamma * q_next.max()))
+        grads = None
+        for e, y in zip(batch, targets):
+            g = per_sample_backward(self.params, np.eye(3)[int(e.state)], int(e.action), y)
+            grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+        grads = [g / len(batch) for g in grads]
+        self.params, self.opt_state = adam_step(self.params, grads, self.opt_state)
+
+
+class TestBatchedUpdate:
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_matches_per_sample_update_bit_for_bit(self, batch_size):
+        params = init_params((3, 24, 24, 5), np.random.default_rng(batch_size))
+        agent = DqnAgent([p.copy() for p in params], 0.95, np.random.default_rng(11),
+                         memory=ReplayMemory(100), batch_size=batch_size)
+        oracle = PerSampleLearner([p.copy() for p in params], 0.95,
+                                  np.random.default_rng(11), batch_size, 100)
+        transitions = np.random.default_rng(batch_size + 100)
+        for _ in range(400):
+            state, next_state = (MdpState(int(s)) for s in transitions.integers(3, size=2))
+            action = MdpAction(int(transitions.integers(5)))
+            reward = float(transitions.choice([-1.0, 0.0, 1.0, 5.0]))
+            terminal = bool(transitions.random() < 0.2)
+            agent.observe(state, action, reward, next_state, terminal, None)
+            oracle.observe(state, action, reward, next_state, terminal)
+        for got, want in [(agent.params, oracle.params),
+                          (agent.opt_state.m, oracle.opt_state.m),
+                          (agent.opt_state.v, oracle.opt_state.v)]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert agent.opt_state.step_count == oracle.opt_state.step_count == 400

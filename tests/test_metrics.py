@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim.dqn import EpisodeResult
 from sonsim.metrics import (EpisodeTrace, clearance_ttis, empirical_cdf,
                             percentile, summarize_run, ue_average_rates,
                             ue_average_sinrs, write_cdf_csv,
                             write_episodes_csv, write_summary_csv,
                             write_trace_csv)
+from sonsim.runner import EpisodeResult
 
 
 def percentile_oracle(samples, p):

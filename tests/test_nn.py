@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonsim.nn import (AdamState, adam_step, backward, forward, init_params,
-                       layer_sizes_of, load_params, mse_loss, save_params)
+                       layer_sizes_of, load_params, save_params)
 
 
 def forward_oracle(params, x):
@@ -48,18 +50,26 @@ class TestForward:
         assert min(outs) < 0.0
 
 
+def output_bias_grad(predicted, target):
+    """Output-bias gradient of the taken action for a network whose output
+    is its bias alone: the derivative of the masked squared error."""
+    params = [np.zeros((3, 5)), np.full(5, float(predicted))]
+    return backward(params, [1.0, 0.0, 0.0], 0, target)[-1][0]
+
+
 class TestLoss:
     def test_zero_at_match(self):
-        assert mse_loss(2.5, 2.5) == 0.0
+        assert output_bias_grad(2.5, 2.5) == 0.0
 
     def test_known_value(self):
-        assert mse_loss(0.0, 2.0) == 4.0
+        assert output_bias_grad(0.0, 2.0) == -4.0
 
     def test_gradient_factor(self):
         # d/dpred (target - pred)^2 = 2 (pred - target)
         pred, target, h = 1.3, -0.7, 1e-7
-        num = (mse_loss(pred + h, target) - mse_loss(pred - h, target)) / (2 * h)
-        assert num == pytest.approx(2 * (pred - target), abs=1e-6)
+        num = ((target - pred - h) ** 2 - (target - pred + h) ** 2) / (2 * h)
+        assert num == pytest.approx(output_bias_grad(pred, target), abs=1e-6)
+        assert output_bias_grad(pred, target) == 2 * (pred - target)
 
 
 def finite_difference_grads(params, x, action, target, h=1e-5):
@@ -111,6 +121,49 @@ class TestBackward:
             numeric = finite_difference_grads(params, x, action, target)
             for a, n in zip(analytic, numeric):
                 np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-6)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def nets_and_batches(draw):
+    """A random dense net and a batch of 1-64 inputs, one-hot or real."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = init_params(tuple(sizes), rng)
+    params = [p + rng.normal(scale=0.1, size=p.shape) for p in params]
+    rows = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        x = np.eye(sizes[0])[rng.integers(sizes[0], size=rows)]
+    else:
+        x = rng.normal(scale=2.0, size=(rows, sizes[0]))
+    actions = rng.integers(sizes[-1], size=rows)
+    targets = rng.normal(scale=3.0, size=rows)
+    return params, x, actions, targets
+
+
+class TestBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(nets_and_batches())
+    def test_forward_rows_match_single_calls(self, case):
+        params, x, _, _ = case
+        batch = forward(params, x)
+        for row, q in zip(x, batch):
+            assert same_bits(forward(params, row), q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nets_and_batches())
+    def test_backward_is_running_sum_of_single_calls(self, case):
+        params, x, actions, targets = case
+        running = None
+        for row, a, y in zip(x, actions, targets):
+            g = backward(params, row, int(a), float(y))
+            running = g if running is None else [u + v for u, v in zip(running, g)]
+        batch = backward(params, x, actions, targets)
+        assert len(batch) == len(running)
+        assert all(same_bits(u, v) for u, v in zip(batch, running))
 
 
 class TestAdam:
@@ -182,11 +235,8 @@ class TestAdam:
 
         losses = [total_loss(params)]
         for _ in range(50):
-            grads = None
-            for x, a, y in batch:
-                g = backward(params, x, a, y)
-                grads = g if grads is None else [u + v for u, v in zip(grads, g)]
-            grads = [g / len(batch) for g in grads]
+            xs, actions, ys = zip(*batch)
+            grads = [g / len(batch) for g in backward(params, np.array(xs), actions, ys)]
             params, state = adam_step(params, grads, state)
             losses.append(total_loss(params))
         assert all(b < a for a, b in zip(losses, losses[1:]))

@@ -6,7 +6,7 @@ import pytest
 from sonsim import radio
 from sonsim.faults import FaultKind, FaultRegister, apply_fault
 from sonsim.radio import (CellState, ClusterConfig, antenna_gain, build_cluster,
-                          compute_sinr, compute_sinr_all, compute_throughputs,
+                          compute_sinr_all, compute_throughputs,
                           path_loss_cost231, reassign_serving, rx_power_matrix,
                           site_positions, step_mobility)
 
@@ -215,7 +215,7 @@ class TestSinr:
         rx = cfg.bs_tx_power + antenna_gain(0.0) - path_loss_cost231(d_km, cfg.carrier_freq,
                                                                      cfg.bs_height, cfg.ue_height)
         noise = cfg.noise_density + 10 * math.log10(cfg.bandwidth)
-        assert compute_sinr(ue, cells, cfg) == pytest.approx(rx - noise, abs=1e-9)
+        assert compute_sinr_all([ue], cells, cfg)[0] == pytest.approx(rx - noise, abs=1e-9)
 
     def test_feeder_fault_drops_serving_ue_by_3db(self):
         cfg = ClusterConfig(sinr_cap=float("inf"))
@@ -233,9 +233,9 @@ class TestSinr:
     def test_diversity_loss_penalty(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
-        before = compute_sinr(ues[0], cells, cfg)
+        before = compute_sinr_all([ues[0]], cells, cfg)[0]
         cells[0].diversity_enabled = False
-        after = compute_sinr(ues[0], cells, cfg)
+        after = compute_sinr_all([ues[0]], cells, cfg)[0]
         assert after == pytest.approx(before - cfg.diversity_gain, abs=1e-12)
 
     def test_all_cells_down_is_outage(self):
@@ -244,7 +244,7 @@ class TestSinr:
         cells[0].is_up = False
         reassign_serving(ues, cells, cfg)
         assert ues[0].serving_cell == -1
-        assert compute_sinr(ues[0], cells, cfg) == float("-inf")
+        assert compute_sinr_all([ues[0]], cells, cfg)[0] == float("-inf")
         ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg,
                                                  compute_sinr_all(ues, cells, cfg))
         assert ue_mbps[0] == 0.0
@@ -254,7 +254,7 @@ class TestSinr:
         cells, ues = build_cluster(cfg, seed=0)
         ues[0].position = np.array([1.0, 0.0])
         reassign_serving(ues, cells, cfg)
-        assert compute_sinr(ues[0], cells, cfg) == 10.0
+        assert compute_sinr_all([ues[0]], cells, cfg)[0] == 10.0
 
 
 class TestMobility:
