@@ -7,6 +7,7 @@ values accept plain literals and simple fractions such as ``5/9``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .faults import DEFAULT_AZIMUTH_DELTA_DEG, FaultRates
@@ -41,6 +42,12 @@ class MlConfig:
             raise ConfigError("ml.replay_capacity must be at least 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("ml.epsilon must be in [0, 1]")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("ml.learning_rate must be finite and above 0")
+        if not 0.0 < self.epsilon_decay <= 1.0:
+            raise ConfigError("ml.epsilon_decay must be in (0, 1]")
+        if not 0.0 <= self.epsilon_min <= 1.0:
+            raise ConfigError("ml.epsilon_min must be in [0, 1]")
 
 
 @dataclass

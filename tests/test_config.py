@@ -81,6 +81,17 @@ class TestValues:
         assert cfg.effective_qs() == (4,)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "-1"), ("learning_rate", "0"), ("learning_rate", "nan"),
+        ("learning_rate", "inf"), ("epsilon_decay", "1.5"),
+        ("epsilon_decay", "-0.2"), ("epsilon_decay", "0"),
+        ("epsilon_min", "-0.5"), ("epsilon_min", "2"),
+    ])
+    def test_learning_knob_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"ml.{key}"):
+            parse(f"ml.{key} = {value}\n")
+
+
 class TestDump:
     def test_dump_round_trips(self):
         cfg = parse("ml.learning_rate = 0.004\nfaults.p = 5/9,1/9,1/9,1/9,1/9\n"
@@ -94,6 +105,14 @@ class TestDump:
         assert again.episode == cfg.episode
         assert again.rewards == cfg.rewards
         assert again.seeds == cfg.seeds
+
+    def test_dump_of_range_edges_round_trips(self):
+        cfg = parse("ml.learning_rate = 1e-300\nml.epsilon_decay = 1\n"
+                    "ml.epsilon_min = 0\nml.epsilon = 0\n")
+        text = dump_effective_config(cfg)
+        again = parse(text)
+        assert dump_effective_config(again) == text
+        assert again.ml == cfg.ml
 
     def test_dump_of_defaults_round_trips(self):
         text = dump_effective_config(default_config())
