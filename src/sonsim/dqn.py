@@ -81,10 +81,9 @@ def compute_targets(batch: list[Experience], params_prev, gamma: float) -> np.nd
     """Bootstrap targets, one per experience: the raw reward on terminal
     transitions, otherwise reward + gamma * max value of the next state
     under the snapshot parameters from before this TTI's update."""
-    rewards = np.array([e.reward for e in batch], dtype=float)
-    terminal = np.array([e.next_is_terminal for e in batch], dtype=bool)
-    q_next = forward(params_prev, encode_state([e.next_state for e in batch]))
-    return np.where(terminal, rewards, rewards + gamma * q_next.max(axis=1))
+    q_next = forward(params_prev, encode_state([e.next_state for e in batch])).max(axis=1)
+    return np.array([e.reward if e.next_is_terminal else e.reward + gamma * q
+                     for e, q in zip(batch, q_next)])
 
 
 class DqnAgent:
