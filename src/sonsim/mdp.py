@@ -97,10 +97,13 @@ def transition(state: MdpState, prev_count: int, cur_count: int) -> MdpState:
     return MdpState(state)
 
 
+_ONE_HOT = np.eye(NUM_STATES)
+
+
 def encode_state(state) -> np.ndarray:
     """One-hot feature vector over the three control states; a sequence of
     states gives one row per state."""
-    return np.eye(NUM_STATES)[np.asarray(state, dtype=int)]
+    return _ONE_HOT.take(state, axis=0)
 
 
 class SonEnv:

@@ -73,7 +73,7 @@ def backward(params: list[np.ndarray], x, action_index,
     ones = np.ones((len(q), 1))
     grads: list[np.ndarray] = [np.empty(0)] * len(params)
     for i in reversed(range(len(params) // 2)):
-        inputs = np.hstack([acts[i], ones])
+        inputs = np.concatenate((acts[i], ones), axis=1)
         g = (inputs[:, :, None] * delta[:, None, :]).sum(axis=0, initial=-0.0)
         grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
         if i > 0:
