@@ -80,7 +80,6 @@ class TestValues:
         assert cfg.cluster.inter_site_distance == 350.0
         assert cfg.effective_qs() == (4,)
 
-
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "-1"), ("learning_rate", "0"), ("learning_rate", "nan"),
         ("learning_rate", "inf"), ("epsilon_decay", "1.5"),

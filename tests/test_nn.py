@@ -235,8 +235,11 @@ class TestAdam:
 
         losses = [total_loss(params)]
         for _ in range(50):
-            xs, actions, ys = zip(*batch)
-            grads = [g / len(batch) for g in backward(params, np.array(xs), actions, ys)]
+            grads = None
+            for x, a, y in batch:
+                g = backward(params, x, a, y)
+                grads = g if grads is None else [u + v for u, v in zip(grads, g)]
+            grads = [g / len(batch) for g in grads]
             params, state = adam_step(params, grads, state)
             losses.append(total_loss(params))
         assert all(b < a for a, b in zip(losses, losses[1:]))
