@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .radio import ClusterConfig, CellState, UEState, build_cluster
+from .radio import ClusterConfig, CellState, build_cluster
 from .faults import FaultKind, FaultRates, FaultRegister
 from .mdp import MdpAction, MdpState, RewardSchedule, EpisodeConfig, SonEnv
 from .config import ExperimentConfig, load_config, default_config
@@ -11,7 +11,6 @@ from .experiment import run_experiment
 __all__ = [
     "ClusterConfig",
     "CellState",
-    "UEState",
     "build_cluster",
     "FaultKind",
     "FaultRates",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .faults import ALARM_KINDS, FaultKind, FaultRegister
+from .faults import ALARM_KINDS, FaultKind, FaultRegister, paired_alarm
 from .mdp import CLEAR_ACTION_FOR, MdpAction
 
 
@@ -81,7 +81,7 @@ class FifoAgent:
 
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:
         event = obs["fault_event"]
-        if FaultKind.AZIMUTH_DRIFT <= event <= FaultKind.FEEDER_FAULT:
+        if event in ALARM_KINDS:
             self.queue.push(event, obs.get("tti", 0))
         elif event >= FaultKind.AZIMUTH_RESTORED:
-            self.queue.drop_one(FaultKind(event - 4))
+            self.queue.drop_one(paired_alarm(event))

@@ -59,11 +59,11 @@ def main(argv=None) -> int:
                           else (args.agent,))
         if args.seeds:
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
-        if args.ues_per_cell:
+        if args.ues_per_cell is not None:
             cfg = replace(cfg,
                           cluster=replace(cfg.cluster, ues_per_cell=args.ues_per_cell),
                           qs=(args.ues_per_cell,))
-        if args.episodes:
+        if args.episodes is not None:
             cfg = replace(cfg, episode=replace(cfg.episode,
                                                num_episodes=args.episodes))
         if args.out:

@@ -8,7 +8,7 @@ values accept plain literals and simple fractions such as ``5/9``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .faults import DEFAULT_AZIMUTH_DELTA_DEG, FaultRates
 from .mdp import EpisodeConfig, RewardSchedule
@@ -99,21 +99,6 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-_CLUSTER_FIELDS = {
-    "inter_site_distance": float, "num_sites": int, "sectors_per_site": int,
-    "carrier_freq": float, "bandwidth": float, "bs_tx_power": float,
-    "bs_height": float, "ue_height": float, "electrical_tilt": float,
-    "shadow_sigma": float, "noise_density": float, "ues_per_cell": int,
-    "ue_speed": float, "sinr_cap": float, "diversity_gain": float,
-}
-_REWARD_FIELDS = {"worsened": float, "unchanged": float,
-                  "improved": float, "cleared": float}
-_EPISODE_FIELDS = {"ttis_per_episode": int, "num_episodes": int, "gamma": float}
-_ML_FIELDS = {"hidden_width": int, "learning_rate": float, "batch_size": int,
-              "replay_capacity": int, "epsilon": float,
-              "epsilon_decay": float, "epsilon_min": float}
-
-
 def load_config(path) -> ExperimentConfig:
     """Parse a config file, filling every absent key with its default."""
     with open(path) as fh:
@@ -122,10 +107,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
-    cluster: dict = {}
-    rewards: dict = {}
-    episode: dict = {}
-    ml: dict = {}
+    # section.key lines fill the dataclass of the ExperimentConfig field
+    # named after the section
+    sections = {"cluster": ClusterConfig, "rewards": RewardSchedule,
+                "episode": EpisodeConfig, "ml": MlConfig}
+    values: dict = {section: {} for section in sections}
     top: dict = {}
 
     for lineno, raw in enumerate(lines, start=1):
@@ -138,18 +124,14 @@ def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
         key = key.strip()
         value = value.strip()
         try:
-            _assign(key, value, cluster, rewards, episode, ml, top)
+            _assign(key, value, sections, values, top)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
 
     try:
         cfg = ExperimentConfig(
-            cluster=ClusterConfig(**cluster),
             rates=FaultRates(top["faults.p"]) if "faults.p" in top else FaultRates(),
-            rewards=RewardSchedule(**rewards),
-            episode=EpisodeConfig(**episode),
-            ml=MlConfig(**ml),
-        )
+            **{section: cls(**values[section]) for section, cls in sections.items()})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -166,19 +148,14 @@ def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
     return cfg
 
 
-def _assign(key: str, value: str, cluster, rewards, episode, ml, top) -> None:
+def _assign(key: str, value: str, sections, values, top) -> None:
     section, _, name = key.partition(".")
-    if section == "cluster" and name in _CLUSTER_FIELDS:
-        cast = _parse_int if _CLUSTER_FIELDS[name] is int else _parse_number
-        cluster[name] = cast(value)
-    elif section == "rewards" and name in _REWARD_FIELDS:
-        rewards[name] = _parse_number(value)
-    elif section == "episode" and name in _EPISODE_FIELDS:
-        cast = _parse_int if _EPISODE_FIELDS[name] is int else _parse_number
-        episode[name] = cast(value)
-    elif section == "ml" and name in _ML_FIELDS:
-        cast = _parse_int if _ML_FIELDS[name] is int else _parse_number
-        ml[name] = cast(value)
+    defaults = ({f.name: f.default for f in fields(sections[section])}
+                if section in sections else {})
+    if name in defaults:
+        # a field's type is its default's: int fields take integers only
+        cast = _parse_int if isinstance(defaults[name], int) else _parse_number
+        values[section][name] = cast(value)
     elif key == "faults.p":
         top[key] = tuple(_parse_number(v) for v in _split_list(value))
     elif key == "faults.azimuth_delta":
@@ -199,30 +176,30 @@ def _assign(key: str, value: str, cluster, rewards, episode, ml, top) -> None:
         raise ConfigError(f"unknown key {key!r}")
 
 
+def _dump_section(section: str, values) -> list[str]:
+    return [f"{section}.{f.name} = {getattr(values, f.name)!r}" for f in fields(values)]
+
+
 def dump_effective_config(cfg: ExperimentConfig) -> str:
     """Render every effective value in the file format; parsing the result
     reproduces the configuration exactly."""
     out = ["# effective configuration (all values explicit)"]
 
     out.append("# radio environment")
-    for name in _CLUSTER_FIELDS:
-        out.append(f"cluster.{name} = {getattr(cfg.cluster, name)!r}")
+    out += _dump_section("cluster", cfg.cluster)
 
     out.append("# fault process")
     out.append("faults.p = " + ",".join(repr(x) for x in cfg.rates.p))
     out.append(f"faults.azimuth_delta = {cfg.azimuth_delta!r}")
 
     out.append("# rewards")
-    for name in _REWARD_FIELDS:
-        out.append(f"rewards.{name} = {getattr(cfg.rewards, name)!r}")
+    out += _dump_section("rewards", cfg.rewards)
 
     out.append("# episodes")
-    for name in _EPISODE_FIELDS:
-        out.append(f"episode.{name} = {getattr(cfg.episode, name)!r}")
+    out += _dump_section("episode", cfg.episode)
 
     out.append("# learning")
-    for name in _ML_FIELDS:
-        out.append(f"ml.{name} = {getattr(cfg.ml, name)!r}")
+    out += _dump_section("ml", cfg.ml)
 
     out.append("# runs")
     out.append("run.agents = " + ",".join(cfg.agents))

@@ -16,8 +16,9 @@ from enum import IntEnum
 import numpy as np
 
 from . import seeding
-from .faults import (FaultKind, FaultRates, FaultRegister, apply_fault,
-                     clear_fault, sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
+from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
+                     apply_fault, clear_fault, paired_alarm, sample_event,
+                     DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
                     compute_throughputs, reassign_serving, step_mobility)
 
@@ -152,10 +153,8 @@ class SonEnv:
         self.register.clear()
 
         shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
-        shadow = shadow_rng.normal(0.0, self.config.shadow_sigma,
-                                   size=(len(self.ues), len(self.cells)))
-        for i, ue in enumerate(self.ues):
-            ue.shadow_map = shadow[i]
+        self.ues.shadow_map[:] = shadow_rng.normal(0.0, self.config.shadow_sigma,
+                                                   size=(len(self.ues), len(self.cells)))
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
         self._mobility_rng = seeding.stream(self.seed, seeding.MOBILITY, episode_index)
 
@@ -175,14 +174,13 @@ class SonEnv:
         prev_count = self.register.active_count
 
         event = sample_event(self.rates, self.register, self._fault_rng)
-        if event in (FaultKind.AZIMUTH_DRIFT, FaultKind.NEIGHBOR_DOWN,
-                     FaultKind.DIVERSITY_LOST, FaultKind.FEEDER_FAULT):
+        if event in ALARM_KINDS:
             applied = apply_fault(event, self.cells, self.register,
                                   self._fault_rng, self.azimuth_delta)
             if not applied:
                 event = FaultKind.NORMAL
         elif event != FaultKind.NORMAL:
-            clear_fault(FaultKind(event - 4), self.cells, self.register)
+            clear_fault(paired_alarm(event), self.cells, self.register)
 
         if action != MdpAction.NO_ACTION:
             clear_fault(ACTION_CLEARS[action], self.cells, self.register)

@@ -51,15 +51,16 @@ class RunSummary:
     cleared_fraction: float
 
 
-def empirical_cdf(samples) -> list[tuple[float, float]]:
-    """Empirical distribution function as (value, cumulative probability)
-    steps over the distinct sorted values; the last probability is 1."""
+def empirical_cdf(samples) -> np.ndarray:
+    """Empirical distribution function as a (K, 2) array of (value,
+    cumulative probability) rows over the K distinct sorted values; the
+    last probability is 1."""
     arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise ValueError("empirical_cdf needs at least one sample")
     values, counts = np.unique(arr, return_counts=True)
     cum = np.cumsum(counts) / arr.size
-    return list(zip(values.tolist(), cum.tolist()))
+    return np.column_stack([values, cum])
 
 
 def percentile(samples, p: float) -> float:
@@ -135,7 +136,7 @@ def write_cdf_csv(path, samples) -> None:
     """cdf_<agent>.csv: value, probability.  Values print with the fewest
     significant digits, at least 8, that keep them strictly increasing."""
     steps = empirical_cdf(samples)
-    v = np.fromiter((value for value, _ in steps), float, len(steps))
+    v, p = steps[:, 0], steps[:, 1]
     # neighbours print alike at 8+ digits only when closer than a relative ~1e-7
     near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
     digits = 8  # 17 always suffices
@@ -145,7 +146,7 @@ def write_cdf_csv(path, samples) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "probability"])
-        for value, prob in steps:
+        for value, prob in zip(v, p):
             writer.writerow(["%.*g" % (digits, value), _fmt(prob)])
 
 

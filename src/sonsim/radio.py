@@ -5,6 +5,11 @@ inter-site distance, three sectors each.  Links use a scalar budget:
 COST231-Hata path loss, a 3GPP 36.942-style horizontal sector pattern,
 log-normal shadowing and a flat transmit-diversity gain term.  Electrical
 tilt is folded into a constant boresight offset (2-D simulation).
+
+The UEs are one ``np.recarray`` table whose row index is the UE id, with
+the fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell``
+and ``shadow_map`` (num_cells,) dB; every radio function works on its
+columns.
 """
 
 from __future__ import annotations
@@ -105,17 +110,6 @@ class CellState:
         return self.azimuth + self.azimuth_offset
 
 
-@dataclass(eq=False)
-class UEState:
-    """One user terminal: position, serving cell and per-cell shadowing."""
-
-    ue_id: int
-    position: np.ndarray                # (2,) metres
-    serving_cell: int
-    shadow_map: np.ndarray              # (num_cells,) dB
-    heading: float                      # radians
-
-
 def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
                       ue_height_m: float):
     """COST231-Hata urban path loss in dB (urban correction C = 0).
@@ -177,15 +171,13 @@ def _rx_dbm(points: np.ndarray, cells: list[CellState], config: ClusterConfig) -
     return config.bs_tx_power + delta[None, :] + gain - pl
 
 
-def rx_power_matrix(ues: list[UEState], cells: list[CellState],
+def rx_power_matrix(ues: np.recarray, cells: list[CellState],
                     config: ClusterConfig) -> np.ndarray:
     """Received power in dBm from every cell at every UE, shape (N, C).
 
     Down cells are still evaluated; callers mask them via ``is_up``.
     """
-    pos = np.array([ue.position for ue in ues], dtype=float)
-    shadow = np.array([ue.shadow_map for ue in ues], dtype=float)
-    return _rx_dbm(pos, cells, config) + shadow
+    return _rx_dbm(ues.position, cells, config) + ues.shadow_map
 
 
 def best_server(rx_dbm: np.ndarray, cells: list[CellState]) -> np.ndarray:
@@ -197,15 +189,13 @@ def best_server(rx_dbm: np.ndarray, cells: list[CellState]) -> np.ndarray:
     return masked.argmax(axis=1)
 
 
-def reassign_serving(ues: list[UEState], cells: list[CellState],
+def reassign_serving(ues: np.recarray, cells: list[CellState],
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
     """Apply the handover rule: serve every UE from its strongest up cell."""
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
-    serving = best_server(rx_dbm, cells)
-    for ue, s in zip(ues, serving):
-        ue.serving_cell = int(s)
+    ues.serving_cell[:] = best_server(rx_dbm, cells)
     return rx_dbm
 
 
@@ -222,10 +212,11 @@ def _drop_owners(u, start, cells, config) -> np.ndarray:
     return np.concatenate(out)
 
 
-def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], list[UEState]]:
-    """Build cells and drop ``ues_per_cell`` UEs uniformly in each cell's
-    dominance area (strongest unshadowed server wins), then draw per-link
-    shadowing and attach each UE to its strongest shadowed up cell.
+def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], np.recarray]:
+    """Build cells and the UE table: drop ``ues_per_cell`` UEs uniformly in
+    each cell's dominance area (strongest unshadowed server wins), in cell
+    order, then draw per-link shadowing and attach each UE to its strongest
+    shadowed up cell.
 
     ``seed`` is an int or a numpy Generator, consumed exactly as one-at-a-time
     rejection sampling would (two draws per attempt, one for the heading).
@@ -236,39 +227,36 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], list[UE
     start = rng.bit_generator.state
     u = rng.random(DROP_DRAWS_PER_UE * len(cells) * config.ues_per_cell + 2)
     owner = _drop_owners(u, 0, cells, config)
+    ues = np.recarray(len(cells) * config.ues_per_cell,
+                      dtype=[("position", float, (2,)), ("heading", float),
+                             ("serving_cell", int), ("shadow_map", float, (len(cells),))])
+    position, heading = ues.position, ues.heading
     pos = 0  # stream offset of the next attempt
-    ues: list[UEState] = []
-    for cell in cells:
-        for _ in range(config.ues_per_cell):
-            window = 64  # attempts scanned, at offsets pos, pos + 2, ...
-            while not (hits := np.flatnonzero(owner[pos:pos + 2 * window:2]
-                                              == cell.cell_id)).size:
-                if len(owner) < pos + 2 * window:  # the block ends inside the window
-                    u = np.concatenate([u, rng.random(len(u))])
-                    owner = np.concatenate([owner, _drop_owners(u, len(owner), cells, config)])
-                elif window == DROP_MAX_ATTEMPTS:
-                    raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
-                window = min(2 * window, DROP_MAX_ATTEMPTS)
-            j = pos + 2 * int(hits[0])
-            r = config.bounding_radius * math.sqrt(u[j])
-            theta = 2.0 * math.pi * float(u[j + 1])
-            ues.append(UEState(ue_id=len(ues),
-                               position=np.array([r * math.cos(theta), r * math.sin(theta)]),
-                               serving_cell=cell.cell_id,
-                               shadow_map=np.zeros(len(cells)),
-                               heading=2.0 * math.pi * float(u[j + 2])))
-            pos = j + 3
+    for i in range(len(ues)):
+        cell_id = i // config.ues_per_cell
+        window = 64  # attempts scanned, at offsets pos, pos + 2, ...
+        while not (hits := np.flatnonzero(owner[pos:pos + 2 * window:2] == cell_id)).size:
+            if len(owner) < pos + 2 * window:  # the block ends inside the window
+                u = np.concatenate([u, rng.random(len(u))])
+                owner = np.concatenate([owner, _drop_owners(u, len(owner), cells, config)])
+            elif window == DROP_MAX_ATTEMPTS:
+                raise RuntimeError(f"could not place a UE in cell {cell_id}")
+            window = min(2 * window, DROP_MAX_ATTEMPTS)
+        j = pos + 2 * int(hits[0])
+        r = config.bounding_radius * math.sqrt(u[j])
+        theta = 2.0 * math.pi * float(u[j + 1])
+        position[i] = r * math.cos(theta), r * math.sin(theta)
+        heading[i] = 2.0 * math.pi * float(u[j + 2])
+        pos = j + 3
     rng.bit_generator.state = start  # leave the stream where one-at-a-time
     rng.random(pos)                  # sampling would have left it
 
-    shadow = rng.normal(0.0, config.shadow_sigma, size=(len(ues), len(cells)))
-    for i, ue in enumerate(ues):
-        ue.shadow_map = shadow[i]
+    ues.shadow_map[:] = rng.normal(0.0, config.shadow_sigma, size=(len(ues), len(cells)))
     reassign_serving(ues, cells, config)
     return cells, ues
 
 
-def compute_sinr_all(ues: list[UEState], cells: list[CellState],
+def compute_sinr_all(ues: np.recarray, cells: list[CellState],
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
     """Downlink SINR in dB per UE.
@@ -280,14 +268,14 @@ def compute_sinr_all(ues: list[UEState], cells: list[CellState],
     """
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
-    n = len(ues)
-    serving = np.array([ue.serving_cell for ue in ues], dtype=int)
+    serving = ues.serving_cell
     up = np.array([c.is_up for c in cells], dtype=bool)
+    diversity = np.array([c.diversity_enabled for c in cells], dtype=bool)
 
     lin = np.power(10.0, rx_dbm / 10.0) * up[None, :]
     noise_mw = 10.0 ** (config.noise_power_dbm / 10.0)
 
-    sinr = np.full(n, OUTAGE_SINR_DB)
+    sinr = np.full(len(serving), OUTAGE_SINR_DB)
     ok = (serving >= 0) & up[np.clip(serving, 0, len(cells) - 1)]
     if ok.any():
         idx = np.nonzero(ok)[0]
@@ -295,13 +283,12 @@ def compute_sinr_all(ues: list[UEState], cells: list[CellState],
         interference = lin[idx].sum(axis=1) - sig
         with np.errstate(divide="ignore"):
             vals = 10.0 * np.log10(sig / (interference + noise_mw))
-        div_lost = np.array([not cells[s].diversity_enabled for s in serving[idx]])
-        vals = np.where(div_lost, vals - config.diversity_gain, vals)
+        vals = np.where(diversity[serving[idx]], vals, vals - config.diversity_gain)
         sinr[idx] = np.minimum(vals, config.sinr_cap)
     return sinr
 
 
-def step_mobility(ues: list[UEState], cells: list[CellState],
+def step_mobility(ues: np.recarray, cells: list[CellState],
                   config: ClusterConfig, rng: np.random.Generator,
                   duration_ms: float = 1.0) -> np.ndarray:
     """Advance every UE one step of a perturbed random walk, reflect at the
@@ -312,19 +299,19 @@ def step_mobility(ues: list[UEState], cells: list[CellState],
     step_m = config.ue_speed / 3.6 * (duration_ms / 1000.0)
     turns = rng.normal(0.0, TURN_SIGMA_RAD, size=len(ues))
     radius = config.bounding_radius
-    for ue, turn in zip(ues, turns):
-        ue.heading = (ue.heading + turn) % (2.0 * math.pi)
-        ue.position[0] += step_m * math.cos(ue.heading)
-        ue.position[1] += step_m * math.sin(ue.heading)
-        rr = math.hypot(ue.position[0], ue.position[1])
-        if rr > radius:
-            # fold the overshoot back inside and turn around
-            ue.position *= (2.0 * radius - rr) / rr
-            ue.heading = (ue.heading + math.pi) % (2.0 * math.pi)
+    position, heading = ues.position, ues.heading
+    heading[:] = (heading + turns) % (2.0 * math.pi)
+    position[:, 0] += step_m * np.cos(heading)
+    position[:, 1] += step_m * np.sin(heading)
+    rr = np.hypot(position[:, 0], position[:, 1])
+    out = rr > radius
+    # fold the overshoot back inside and turn around
+    position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
+    heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
     return reassign_serving(ues, cells, config)
 
 
-def compute_throughputs(ues: list[UEState], cells: list[CellState],
+def compute_throughputs(ues: np.recarray, cells: list[CellState],
                         config: ClusterConfig,
                         sinr_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shannon-rate throughputs under an equal share of the cell bandwidth.
@@ -333,11 +320,11 @@ def compute_throughputs(ues: list[UEState], cells: list[CellState],
     UEs rate 0.  Returns (per-UE Mbps, per-cell Mbps).
     """
     n_cells = len(cells)
-    serving = np.array([ue.serving_cell for ue in ues], dtype=int)
+    serving = ues.serving_cell
     ok = serving >= 0
     attached = np.bincount(serving[ok], minlength=n_cells)
 
-    rate_bps = np.zeros(len(ues))
+    rate_bps = np.zeros(len(serving))
     if ok.any():
         share = config.bandwidth / attached[serving[ok]]
         lin = np.power(10.0, sinr_db[ok] / 10.0)  # -inf maps to 0

@@ -130,6 +130,12 @@ class TestCli:
     def test_missing_config_nonzero_exit(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 1
 
+    @pytest.mark.parametrize("flag, field", [("--episodes", "num_episodes"),
+                                             ("--ues-per-cell", "ues_per_cell")])
+    def test_zero_count_rejected(self, flag, field, capsys):
+        assert main(["--dump-effective-config", flag, "0"]) == 1
+        assert field in capsys.readouterr().err
+
     def test_seed_list_parsing(self, capsys):
         assert main(["--dump-effective-config", "--seeds", "4,7"]) == 0
         assert "run.seeds = 4,7" in capsys.readouterr().out

@@ -55,12 +55,12 @@ def make_trace(episode, rates, sinrs, alarm_counts, cell_rates=None):
 class TestEmpiricalCdf:
     def test_basic_steps(self):
         steps = empirical_cdf([1.0, 2.0, 3.0])
-        assert steps == [(1.0, pytest.approx(1 / 3)),
-                         (2.0, pytest.approx(2 / 3)),
-                         (3.0, pytest.approx(1.0))]
+        assert steps.shape == (3, 2)
+        assert steps[:, 0].tolist() == [1.0, 2.0, 3.0]
+        np.testing.assert_allclose(steps[:, 1], [1 / 3, 2 / 3, 1.0], rtol=1e-12)
 
     def test_all_equal_single_step(self):
-        assert empirical_cdf([4.2, 4.2, 4.2]) == [(4.2, 1.0)]
+        assert empirical_cdf([4.2, 4.2, 4.2]).tolist() == [[4.2, 1.0]]
 
     def test_standard_normal_median(self):
         rng = np.random.default_rng(0)

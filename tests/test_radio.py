@@ -93,17 +93,13 @@ class TestGeometry:
         cells_a, ues_a = build_cluster(cfg, seed=7)
         cells_b, ues_b = build_cluster(cfg, seed=7)
         assert cells_a == cells_b
-        for a, b in zip(ues_a, ues_b):
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.shadow_map, b.shadow_map)
-            assert a.serving_cell == b.serving_cell
+        assert ues_a.tobytes() == ues_b.tobytes()
 
     def test_drop_lands_in_dominance_area(self):
         cfg = ClusterConfig(ues_per_cell=2)
         cells, ues = build_cluster(cfg, seed=3)
         # with zeroed shadowing the serving cell is the geometric best server
-        for ue in ues:
-            ue.shadow_map = np.zeros(len(cells))
+        ues.shadow_map[:] = 0.0
         rx = rx_power_matrix(ues, cells, cfg)
         dropped_in = np.repeat(np.arange(len(cells)), cfg.ues_per_cell)
         assert np.array_equal(rx.argmax(axis=1), dropped_in)
@@ -153,10 +149,10 @@ def scalar_drop_oracle(cfg, rng):
 def assert_drop_matches_oracle(cfg, seed):
     _, ues = build_cluster(cfg, seed)
     positions, headings, shadow, serving = scalar_drop_oracle(cfg, np.random.default_rng(seed))
-    assert np.array([ue.position for ue in ues]).tobytes() == positions.tobytes()
-    assert np.array([ue.heading for ue in ues]).tobytes() == headings.tobytes()
-    assert np.array([ue.shadow_map for ue in ues]).tobytes() == shadow.tobytes()
-    assert [ue.serving_cell for ue in ues] == serving.tolist()
+    assert ues.position.tobytes() == positions.tobytes()
+    assert ues.heading.tobytes() == headings.tobytes()
+    assert ues.shadow_map.tobytes() == shadow.tobytes()
+    assert ues.serving_cell.tolist() == serving.tolist()
 
 
 class TestBatchedDrop:
@@ -208,14 +204,13 @@ class TestSinr:
     def test_single_cell_link_budget_oracle(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
-        ue = ues[0]
-        ue.position = np.array([100.0, 0.0])
+        ues.position[0] = 100.0, 0.0
         reassign_serving(ues, cells, cfg)
         d_km = 0.1
         rx = cfg.bs_tx_power + antenna_gain(0.0) - path_loss_cost231(d_km, cfg.carrier_freq,
                                                                      cfg.bs_height, cfg.ue_height)
         noise = cfg.noise_density + 10 * math.log10(cfg.bandwidth)
-        assert compute_sinr_all([ue], cells, cfg)[0] == pytest.approx(rx - noise, abs=1e-9)
+        assert compute_sinr_all(ues, cells, cfg)[0] == pytest.approx(rx - noise, abs=1e-9)
 
     def test_feeder_fault_drops_serving_ue_by_3db(self):
         cfg = ClusterConfig(sinr_cap=float("inf"))
@@ -224,7 +219,7 @@ class TestSinr:
         register = FaultRegister()
         apply_fault(FaultKind.FEEDER_FAULT, cells, register, np.random.default_rng(0))
         after = compute_sinr_all(ues, cells, cfg)
-        serving0 = np.array([ue.serving_cell == 0 for ue in ues])
+        serving0 = ues.serving_cell == 0
         assert serving0.any()
         np.testing.assert_allclose(after[serving0] - before[serving0], -3.0, atol=1e-9)
         # everyone else sees less interference, never less SINR
@@ -233,9 +228,9 @@ class TestSinr:
     def test_diversity_loss_penalty(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
-        before = compute_sinr_all([ues[0]], cells, cfg)[0]
+        before = compute_sinr_all(ues, cells, cfg)[0]
         cells[0].diversity_enabled = False
-        after = compute_sinr_all([ues[0]], cells, cfg)[0]
+        after = compute_sinr_all(ues, cells, cfg)[0]
         assert after == pytest.approx(before - cfg.diversity_gain, abs=1e-12)
 
     def test_all_cells_down_is_outage(self):
@@ -243,8 +238,8 @@ class TestSinr:
         cells, ues = build_cluster(cfg, seed=0)
         cells[0].is_up = False
         reassign_serving(ues, cells, cfg)
-        assert ues[0].serving_cell == -1
-        assert compute_sinr_all([ues[0]], cells, cfg)[0] == float("-inf")
+        assert ues.serving_cell[0] == -1
+        assert compute_sinr_all(ues, cells, cfg)[0] == float("-inf")
         ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg,
                                                  compute_sinr_all(ues, cells, cfg))
         assert ue_mbps[0] == 0.0
@@ -252,29 +247,28 @@ class TestSinr:
     def test_cap_applies(self):
         cfg = single_cell_config(sinr_cap=10.0)
         cells, ues = build_cluster(cfg, seed=0)
-        ues[0].position = np.array([1.0, 0.0])
+        ues.position[0] = 1.0, 0.0
         reassign_serving(ues, cells, cfg)
-        assert compute_sinr_all([ues[0]], cells, cfg)[0] == 10.0
+        assert compute_sinr_all(ues, cells, cfg)[0] == 10.0
 
 
 class TestMobility:
     def test_displacement_magnitude(self):
         cfg = ClusterConfig(ues_per_cell=1)
         cells, ues = build_cluster(cfg, seed=5)
-        ue = ues[0]
-        ue.position = np.array([10.0, 10.0])  # far from the boundary
-        before = ue.position.copy()
-        step_mobility([ue], cells, cfg, np.random.default_rng(0))
-        moved = math.hypot(*(ue.position - before))
+        ue = ues[:1]
+        ue.position[0] = 10.0, 10.0  # far from the boundary
+        before = ue.position[0].copy()
+        step_mobility(ue, cells, cfg, np.random.default_rng(0))
+        moved = math.hypot(*(ue.position[0] - before))
         assert moved == pytest.approx(3.0 / 3.6 * 1e-3, rel=1e-12)
 
     def test_zero_speed_keeps_positions(self):
         cfg = ClusterConfig(ues_per_cell=2, ue_speed=0.0)
         cells, ues = build_cluster(cfg, seed=5)
-        before = [ue.position.copy() for ue in ues]
+        before = ues.position.copy()
         step_mobility(ues, cells, cfg, np.random.default_rng(0))
-        for ue, pos in zip(ues, before):
-            assert np.array_equal(ue.position, pos)
+        assert np.array_equal(ues.position, before)
 
     def test_reflection_keeps_ues_inside(self):
         cfg = ClusterConfig(ues_per_cell=2, ue_speed=5000.0)  # huge steps
@@ -282,8 +276,7 @@ class TestMobility:
         rng = np.random.default_rng(1)
         for _ in range(200):
             step_mobility(ues, cells, cfg, rng)
-        for ue in ues:
-            assert math.hypot(*ue.position) <= cfg.bounding_radius + 1e-6
+        assert np.all(np.hypot(*ues.position.T) <= cfg.bounding_radius + 1e-6)
 
     def test_handover_tracks_best_up_cell(self):
         cfg = ClusterConfig()
@@ -295,18 +288,65 @@ class TestMobility:
         rx = rx_power_matrix(ues, cells, cfg)
         up = np.array([c.is_up for c in cells])
         masked = np.where(up[None, :], rx, -np.inf)
-        for i, ue in enumerate(ues):
-            assert ue.serving_cell == masked[i].argmax()
-            assert up[ue.serving_cell]
+        assert np.array_equal(ues.serving_cell, masked.argmax(axis=1))
+        assert up[ues.serving_cell].all()
 
     def test_down_cell_ues_reassigned(self):
         cfg = ClusterConfig()
         cells, ues = build_cluster(cfg, seed=8)
-        victims = [ue for ue in ues if ue.serving_cell == 5]
-        assert victims
+        assert np.any(ues.serving_cell == 5)
         cells[5].is_up = False
         reassign_serving(ues, cells, cfg)
-        assert all(ue.serving_cell != 5 for ue in ues)
+        assert np.all(ues.serving_cell != 5)
+
+
+def loop_walk_oracle(positions, headings, turns, cfg, duration_ms=1.0):
+    # the reflected random walk one UE at a time with scalar math, as the
+    # per-UE loop it replaced did; returns positions, headings, reflections.
+    # The radius is the C library's hypot, as in the table version:
+    # math.hypot differs from it in the last bit on about 0.6% of inputs,
+    # which moves a reflected UE by one ulp.
+    step_m = cfg.ue_speed / 3.6 * (duration_ms / 1000.0)
+    radius = cfg.bounding_radius
+    positions, headings, reflected = positions.copy(), headings.copy(), 0
+    for i, turn in enumerate(turns):
+        heading = (float(headings[i]) + turn) % (2.0 * math.pi)
+        position = positions[i]
+        position[0] += step_m * math.cos(heading)
+        position[1] += step_m * math.sin(heading)
+        rr = float(np.hypot(position[0], position[1]))
+        if rr > radius:
+            position *= (2.0 * radius - rr) / rr
+            heading = (heading + math.pi) % (2.0 * math.pi)
+            reflected += 1
+        headings[i] = heading
+    return positions, headings, reflected
+
+
+class TestArrayWalk:
+    @pytest.mark.parametrize("speed", [3.0, 3000.0])
+    @pytest.mark.parametrize("q", [1, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_ue_loop(self, seed, q, speed):
+        cfg = ClusterConfig(ues_per_cell=q, ue_speed=speed)
+        cells, ues = build_cluster(cfg, seed)
+        # every other UE 0.1 mm inside the boundary, heading outwards
+        edge = ues[::2]
+        edge.heading[:] = np.arctan2(edge.position[:, 1], edge.position[:, 0]) % (2.0 * math.pi)
+        edge.position[:] = (cfg.bounding_radius - 1e-4) * np.column_stack(
+            [np.cos(edge.heading), np.sin(edge.heading)])
+        walk, turns = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        positions, headings, reflected = ues.position.copy(), ues.heading.copy(), 0
+        for _ in range(20):
+            step_mobility(ues, cells, cfg, walk)
+            positions, headings, n = loop_walk_oracle(
+                positions, headings, turns.normal(0.0, radio.TURN_SIGMA_RAD, len(ues)), cfg)
+            reflected += n
+            assert ues.position.tobytes() == positions.tobytes()
+            assert ues.heading.tobytes() == headings.tobytes()
+            rx = np.array([oracle_point_rx(p, cells, cfg) for p in positions]) + ues.shadow_map
+            assert ues.serving_cell.tolist() == rx.argmax(axis=1).tolist()
+        assert reflected >= len(edge)
 
 
 class TestThroughput:
@@ -330,7 +370,7 @@ class TestThroughput:
         cells, ues = build_cluster(cfg, seed=1)
         sinr = np.array([3.0, 7.0])
         both_mbps, both_cell = compute_throughputs(ues, cells, cfg, sinr)
-        solo_mbps, _ = compute_throughputs([ues[0]], cells, cfg, sinr[:1])
+        solo_mbps, _ = compute_throughputs(ues[:1], cells, cfg, sinr[:1])
         assert both_mbps[0] == pytest.approx(solo_mbps[0] / 2.0, rel=1e-12)
         assert both_cell[0] == pytest.approx(both_mbps.sum(), rel=1e-12)
 
