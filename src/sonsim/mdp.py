@@ -20,7 +20,7 @@ from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
                      apply_fault, clear_fault, paired_alarm, sample_event,
                      DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
-                    compute_throughputs, reassign_serving, step_mobility)
+                    compute_throughputs, step_mobility)
 
 NUM_STATES = 3
 NUM_ACTIONS = 5
@@ -144,7 +144,8 @@ class SonEnv:
 
     def reset(self, episode_index: int = 0) -> MdpState:
         """Heal all cells, empty the register, redraw shadowing, rewind the
-        TTI clock and return the start state."""
+        TTI clock and return the start state; the first ``step`` sets the
+        serving cells."""
         for cell in self.cells:
             cell.azimuth_offset = 0.0
             cell.tx_power_delta = 0.0
@@ -158,7 +159,6 @@ class SonEnv:
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
         self._mobility_rng = seeding.stream(self.seed, seeding.MOBILITY, episode_index)
 
-        reassign_serving(self.ues, self.cells, self.config)
         self.state = MdpState.TRANSIENT
         self.t = 0
         self.terminal = False

@@ -15,7 +15,7 @@ columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,14 @@ class ClusterConfig:
     diversity_gain: float = 3.0         # dB
 
     def __post_init__(self):
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
+        for name in ("carrier_freq", "bs_height", "ue_height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and above 0")
+        if not 0.0 <= self.ue_speed < math.inf:
+            raise ValueError("ue_speed must be finite and at least 0")
         if self.inter_site_distance <= 0:
             raise ValueError("inter_site_distance must be positive")
         if self.bandwidth <= 0:
@@ -127,7 +135,10 @@ def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
 
 def antenna_gain(bearing_offset_deg):
     """Horizontal sector gain in dB: -min(12*(theta/65)^2, 20)."""
-    off = (np.asarray(bearing_offset_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    # numpy's float ``(x + 180) % 360``, which fmod and a sign fix give faster
+    off = np.fmod(np.asarray(bearing_offset_deg, dtype=float) + 180.0, 360.0)
+    off += 360.0 * (off < 0.0)
+    off -= 180.0
     g = -np.minimum(12.0 * (off / HORIZ_BEAMWIDTH_DEG) ** 2, PATTERN_FLOOR_DB)
     return g if g.ndim else float(g)
 
@@ -155,8 +166,11 @@ def _make_cells(config: ClusterConfig) -> list[CellState]:
 
 def _rx_dbm(points: np.ndarray, cells: list[CellState], config: ClusterConfig) -> np.ndarray:
     """Unshadowed received power in dBm from every cell at every point of
-    ``points`` (M, 2), shape (M, C)."""
-    sites = np.array([c.site_position for c in cells], dtype=float)
+    ``points`` (M, 2), shape (M, C); geometry and path loss are computed
+    once per distinct site and shared by its sectors."""
+    site_of: dict = {}
+    site = np.array([site_of.setdefault(c.site_position, len(site_of)) for c in cells])
+    sites = np.array(list(site_of), dtype=float)
     boresight = np.array([c.boresight for c in cells], dtype=float)
     delta = np.array([c.tx_power_delta for c in cells], dtype=float)
 
@@ -165,10 +179,10 @@ def _rx_dbm(points: np.ndarray, cells: list[CellState], config: ClusterConfig) -
     dist_km = np.hypot(dx, dy) / 1000.0
     bearing = np.degrees(np.arctan2(dy, dx))
 
-    gain = antenna_gain(bearing - boresight[None, :]) - config.tilt_offset_db
+    gain = antenna_gain(bearing[:, site] - boresight[None, :]) - config.tilt_offset_db
     pl = path_loss_cost231(dist_km, config.carrier_freq,
                            config.bs_height, config.ue_height)
-    return config.bs_tx_power + delta[None, :] + gain - pl
+    return config.bs_tx_power + delta[None, :] + gain - pl[:, site]
 
 
 def rx_power_matrix(ues: np.recarray, cells: list[CellState],

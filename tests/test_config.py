@@ -90,6 +90,21 @@ class TestValues:
         with pytest.raises(ConfigError, match=f"ml.{key}"):
             parse(f"ml.{key} = {value}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("carrier_freq", "0"), ("bs_height", "-1"), ("ue_height", "inf"),
+        ("ue_speed", "-3"), ("shadow_sigma", "nan"), ("sinr_cap", "nan"),
+        ("inter_site_distance", "nan"),
+    ])
+    def test_bad_cluster_value_names_the_field(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse(f"cluster.{key} = {value}\n")
+
+    def test_uncapped_sinr_and_standing_ues_accepted(self):
+        cfg = parse("cluster.sinr_cap = inf\ncluster.ue_speed = 0\n")
+        assert cfg.cluster.sinr_cap == float("inf")
+        assert cfg.cluster.ue_speed == 0.0
+        assert parse(dump_effective_config(cfg)).cluster == cfg.cluster
+
 
 class TestDump:
     def test_dump_round_trips(self):

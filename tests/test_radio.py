@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonsim import radio
 from sonsim.faults import FaultKind, FaultRegister, apply_fault
@@ -41,6 +44,24 @@ class TestPathLoss:
             assert got[i] == pytest.approx(cost231_oracle(dk, 2100, 25, 1.5), abs=1e-12)
 
 
+def mod_wrap_gain(bearing_offset_deg):
+    # the sector pattern with the bearing wrapped by numpy's float mod
+    off = (np.asarray(bearing_offset_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    g = -np.minimum(12.0 * (off / radio.HORIZ_BEAMWIDTH_DEG) ** 2, radio.PATTERN_FLOOR_DB)
+    return g if g.ndim else float(g)
+
+
+# wrap edges: signed zeros, +-180, +-540, multiples of 360 and their neighbours
+_EDGES = [0.0, 180.0, 540.0] + [360.0 * k for k in (1, 2, 3, 1000, 2_777_777)]
+_EDGES = [e for v in _EDGES for e in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf))]
+bearings = st.one_of(
+    st.floats(-1e9, 1e9, allow_nan=False),
+    st.floats(-1000.0, 1000.0),  # the link budget's range, drifts included
+    st.sampled_from([s * e for e in _EDGES for s in (1.0, -1.0)]),
+    st.integers(-2_777_777, 2_777_777).map(lambda k: 360.0 * k),
+)
+
+
 class TestAntennaGain:
     def test_boresight(self):
         assert antenna_gain(0.0) == 0.0
@@ -54,6 +75,17 @@ class TestAntennaGain:
     def test_wraps_bearing(self):
         assert antenna_gain(360.0 + 65.0) == pytest.approx(antenna_gain(65.0), abs=1e-12)
         assert antenna_gain(-65.0) == pytest.approx(antenna_gain(65.0), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(bearings, max_size=40))
+    def test_matches_mod_wrap_bit_for_bit(self, values):
+        x = np.array(values, dtype=float)
+        got = antenna_gain(x)
+        assert got.tobytes() == mod_wrap_gain(x).tobytes()
+        for v in values:
+            g = antenna_gain(v)
+            assert type(g) is float
+            assert np.float64(g).tobytes() == np.float64(mod_wrap_gain(v)).tobytes()
 
 
 class TestGeometry:
@@ -88,6 +120,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             ClusterConfig(ues_per_cell=0)
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(ClusterConfig)
+                                       if f.type == "float"])
+    def test_nan_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+            ClusterConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field, value", [
+        ("carrier_freq", 0.0), ("carrier_freq", math.inf), ("bs_height", -1.0),
+        ("bs_height", math.inf), ("ue_height", 0.0), ("ue_height", -math.inf),
+        ("ue_speed", -3.0), ("ue_speed", math.inf),
+    ])
+    def test_link_budget_inputs_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: value})
+
     def test_build_reproducible(self):
         cfg = ClusterConfig(ues_per_cell=3)
         cells_a, ues_a = build_cluster(cfg, seed=7)
@@ -116,6 +163,74 @@ def oracle_point_rx(point, cells, cfg):
     pl = path_loss_cost231(np.hypot(dx, dy) / 1000.0, cfg.carrier_freq,
                            cfg.bs_height, cfg.ue_height)
     return cfg.bs_tx_power + delta + gain - pl
+
+
+def per_cell_rx_oracle(points, cells, cfg):
+    # the link budget with distance, bearing and path loss evaluated for
+    # every cell, its site repeated per sector, and the bearing wrapped by mod
+    sites = np.array([c.site_position for c in cells], dtype=float)
+    boresight = np.array([c.boresight for c in cells], dtype=float)
+    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
+    dx = points[:, None, 0] - sites[None, :, 0]
+    dy = points[:, None, 1] - sites[None, :, 1]
+    dist_km = np.hypot(dx, dy) / 1000.0
+    bearing = np.degrees(np.arctan2(dy, dx))
+    gain = mod_wrap_gain(bearing - boresight[None, :]) - cfg.tilt_offset_db
+    pl = path_loss_cost231(dist_km, cfg.carrier_freq, cfg.bs_height, cfg.ue_height)
+    return cfg.bs_tx_power + delta[None, :] + gain - pl
+
+
+def disk_points(cfg, n, rng):
+    r = cfg.bounding_radius * np.sqrt(rng.random(n))
+    theta = 2.0 * math.pi * rng.random(n)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def assert_rx_matches_per_cell(points, cells, cfg):
+    got = radio._rx_dbm(points, cells, cfg)
+    assert got.shape == (len(points), len(cells))
+    assert got.tobytes() == per_cell_rx_oracle(points, cells, cfg).tobytes()
+
+
+class TestPerSiteRx:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_faulted_cluster(self, seed):
+        cfg = ClusterConfig()
+        rng = np.random.default_rng(seed)
+        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed)
+        for cell in cells:
+            # drifts of up to 25 accumulated 30-degree steps, past 360 degrees
+            cell.azimuth_offset = 30.0 * rng.integers(0, 26) + rng.uniform(-1.0, 1.0)
+            cell.tx_power_delta = -3.0 if rng.random() < 0.3 else 0.0
+        assert max(c.azimuth_offset for c in cells) > 360.0
+        assert_rx_matches_per_cell(disk_points(cfg, 600, rng), cells, cfg)
+
+    def test_single_cell(self):
+        cfg = ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=1)
+        cells, _ = build_cluster(cfg, seed=0)
+        cells[0].azimuth_offset = 400.0
+        assert_rx_matches_per_cell(disk_points(cfg, 100, np.random.default_rng(1)),
+                                   cells, cfg)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_cells_with_repeating_sites(self, seed):
+        cfg = ClusterConfig()
+        rng = np.random.default_rng(seed)
+        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed)
+        cells = [cells[i] for i in rng.permutation(len(cells))][:13]
+        order = [c.site_position for c in cells]
+        assert any(a != b and a in order[i + 2:]
+                   for i, (a, b) in enumerate(zip(order, order[1:])))
+        assert_rx_matches_per_cell(disk_points(cfg, 300, rng), cells, cfg)
+
+    def test_points_on_sites_use_the_distance_floor(self):
+        cfg = ClusterConfig()
+        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed=0)
+        points = np.array(site_positions(cfg) + [(0.5, 0.0), (-0.0, 1e-9)])
+        assert_rx_matches_per_cell(points, cells, cfg)
+        rx = radio._rx_dbm(points[:1], cells, cfg)
+        assert rx[0, 0] == cfg.bs_tx_power - cfg.tilt_offset_db - path_loss_cost231(
+            1e-3, cfg.carrier_freq, cfg.bs_height, cfg.ue_height)
 
 
 def scalar_drop_oracle(cfg, rng):
