@@ -135,7 +135,7 @@ def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
 
 def antenna_gain(bearing_offset_deg):
     """Horizontal sector gain in dB: -min(12*(theta/65)^2, 20)."""
-    # numpy's float ``(x + 180) % 360``, which fmod and a sign fix give faster
+    # the bits of numpy's float ``(x + 180) % 360``, faster: fmod, +360 if negative
     off = np.fmod(np.asarray(bearing_offset_deg, dtype=float) + 180.0, 360.0)
     off += 360.0 * (off < 0.0)
     off -= 180.0

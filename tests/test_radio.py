@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -152,22 +152,10 @@ class TestGeometry:
         assert np.array_equal(rx.argmax(axis=1), dropped_in)
 
 
-def oracle_point_rx(point, cells, cfg):
-    # unshadowed link budget from every cell at one point
-    sites = np.array([c.site_position for c in cells], dtype=float)
-    boresight = np.array([c.boresight for c in cells], dtype=float)
-    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
-    dx = point[0] - sites[:, 0]
-    dy = point[1] - sites[:, 1]
-    gain = antenna_gain(np.degrees(np.arctan2(dy, dx)) - boresight) - cfg.tilt_offset_db
-    pl = path_loss_cost231(np.hypot(dx, dy) / 1000.0, cfg.carrier_freq,
-                           cfg.bs_height, cfg.ue_height)
-    return cfg.bs_tx_power + delta + gain - pl
-
-
 def per_cell_rx_oracle(points, cells, cfg):
-    # the link budget with distance, bearing and path loss evaluated for
-    # every cell, its site repeated per sector, and the bearing wrapped by mod
+    # unshadowed link budget from every cell at every point, with distance,
+    # bearing and path loss evaluated per cell (its site repeated per
+    # sector) and the bearing wrapped by mod
     sites = np.array([c.site_position for c in cells], dtype=float)
     boresight = np.array([c.boresight for c in cells], dtype=float)
     delta = np.array([c.tx_power_delta for c in cells], dtype=float)
@@ -197,7 +185,7 @@ class TestPerSiteRx:
     def test_faulted_cluster(self, seed):
         cfg = ClusterConfig()
         rng = np.random.default_rng(seed)
-        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed)
+        cells = radio._make_cells(cfg)
         for cell in cells:
             # drifts of up to 25 accumulated 30-degree steps, past 360 degrees
             cell.azimuth_offset = 30.0 * rng.integers(0, 26) + rng.uniform(-1.0, 1.0)
@@ -207,7 +195,7 @@ class TestPerSiteRx:
 
     def test_single_cell(self):
         cfg = ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=1)
-        cells, _ = build_cluster(cfg, seed=0)
+        cells = radio._make_cells(cfg)
         cells[0].azimuth_offset = 400.0
         assert_rx_matches_per_cell(disk_points(cfg, 100, np.random.default_rng(1)),
                                    cells, cfg)
@@ -216,7 +204,7 @@ class TestPerSiteRx:
     def test_shuffled_cells_with_repeating_sites(self, seed):
         cfg = ClusterConfig()
         rng = np.random.default_rng(seed)
-        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed)
+        cells = radio._make_cells(cfg)
         cells = [cells[i] for i in rng.permutation(len(cells))][:13]
         order = [c.site_position for c in cells]
         assert any(a != b and a in order[i + 2:]
@@ -225,7 +213,7 @@ class TestPerSiteRx:
 
     def test_points_on_sites_use_the_distance_floor(self):
         cfg = ClusterConfig()
-        cells, _ = build_cluster(replace(cfg, ues_per_cell=1), seed=0)
+        cells = radio._make_cells(cfg)
         points = np.array(site_positions(cfg) + [(0.5, 0.0), (-0.0, 1e-9)])
         assert_rx_matches_per_cell(points, cells, cfg)
         rx = radio._rx_dbm(points[:1], cells, cfg)
@@ -250,14 +238,14 @@ def scalar_drop_oracle(cfg, rng):
                 r = radius * math.sqrt(rng.random())
                 theta = 2.0 * math.pi * rng.random()
                 point = np.array([r * math.cos(theta), r * math.sin(theta)])
-                if int(oracle_point_rx(point, cells, cfg).argmax()) == cell.cell_id:
+                if int(per_cell_rx_oracle(point[None], cells, cfg)[0].argmax()) == cell.cell_id:
                     break
             else:
                 raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
             positions.append(point)
             headings.append(2.0 * math.pi * rng.random())
     shadow = rng.normal(0.0, cfg.shadow_sigma, size=(len(positions), len(cells)))
-    rx = np.array([oracle_point_rx(p, cells, cfg) for p in positions]) + shadow
+    rx = per_cell_rx_oracle(np.array(positions), cells, cfg) + shadow
     return np.array(positions), np.array(headings), shadow, rx.argmax(axis=1)
 
 
@@ -459,7 +447,7 @@ class TestArrayWalk:
             reflected += n
             assert ues.position.tobytes() == positions.tobytes()
             assert ues.heading.tobytes() == headings.tobytes()
-            rx = np.array([oracle_point_rx(p, cells, cfg) for p in positions]) + ues.shadow_map
+            rx = per_cell_rx_oracle(positions, cells, cfg) + ues.shadow_map
             assert ues.serving_cell.tolist() == rx.argmax(axis=1).tolist()
         assert reflected >= len(edge)
 
