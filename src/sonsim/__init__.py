@@ -2,15 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .radio import ClusterConfig, CellState, build_cluster
+from .radio import CellTable, ClusterConfig, build_cluster
 from .faults import FaultKind, FaultRates, FaultRegister
 from .mdp import MdpAction, MdpState, RewardSchedule, EpisodeConfig, SonEnv
 from .config import ExperimentConfig, load_config, default_config
 from .experiment import run_experiment
 
 __all__ = [
+    "CellTable",
     "ClusterConfig",
-    "CellState",
     "build_cluster",
     "FaultKind",
     "FaultRates",

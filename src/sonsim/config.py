@@ -63,6 +63,11 @@ class ExperimentConfig:
     qs: tuple = ()          # empty means: use cluster.ues_per_cell
     output_dir: str = "results"
 
+    def __post_init__(self):
+        # an empty register must leave the cells healthy, and 0 * inf is NaN
+        if not math.isfinite(self.azimuth_delta):
+            raise ConfigError("faults.azimuth_delta must be finite")
+
     def effective_qs(self) -> tuple:
         return tuple(self.qs) if self.qs else (self.cluster.ues_per_cell,)
 
@@ -131,12 +136,11 @@ def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(
             rates=FaultRates(top["faults.p"]) if "faults.p" in top else FaultRates(),
+            azimuth_delta=top.get("faults.azimuth_delta", DEFAULT_AZIMUTH_DELTA_DEG),
             **{section: cls(**values[section]) for section, cls in sections.items()})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
-    if "faults.azimuth_delta" in top:
-        cfg = replace(cfg, azimuth_delta=top["faults.azimuth_delta"])
     if "run.agents" in top:
         cfg = replace(cfg, agents=top["run.agents"])
     if "run.seeds" in top:

@@ -5,7 +5,9 @@ neighbour cell outage, a lost transmit-diversity path, and a feeder fault
 costing 3 dB of signal.  Events 5..8 are the matching spontaneous clears
 (event k clears alarm k-4); they are only admissible while that alarm is
 active.  The register keeps one occurrence counter per alarm type; the
-type's bit reads as set while its counter is positive.
+type's bit reads as set while its counter is positive.  It is the only
+mutable fault state: ``derive_cells`` writes the cells' fault arrays from
+it after every change.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 FEEDER_LOSS_DB = 3.0
 DEFAULT_AZIMUTH_DELTA_DEG = 30.0
 NUM_ALARM_TYPES = 4
+MANAGED_CELL = 0  # the serving cell the agent heals; cell 0 of the centre site
 
 
 class FaultKind(IntEnum):
@@ -85,10 +88,6 @@ class FaultRegister:
         return self._counts[int(alarm)] > 0
 
     @property
-    def bits(self) -> tuple[bool, ...]:
-        return tuple(c > 0 for c in self._counts[1:])
-
-    @property
     def active_count(self) -> int:
         """Number of alarm types currently set (register population count)."""
         return sum(1 for c in self._counts[1:] if c > 0)
@@ -101,14 +100,14 @@ class FaultRegister:
         self._counts[int(alarm)] += 1
 
     def decrement(self, alarm: int) -> None:
+        """Clear one instance; a neighbour outage restores the oldest down cell."""
         if self._counts[int(alarm)] > 0:
             self._counts[int(alarm)] -= 1
+            if alarm == FaultKind.NEIGHBOR_DOWN and self._down_cells:
+                self._down_cells.pop(0)
 
     def note_cell_down(self, cell_id: int) -> None:
         self._down_cells.append(cell_id)
-
-    def pop_oldest_down(self) -> int | None:
-        return self._down_cells.pop(0) if self._down_cells else None
 
     @property
     def down_cells(self) -> tuple[int, ...]:
@@ -131,18 +130,32 @@ def sample_event(rates: FaultRates, register: FaultRegister,
     return kind
 
 
+def derive_cells(cells, register: FaultRegister,
+                 azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> None:
+    """Write the cells' fault arrays from the register alone: the managed
+    cell turns by ``azimuth_delta`` per pending drift, and loses
+    ``FEEDER_LOSS_DB`` while a feeder fault is pending and its diversity
+    while a diversity loss is; the register's down cells are dark."""
+    cells.azimuth_offset.fill(0.0)  # += keeps 0 x a negative delta at +0.0
+    cells.azimuth_offset[MANAGED_CELL] += register.count(FaultKind.AZIMUTH_DRIFT) * azimuth_delta
+    cells.tx_power_delta.fill(0.0)
+    if register.is_active(FaultKind.FEEDER_FAULT):
+        cells.tx_power_delta[MANAGED_CELL] = -FEEDER_LOSS_DB
+    cells.diversity.fill(True)
+    cells.diversity[MANAGED_CELL] = not register.is_active(FaultKind.DIVERSITY_LOST)
+    cells.is_up.fill(True)
+    cells.is_up[list(register.down_cells)] = False
+
+
 def apply_fault(kind: FaultKind, cells, register: FaultRegister,
                 rng: np.random.Generator,
-                azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG,
-                managed_cell: int = 0) -> bool:
-    """Apply one fault's radio effect and count it.
+                azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> bool:
+    """Count one fault in the register and re-derive the cells.
 
     Azimuth drift, diversity loss and feeder faults strike the managed
     (serving) cell; a neighbour outage downs one uniformly chosen up cell
-    other than the managed one.  Diversity and feeder faults are counted on
-    re-occurrence but do not compound their radio effect.  Returns whether
-    the fault actually landed (a neighbour outage with no up neighbour left
-    is dropped).
+    other than the managed one.  Returns whether the fault actually landed
+    (a neighbour outage with no up neighbour left is dropped).
     """
     kind = FaultKind(kind)
     if kind == FaultKind.NORMAL:
@@ -150,44 +163,24 @@ def apply_fault(kind: FaultKind, cells, register: FaultRegister,
     if kind not in ALARM_KINDS:
         raise ValueError(f"apply_fault takes fault kinds 1..4, got {kind!r}")
 
-    cell = cells[managed_cell]
-    if kind == FaultKind.AZIMUTH_DRIFT:
-        cell.azimuth_offset += azimuth_delta
-    elif kind == FaultKind.NEIGHBOR_DOWN:
-        candidates = [c.cell_id for c in cells
-                      if c.is_up and c.cell_id != managed_cell]
-        if not candidates:
+    if kind == FaultKind.NEIGHBOR_DOWN:
+        candidates = np.flatnonzero(cells.is_up)
+        candidates = candidates[candidates != MANAGED_CELL]
+        if not candidates.size:
             return False
-        victim = candidates[int(rng.integers(len(candidates)))]
-        cells[victim].is_up = False
-        register.note_cell_down(victim)
-    elif kind == FaultKind.DIVERSITY_LOST:
-        cell.diversity_enabled = False
-    elif kind == FaultKind.FEEDER_FAULT:
-        cell.tx_power_delta = -FEEDER_LOSS_DB
+        register.note_cell_down(int(candidates[int(rng.integers(len(candidates)))]))
     register.increment(kind)
+    derive_cells(cells, register, azimuth_delta)
     return True
 
 
 def clear_fault(alarm: FaultKind, cells, register: FaultRegister,
-                managed_cell: int = 0) -> None:
-    """Revert one instance of an alarm's radio effect and decrement its
-    counter; clearing an inactive alarm is a legal no-op."""
+                azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> None:
+    """Clear one instance of an alarm (the oldest outage, for a neighbour
+    outage) and re-derive the cells; clearing an inactive alarm is a legal
+    no-op."""
     alarm = FaultKind(alarm)
     if alarm not in ALARM_KINDS:
         raise ValueError(f"clear_fault takes alarm kinds 1..4, got {alarm!r}")
-    if register.count(alarm) == 0:
-        return
-
-    cell = cells[managed_cell]
-    if alarm == FaultKind.AZIMUTH_DRIFT:
-        cell.azimuth_offset = 0.0
-    elif alarm == FaultKind.NEIGHBOR_DOWN:
-        victim = register.pop_oldest_down()
-        if victim is not None:
-            cells[victim].is_up = True
-    elif alarm == FaultKind.DIVERSITY_LOST:
-        cell.diversity_enabled = True
-    elif alarm == FaultKind.FEEDER_FAULT:
-        cell.tx_power_delta = 0.0
     register.decrement(alarm)
+    derive_cells(cells, register, azimuth_delta)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import seeding
 from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
-                     apply_fault, clear_fault, paired_alarm, sample_event,
-                     DEFAULT_AZIMUTH_DELTA_DEG)
+                     apply_fault, clear_fault, derive_cells, paired_alarm,
+                     sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
                     compute_throughputs, step_mobility)
 
@@ -111,8 +111,9 @@ class SonEnv:
     """Fault-injected cluster as a step environment for the healing agents.
 
     All randomness is keyed off ``seed`` through named substreams; fault,
-    mobility and shadowing streams are re-keyed per episode so every agent
-    sees the same environment realization at each episode start.
+    mobility and shadowing streams are re-keyed per episode.  UE positions
+    and headings are not reset: each episode starts where the previous
+    episodes left the UEs, and how far they walked depends on the agent.
     """
 
     def __init__(self, cluster: ClusterConfig,
@@ -143,15 +144,11 @@ class SonEnv:
         return self.register.active_count
 
     def reset(self, episode_index: int = 0) -> MdpState:
-        """Heal all cells, empty the register, redraw shadowing, rewind the
-        TTI clock and return the start state; the first ``step`` sets the
-        serving cells."""
-        for cell in self.cells:
-            cell.azimuth_offset = 0.0
-            cell.tx_power_delta = 0.0
-            cell.diversity_enabled = True
-            cell.is_up = True
+        """Empty the register (which heals every cell), redraw shadowing,
+        rewind the TTI clock and return the start state; the first ``step``
+        sets the serving cells."""
         self.register.clear()
+        derive_cells(self.cells, self.register, self.azimuth_delta)
 
         shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
         self.ues.shadow_map[:] = shadow_rng.normal(0.0, self.config.shadow_sigma,
@@ -175,15 +172,16 @@ class SonEnv:
 
         event = sample_event(self.rates, self.register, self._fault_rng)
         if event in ALARM_KINDS:
-            applied = apply_fault(event, self.cells, self.register,
-                                  self._fault_rng, self.azimuth_delta)
-            if not applied:
+            if not apply_fault(event, self.cells, self.register,
+                               self._fault_rng, self.azimuth_delta):
                 event = FaultKind.NORMAL
         elif event != FaultKind.NORMAL:
-            clear_fault(paired_alarm(event), self.cells, self.register)
+            clear_fault(paired_alarm(event), self.cells, self.register,
+                        self.azimuth_delta)
 
         if action != MdpAction.NO_ACTION:
-            clear_fault(ACTION_CLEARS[action], self.cells, self.register)
+            clear_fault(ACTION_CLEARS[action], self.cells, self.register,
+                        self.azimuth_delta)
 
         cur_count = self.register.active_count
         reward = alarm_reward(prev_count, cur_count, self.rewards)

@@ -6,16 +6,17 @@ COST231-Hata path loss, a 3GPP 36.942-style horizontal sector pattern,
 log-normal shadowing and a flat transmit-diversity gain term.  Electrical
 tilt is folded into a constant boresight offset (2-D simulation).
 
-The UEs are one ``np.recarray`` table whose row index is the UE id, with
-the fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell``
-and ``shadow_map`` (num_cells,) dB; every radio function works on its
-columns.
+The cells are one :class:`CellTable` of arrays indexed by cell id, whose
+fault state ``faults.derive_cells`` writes from the alarm register.  The
+UEs are one ``np.recarray`` table whose row index is the UE id, with the
+fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell`` and
+``shadow_map`` (num_cells,) dB.  Every radio function works on columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,25 +60,24 @@ class ClusterConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if math.isnan(value):
                 raise ValueError(f"{f.name} must not be NaN")
-        for name in ("carrier_freq", "bs_height", "ue_height"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and above 0")
-        if not 0.0 <= self.ue_speed < math.inf:
-            raise ValueError("ue_speed must be finite and at least 0")
-        if self.inter_site_distance <= 0:
-            raise ValueError("inter_site_distance must be positive")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+            if math.isinf(value) and not (f.name == "sinr_cap" and value > 0):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("inter_site_distance", "carrier_freq", "bandwidth",
+                     "bs_height", "ue_height"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be above 0")
+        for name in ("shadow_sigma", "ue_speed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
         if self.ues_per_cell < 1:
             raise ValueError("ues_per_cell must be at least 1")
         if not 1 <= self.num_sites <= 7:
             raise ValueError("num_sites must be in 1..7 (centre plus one ring)")
         if self.sectors_per_site < 1:
             raise ValueError("sectors_per_site must be at least 1")
-        if self.shadow_sigma < 0:
-            raise ValueError("shadow_sigma must be non-negative")
 
     @property
     def num_cells(self) -> int:
@@ -101,21 +101,38 @@ class ClusterConfig:
         return ring + self.inter_site_distance / math.sqrt(3.0)
 
 
-@dataclass
-class CellState:
-    """One sector of one site, including any fault-induced distortions."""
+@dataclass(eq=False)
+class CellTable:
+    """Every cell of the cluster as arrays indexed by cell id.
 
-    cell_id: int
-    site_position: tuple[float, float]
-    azimuth: float                      # boresight, degrees in [0, 360)
-    azimuth_offset: float = 0.0         # fault-induced extra rotation
-    tx_power_delta: float = 0.0         # dB, feeder fault sets -3
-    diversity_enabled: bool = True
-    is_up: bool = True
+    ``sites`` (S, 2) holds the site positions in metres, ``site`` (C,) each
+    cell's site index and ``azimuth`` (C,) its boresight in degrees.  The
+    fault arrays start healthy: ``azimuth_offset`` (degrees) and
+    ``tx_power_delta`` (dB) at 0, ``diversity`` and ``is_up`` all true.
+    """
 
-    @property
-    def boresight(self) -> float:
-        return self.azimuth + self.azimuth_offset
+    sites: np.ndarray
+    site: np.ndarray
+    azimuth: np.ndarray
+    azimuth_offset: np.ndarray = field(init=False)
+    tx_power_delta: np.ndarray = field(init=False)
+    diversity: np.ndarray = field(init=False)
+    is_up: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.site)
+        self.azimuth_offset = np.zeros(n)
+        self.tx_power_delta = np.zeros(n)
+        self.diversity = np.ones(n, dtype=bool)
+        self.is_up = np.ones(n, dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.site)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellTable) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
@@ -153,39 +170,31 @@ def site_positions(config: ClusterConfig) -> list[tuple[float, float]]:
     return out
 
 
-def _make_cells(config: ClusterConfig) -> list[CellState]:
-    cells = []
-    sector_step = 360.0 / config.sectors_per_site
-    for s, pos in enumerate(site_positions(config)):
-        for j in range(config.sectors_per_site):
-            cells.append(CellState(cell_id=s * config.sectors_per_site + j,
-                                   site_position=pos,
-                                   azimuth=j * sector_step))
-    return cells
+def _make_cells(config: ClusterConfig) -> CellTable:
+    k = config.sectors_per_site
+    return CellTable(sites=np.array(site_positions(config)),
+                     site=np.repeat(np.arange(config.num_sites), k),
+                     azimuth=np.tile(np.arange(k) * (360.0 / k), config.num_sites))
 
 
-def _rx_dbm(points: np.ndarray, cells: list[CellState], config: ClusterConfig) -> np.ndarray:
+def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig) -> np.ndarray:
     """Unshadowed received power in dBm from every cell at every point of
     ``points`` (M, 2), shape (M, C); geometry and path loss are computed
-    once per distinct site and shared by its sectors."""
-    site_of: dict = {}
-    site = np.array([site_of.setdefault(c.site_position, len(site_of)) for c in cells])
-    sites = np.array(list(site_of), dtype=float)
-    boresight = np.array([c.boresight for c in cells], dtype=float)
-    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
-
+    once per site and shared by its sectors."""
+    sites, site = cells.sites, cells.site
     dx = points[:, None, 0] - sites[None, :, 0]
     dy = points[:, None, 1] - sites[None, :, 1]
     dist_km = np.hypot(dx, dy) / 1000.0
     bearing = np.degrees(np.arctan2(dy, dx))
 
-    gain = antenna_gain(bearing[:, site] - boresight[None, :]) - config.tilt_offset_db
+    boresight = cells.azimuth + cells.azimuth_offset
+    gain = antenna_gain(bearing[:, site] - boresight) - config.tilt_offset_db
     pl = path_loss_cost231(dist_km, config.carrier_freq,
                            config.bs_height, config.ue_height)
-    return config.bs_tx_power + delta[None, :] + gain - pl[:, site]
+    return config.bs_tx_power + cells.tx_power_delta + gain - pl[:, site]
 
 
-def rx_power_matrix(ues: np.recarray, cells: list[CellState],
+def rx_power_matrix(ues: np.recarray, cells: CellTable,
                     config: ClusterConfig) -> np.ndarray:
     """Received power in dBm from every cell at every UE, shape (N, C).
 
@@ -194,22 +203,17 @@ def rx_power_matrix(ues: np.recarray, cells: list[CellState],
     return _rx_dbm(ues.position, cells, config) + ues.shadow_map
 
 
-def best_server(rx_dbm: np.ndarray, cells: list[CellState]) -> np.ndarray:
-    """Index of the strongest up cell per UE (ties: lowest cell id)."""
-    up = np.array([c.is_up for c in cells], dtype=bool)
-    if not up.any():
-        return np.full(rx_dbm.shape[0], NO_SERVING_CELL, dtype=int)
-    masked = np.where(up[None, :], rx_dbm, -np.inf)
-    return masked.argmax(axis=1)
-
-
-def reassign_serving(ues: np.recarray, cells: list[CellState],
+def reassign_serving(ues: np.recarray, cells: CellTable,
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
-    """Apply the handover rule: serve every UE from its strongest up cell."""
+    """Apply the handover rule: serve every UE from its strongest up cell
+    (ties: lowest cell id; ``NO_SERVING_CELL`` when every cell is down)."""
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
-    ues.serving_cell[:] = best_server(rx_dbm, cells)
+    if cells.is_up.any():
+        ues.serving_cell[:] = np.where(cells.is_up, rx_dbm, -np.inf).argmax(axis=1)
+    else:
+        ues.serving_cell[:] = NO_SERVING_CELL
     return rx_dbm
 
 
@@ -226,7 +230,7 @@ def _drop_owners(u, start, cells, config) -> np.ndarray:
     return np.concatenate(out)
 
 
-def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], np.recarray]:
+def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
     """Build cells and the UE table: drop ``ues_per_cell`` UEs uniformly in
     each cell's dominance area (strongest unshadowed server wins), in cell
     order, then draw per-link shadowing and attach each UE to its strongest
@@ -270,7 +274,7 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[list[CellState], np.reca
     return cells, ues
 
 
-def compute_sinr_all(ues: np.recarray, cells: list[CellState],
+def compute_sinr_all(ues: np.recarray, cells: CellTable,
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
     """Downlink SINR in dB per UE.
@@ -283,10 +287,8 @@ def compute_sinr_all(ues: np.recarray, cells: list[CellState],
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
     serving = ues.serving_cell
-    up = np.array([c.is_up for c in cells], dtype=bool)
-    diversity = np.array([c.diversity_enabled for c in cells], dtype=bool)
-
-    lin = np.power(10.0, rx_dbm / 10.0) * up[None, :]
+    up = cells.is_up
+    lin = np.power(10.0, rx_dbm / 10.0) * up
     noise_mw = 10.0 ** (config.noise_power_dbm / 10.0)
 
     sinr = np.full(len(serving), OUTAGE_SINR_DB)
@@ -297,12 +299,12 @@ def compute_sinr_all(ues: np.recarray, cells: list[CellState],
         interference = lin[idx].sum(axis=1) - sig
         with np.errstate(divide="ignore"):
             vals = 10.0 * np.log10(sig / (interference + noise_mw))
-        vals = np.where(diversity[serving[idx]], vals, vals - config.diversity_gain)
+        vals = np.where(cells.diversity[serving[idx]], vals, vals - config.diversity_gain)
         sinr[idx] = np.minimum(vals, config.sinr_cap)
     return sinr
 
 
-def step_mobility(ues: np.recarray, cells: list[CellState],
+def step_mobility(ues: np.recarray, cells: CellTable,
                   config: ClusterConfig, rng: np.random.Generator,
                   duration_ms: float = 1.0) -> np.ndarray:
     """Advance every UE one step of a perturbed random walk, reflect at the
@@ -325,7 +327,7 @@ def step_mobility(ues: np.recarray, cells: list[CellState],
     return reassign_serving(ues, cells, config)
 
 
-def compute_throughputs(ues: np.recarray, cells: list[CellState],
+def compute_throughputs(ues: np.recarray, cells: CellTable,
                         config: ClusterConfig,
                         sinr_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shannon-rate throughputs under an equal share of the cell bandwidth.

@@ -1,9 +1,13 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from sonsim.baselines import FifoQueue, fifo_policy, random_policy
-from sonsim.faults import FaultKind, FaultRegister
+from sonsim.config import default_config
+from sonsim.experiment import run_single
+from sonsim.faults import FaultKind, FaultRates, FaultRegister
 from sonsim.mdp import CLEAR_ACTION_FOR, MdpAction
 
 
@@ -124,6 +128,8 @@ class TestAgentsAgainstEnv:
             state = env.reset(ep)
             agent.begin_episode()
             while True:
+                # with no spontaneous clears one instance at most is pending
+                assert sum(env.register.counts) <= 1
                 a = agent.act(state, env)
                 # both baselines must only clear active alarm types
                 if a != MdpAction.NO_ACTION:
@@ -146,3 +152,15 @@ class TestAgentsAgainstEnv:
         # both clear exactly one pending instance per TTI, so the alarm
         # count trajectory and episode lengths coincide seed for seed
         assert self._run("random", seed=3) == self._run("fifo", seed=3)
+
+    @pytest.mark.parametrize("p", [(5 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9),
+                                   (0, 1 / 4, 1 / 4, 1 / 4, 1 / 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_and_fifo_traces_identical(self, seed, p):
+        # the one pending instance leaves both baselines the same choice
+        cfg = replace(default_config(), rates=FaultRates(p))
+        rand, fifo = (run_single(agent, 1, seed, cfg) for agent in ("random", "fifo"))
+        assert rand.episodes == fifo.episodes
+        for a, b in zip(rand.traces, fifo.traces, strict=True):
+            for f in fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))

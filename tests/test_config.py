@@ -93,11 +93,18 @@ class TestValues:
     @pytest.mark.parametrize("key, value", [
         ("carrier_freq", "0"), ("bs_height", "-1"), ("ue_height", "inf"),
         ("ue_speed", "-3"), ("shadow_sigma", "nan"), ("sinr_cap", "nan"),
-        ("inter_site_distance", "nan"),
+        ("inter_site_distance", "nan"), ("inter_site_distance", "inf"),
+        ("bs_tx_power", "inf"), ("bandwidth", "inf"), ("shadow_sigma", "inf"),
+        ("noise_density", "inf"), ("sinr_cap", "-inf"),
     ])
     def test_bad_cluster_value_names_the_field(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse(f"cluster.{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_azimuth_delta_rejected(self, value):
+        with pytest.raises(ConfigError, match="faults.azimuth_delta"):
+            parse(f"faults.azimuth_delta = {value}\n")
 
     def test_uncapped_sinr_and_standing_ues_accepted(self):
         cfg = parse("cluster.sinr_cap = inf\ncluster.ue_speed = 0\n")

@@ -5,13 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim.faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
-                           apply_fault, clear_fault, paired_alarm, sample_event)
+from sonsim.faults import (ALARM_KINDS, FEEDER_LOSS_DB, FaultKind, FaultRates,
+                           FaultRegister, apply_fault, clear_fault, paired_alarm,
+                           sample_event)
 from sonsim.radio import ClusterConfig, build_cluster
+
+BUILT_CELLS, _ = build_cluster(ClusterConfig(ues_per_cell=1), seed=0)
 
 
 def make_cells():
-    cells, _ = build_cluster(ClusterConfig(ues_per_cell=1), seed=0)
+    return copy.deepcopy(BUILT_CELLS)
+
+
+def cells_oracle(healthy, register, azimuth_delta=30.0):
+    # the cells the register describes, written from the fault model's
+    # description: the managed cell 0 rotates by the delta per pending
+    # drift, loses 3 dB while a feeder fault is pending and its diversity
+    # while a diversity loss is; the register's down cells are dark
+    counts = dict(zip(ALARM_KINDS, register.counts))
+    cells = copy.deepcopy(healthy)
+    cells.azimuth_offset[0] = counts[FaultKind.AZIMUTH_DRIFT] * azimuth_delta
+    cells.tx_power_delta[0] = -3.0 if counts[FaultKind.FEEDER_FAULT] else 0.0
+    cells.diversity[0] = counts[FaultKind.DIVERSITY_LOST] == 0
+    for cell in register.down_cells:
+        cells.is_up[cell] = False
     return cells
 
 
@@ -74,8 +91,8 @@ class TestApplyClear:
         cells = make_cells()
         reg = FaultRegister()
         apply_fault(FaultKind.FEEDER_FAULT, cells, reg, np.random.default_rng(0))
-        assert cells[0].tx_power_delta == -3.0
-        assert reg.bits == (False, False, False, True)
+        assert cells.tx_power_delta[0] == -3.0
+        assert reg.counts == (0, 0, 0, 1)
         assert reg.active_count == 1
 
     def test_normal_is_noop(self):
@@ -98,7 +115,7 @@ class TestApplyClear:
         rng = np.random.default_rng(1)
         apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
         apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
-        down = [c.cell_id for c in cells if not c.is_up]
+        down = np.flatnonzero(~cells.is_up).tolist()
         assert len(down) == 2
         assert 0 not in down  # managed cell never downed
         assert reg.count(FaultKind.NEIGHBOR_DOWN) == 2
@@ -110,7 +127,7 @@ class TestApplyClear:
         rng = np.random.default_rng(1)
         apply_fault(FaultKind.FEEDER_FAULT, cells, reg, rng)
         apply_fault(FaultKind.FEEDER_FAULT, cells, reg, rng)
-        assert cells[0].tx_power_delta == -3.0
+        assert cells.tx_power_delta[0] == -3.0
         assert reg.count(FaultKind.FEEDER_FAULT) == 2
 
     def test_azimuth_drift_accumulates(self):
@@ -119,7 +136,7 @@ class TestApplyClear:
         rng = np.random.default_rng(1)
         apply_fault(FaultKind.AZIMUTH_DRIFT, cells, reg, rng)
         apply_fault(FaultKind.AZIMUTH_DRIFT, cells, reg, rng)
-        assert cells[0].azimuth_offset == 60.0
+        assert cells.azimuth_offset[0] == 60.0
 
     @pytest.mark.parametrize("kind", list(ALARM_KINDS))
     def test_roundtrip_restores_cells(self, kind):
@@ -138,13 +155,41 @@ class TestApplyClear:
         reg = FaultRegister()
         rng = np.random.default_rng(2)
         apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
-        first_down = [c.cell_id for c in cells if not c.is_up][0]
+        first_down = int(np.flatnonzero(~cells.is_up)[0])
         apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
         clear_fault(FaultKind.NEIGHBOR_DOWN, cells, reg)
         assert reg.count(FaultKind.NEIGHBOR_DOWN) == 1
-        assert reg.bits[FaultKind.NEIGHBOR_DOWN - 1] is True
-        # oldest outage restored first
-        assert cells[first_down].is_up
+        assert reg.is_active(FaultKind.NEIGHBOR_DOWN)
+        # oldest outage restored first, the second stays dark
+        assert cells.is_up[first_down]
+        assert (~cells.is_up).sum() == 1
+
+    def test_one_clear_of_two_drifts_leaves_one_drift(self):
+        cells = make_cells()
+        reg = FaultRegister()
+        rng = np.random.default_rng(1)
+        apply_fault(FaultKind.AZIMUTH_DRIFT, cells, reg, rng)
+        apply_fault(FaultKind.AZIMUTH_DRIFT, cells, reg, rng)
+        clear_fault(FaultKind.AZIMUTH_DRIFT, cells, reg)
+        assert cells.azimuth_offset[0] == 30.0
+
+    def test_one_clear_of_two_feeder_faults_keeps_the_loss(self):
+        cells = make_cells()
+        reg = FaultRegister()
+        rng = np.random.default_rng(1)
+        apply_fault(FaultKind.FEEDER_FAULT, cells, reg, rng)
+        apply_fault(FaultKind.FEEDER_FAULT, cells, reg, rng)
+        clear_fault(FaultKind.FEEDER_FAULT, cells, reg)
+        assert cells.tx_power_delta[0] == -FEEDER_LOSS_DB
+
+    def test_one_clear_of_two_diversity_losses_keeps_diversity_off(self):
+        cells = make_cells()
+        reg = FaultRegister()
+        rng = np.random.default_rng(1)
+        apply_fault(FaultKind.DIVERSITY_LOST, cells, reg, rng)
+        apply_fault(FaultKind.DIVERSITY_LOST, cells, reg, rng)
+        clear_fault(FaultKind.DIVERSITY_LOST, cells, reg)
+        assert not cells.diversity[0]
 
     def test_clear_on_empty_register_is_noop(self):
         cells = make_cells()
@@ -165,19 +210,33 @@ class TestPairing:
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.sampled_from(range(1, 5))),
-                max_size=60))
-def test_register_invariants_under_random_ops(ops):
+                max_size=60),
+       st.sampled_from([30.0, 7.5, -45.0, 1e-3]))
+def test_register_invariants_under_random_ops(ops, delta):
     cells = make_cells()
     reg = FaultRegister()
     rng = np.random.default_rng(0)
+    pending = dict.fromkeys(ALARM_KINDS, 0)
     for is_apply, kind in ops:
+        kind = FaultKind(kind)
         if is_apply:
-            apply_fault(FaultKind(kind), cells, reg, rng)
+            pending[kind] += apply_fault(kind, cells, reg, rng, delta)
         else:
-            clear_fault(FaultKind(kind), cells, reg)
-        assert all(c >= 0 for c in reg.counts)
+            clear_fault(kind, cells, reg, delta)
+            pending[kind] = max(pending[kind] - 1, 0)
+        assert reg.counts == tuple(pending.values())
         assert reg.active_count == sum(1 for c in reg.counts if c > 0)
-        assert reg.active_count <= 4
+        assert len(reg.down_cells) == reg.count(FaultKind.NEIGHBOR_DOWN)
+        assert len(set(reg.down_cells)) == len(reg.down_cells)
+        assert 0 not in reg.down_cells
+        assert cells == cells_oracle(BUILT_CELLS, reg, delta)
+    # clearing every pending instance gives back the built cells exactly
+    for kind in ALARM_KINDS:
+        while reg.is_active(kind):
+            clear_fault(kind, cells, reg, delta)
+    assert cells == BUILT_CELLS
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(vars(cells).values(), vars(BUILT_CELLS).values()))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+from test_faults import cells_oracle
 
-from sonsim.faults import FaultKind, FaultRates
+from sonsim.faults import FaultKind, FaultRates, derive_cells
 from sonsim.mdp import (ACTION_CLEARS, CLEAR_ACTION_FOR, EpisodeConfig,
                         MdpAction, MdpState, RewardSchedule, SonEnv,
                         alarm_reward, encode_state, transition)
@@ -99,11 +102,12 @@ class TestEnv:
         env = SonEnv(SMALL, rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         env.reset(0)
         env.register.increment(FaultKind.FEEDER_FAULT)
-        env.cells[0].tx_power_delta = -3.0
+        derive_cells(env.cells, env.register)
+        assert env.cells.tx_power_delta[0] == -3.0
         state, reward, terminal, obs = env.step(MdpAction.RECOVER_POWER)
         assert reward == 5.0
         assert terminal
-        assert env.cells[0].tx_power_delta == 0.0
+        assert env.cells.tx_power_delta[0] == 0.0
         assert obs["alarm_count"] == 0
 
     def test_no_faults_terminates_first_tti(self):
@@ -182,8 +186,24 @@ class TestEnv:
         assert env.alarm_count > 0
         env.reset(1)
         assert env.alarm_count == 0
-        assert all(c.is_up and c.diversity_enabled and c.tx_power_delta == 0.0
-                   and c.azimuth_offset == 0.0 for c in env.cells)
+        cells = env.cells
+        assert cells.is_up.all() and cells.diversity.all()
+        assert not cells.tx_power_delta.any() and not cells.azimuth_offset.any()
+
+    @pytest.mark.parametrize("rates", [
+        (0, 1 / 4, 1 / 4, 1 / 4, 1 / 4),  # a fault every TTI
+        (0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1),  # spontaneous clears too
+    ])
+    def test_cells_follow_the_register_every_step(self, rates):
+        env = SonEnv(ClusterConfig(ues_per_cell=1), rates=FaultRates(rates), seed=5)
+        healthy = copy.deepcopy(env.cells)
+        rng = np.random.default_rng(0)
+        for ep in range(10):
+            env.reset(ep)
+            assert env.cells == healthy
+            while not env.terminal:
+                env.step(MdpAction(int(rng.integers(5))))
+                assert env.cells == cells_oracle(healthy, env.register)
 
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)

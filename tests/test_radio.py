@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sonsim import radio
 from sonsim.faults import FaultKind, FaultRegister, apply_fault
-from sonsim.radio import (CellState, ClusterConfig, antenna_gain, build_cluster,
+from sonsim.radio import (CellTable, ClusterConfig, antenna_gain, build_cluster,
                           compute_sinr_all, compute_throughputs,
                           path_loss_cost231, reassign_serving, rx_power_matrix,
                           site_positions, step_mobility)
@@ -94,8 +94,8 @@ class TestGeometry:
         cells, ues = build_cluster(cfg, seed=1)
         assert len(cells) == 21
         assert len(ues) == 210  # q * num_cells
-        azimuths = {c.azimuth for c in cells}
-        assert azimuths == {0.0, 120.0, 240.0}
+        assert set(cells.azimuth.tolist()) == {0.0, 120.0, 240.0}
+        assert cells.site.tolist() == [s for s in range(7) for _ in range(3)]
 
     def test_outer_sites_at_inter_site_distance(self):
         cfg = ClusterConfig()
@@ -127,6 +127,13 @@ class TestGeometry:
             ClusterConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("field, value", [
+        (f.name, sign * math.inf) for f in fields(ClusterConfig) if f.type == "float"
+        for sign in (1, -1) if (f.name, sign) != ("sinr_cap", 1)])
+    def test_infinity_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
         ("carrier_freq", 0.0), ("carrier_freq", math.inf), ("bs_height", -1.0),
         ("bs_height", math.inf), ("ue_height", 0.0), ("ue_height", -math.inf),
         ("ue_speed", -3.0), ("ue_speed", math.inf),
@@ -156,9 +163,9 @@ def per_cell_rx_oracle(points, cells, cfg):
     # unshadowed link budget from every cell at every point, with distance,
     # bearing and path loss evaluated per cell (its site repeated per
     # sector) and the bearing wrapped by mod
-    sites = np.array([c.site_position for c in cells], dtype=float)
-    boresight = np.array([c.boresight for c in cells], dtype=float)
-    delta = np.array([c.tx_power_delta for c in cells], dtype=float)
+    sites = np.array([cells.sites[s] for s in cells.site], dtype=float)
+    boresight = np.array([a + d for a, d in zip(cells.azimuth, cells.azimuth_offset)])
+    delta = cells.tx_power_delta
     dx = points[:, None, 0] - sites[None, :, 0]
     dy = points[:, None, 1] - sites[None, :, 1]
     dist_km = np.hypot(dx, dy) / 1000.0
@@ -186,17 +193,18 @@ class TestPerSiteRx:
         cfg = ClusterConfig()
         rng = np.random.default_rng(seed)
         cells = radio._make_cells(cfg)
-        for cell in cells:
+        for c in range(len(cells)):
             # drifts of up to 25 accumulated 30-degree steps, past 360 degrees
-            cell.azimuth_offset = 30.0 * rng.integers(0, 26) + rng.uniform(-1.0, 1.0)
-            cell.tx_power_delta = -3.0 if rng.random() < 0.3 else 0.0
-        assert max(c.azimuth_offset for c in cells) > 360.0
+            cells.azimuth_offset[c] = 30.0 * rng.integers(0, 26) + rng.uniform(-1.0, 1.0)
+            cells.tx_power_delta[c] = -3.0 if rng.random() < 0.3 else 0.0
+        assert cells.azimuth_offset.max() > 360.0
         assert_rx_matches_per_cell(disk_points(cfg, 600, rng), cells, cfg)
 
     def test_single_cell(self):
         cfg = ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=1)
-        cells = radio._make_cells(cfg)
-        cells[0].azimuth_offset = 400.0
+        cells = CellTable(sites=np.array([[0.0, 0.0]]), site=np.array([0]),
+                          azimuth=np.array([0.0]))
+        cells.azimuth_offset[0] = 400.0
         assert_rx_matches_per_cell(disk_points(cfg, 100, np.random.default_rng(1)),
                                    cells, cfg)
 
@@ -204,9 +212,15 @@ class TestPerSiteRx:
     def test_shuffled_cells_with_repeating_sites(self, seed):
         cfg = ClusterConfig()
         rng = np.random.default_rng(seed)
-        cells = radio._make_cells(cfg)
-        cells = [cells[i] for i in rng.permutation(len(cells))][:13]
-        order = [c.site_position for c in cells]
+        full = radio._make_cells(cfg)
+        keep = rng.permutation(len(full))[:13]
+        # the sites listed in a shuffled order too, the cells renumbered to it
+        site_order = rng.permutation(len(full.sites))
+        cells = CellTable(sites=full.sites[site_order],
+                          site=np.argsort(site_order)[full.site[keep]],
+                          azimuth=full.azimuth[keep])
+        cells.tx_power_delta[:] = -3.0 * (rng.random(len(cells)) < 0.3)
+        order = cells.site.tolist()
         assert any(a != b and a in order[i + 2:]
                    for i, (a, b) in enumerate(zip(order, order[1:])))
         assert_rx_matches_per_cell(disk_points(cfg, 300, rng), cells, cfg)
@@ -226,22 +240,23 @@ def scalar_drop_oracle(cfg, rng):
     # target cell is the strongest unshadowed server, then one heading draw;
     # shadowing follows and every UE attaches to its strongest shadowed cell
     step = 360.0 / cfg.sectors_per_site
-    cells = [CellState(cell_id=s * cfg.sectors_per_site + j, site_position=pos,
-                       azimuth=j * step)
-             for s, pos in enumerate(site_positions(cfg))
-             for j in range(cfg.sectors_per_site)]
+    sectors = [(s, j * step) for s in range(cfg.num_sites)
+               for j in range(cfg.sectors_per_site)]
+    cells = CellTable(sites=np.array(site_positions(cfg)),
+                      site=np.array([s for s, _ in sectors]),
+                      azimuth=np.array([a for _, a in sectors]))
     radius = cfg.bounding_radius
     positions, headings = [], []
-    for cell in cells:
+    for cell_id in range(len(cells)):
         for _ in range(cfg.ues_per_cell):
             for _attempt in range(100_000):
                 r = radius * math.sqrt(rng.random())
                 theta = 2.0 * math.pi * rng.random()
                 point = np.array([r * math.cos(theta), r * math.sin(theta)])
-                if int(per_cell_rx_oracle(point[None], cells, cfg)[0].argmax()) == cell.cell_id:
+                if int(per_cell_rx_oracle(point[None], cells, cfg)[0].argmax()) == cell_id:
                     break
             else:
-                raise RuntimeError(f"could not place a UE in cell {cell.cell_id}")
+                raise RuntimeError(f"could not place a UE in cell {cell_id}")
             positions.append(point)
             headings.append(2.0 * math.pi * rng.random())
     shadow = rng.normal(0.0, cfg.shadow_sigma, size=(len(positions), len(cells)))
@@ -332,14 +347,14 @@ class TestSinr:
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
         before = compute_sinr_all(ues, cells, cfg)[0]
-        cells[0].diversity_enabled = False
+        cells.diversity[0] = False
         after = compute_sinr_all(ues, cells, cfg)[0]
         assert after == pytest.approx(before - cfg.diversity_gain, abs=1e-12)
 
     def test_all_cells_down_is_outage(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
-        cells[0].is_up = False
+        cells.is_up[0] = False
         reassign_serving(ues, cells, cfg)
         assert ues.serving_cell[0] == -1
         assert compute_sinr_all(ues, cells, cfg)[0] == float("-inf")
@@ -385,11 +400,10 @@ class TestMobility:
         cfg = ClusterConfig()
         cells, ues = build_cluster(cfg, seed=8)
         rng = np.random.default_rng(2)
-        cells[4].is_up = False
-        cells[11].is_up = False
+        cells.is_up[[4, 11]] = False
         step_mobility(ues, cells, cfg, rng)
         rx = rx_power_matrix(ues, cells, cfg)
-        up = np.array([c.is_up for c in cells])
+        up = cells.is_up
         masked = np.where(up[None, :], rx, -np.inf)
         assert np.array_equal(ues.serving_cell, masked.argmax(axis=1))
         assert up[ues.serving_cell].all()
@@ -398,7 +412,7 @@ class TestMobility:
         cfg = ClusterConfig()
         cells, ues = build_cluster(cfg, seed=8)
         assert np.any(ues.serving_cell == 5)
-        cells[5].is_up = False
+        cells.is_up[5] = False
         reassign_serving(ues, cells, cfg)
         assert np.all(ues.serving_cell != 5)
 
