@@ -38,9 +38,6 @@ class FifoQueue:
                 self.pending.remove(entry)
                 return
 
-    def __len__(self) -> int:
-        return len(self.pending)
-
 
 def fifo_policy(queue: FifoQueue) -> MdpAction:
     """Clear-action for the head-of-queue fault (popped); NO_ACTION when

@@ -91,15 +91,6 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 

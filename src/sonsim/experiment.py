@@ -71,7 +71,7 @@ def run_single(agent_name: str, q: int, seed: int,
     traces: list[EpisodeTrace] = []
     episodes: list[EpisodeResult] = []
     for ep in range(cfg.episode.num_episodes):
-        result, trace = run_episode(env, agent, ep, record=True)
+        result, trace = run_episode(env, agent, ep)
         traces.append(trace)
         episodes.append(result)
     return SeedRunResult(agent=agent_name, q=q, seed=seed, traces=traces,

@@ -7,7 +7,7 @@ at 0 Mbps and are excluded from SINR statistics.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,18 +80,18 @@ def ue_average_rates(traces) -> np.ndarray:
     return np.concatenate([tr.rate_mbps.mean(axis=0) for tr in traces])
 
 
+def _finite_mean(sinr_db: np.ndarray, axis: int) -> np.ndarray:
+    """Mean over the finite entries along ``axis``; NaN where there is none."""
+    finite = np.isfinite(sinr_db)
+    with np.errstate(invalid="ignore"):
+        return np.where(finite, sinr_db, 0.0).sum(axis=axis) / finite.sum(axis=axis)
+
+
 def ue_average_sinrs(traces) -> np.ndarray:
     """Per-UE time-averaged SINR over finite TTIs, pooled over all traces;
     UEs with no finite sample (never served) are dropped."""
-    out = []
-    for tr in traces:
-        finite = np.isfinite(tr.sinr_db)
-        with np.errstate(invalid="ignore"):
-            sums = np.where(finite, tr.sinr_db, 0.0).sum(axis=0)
-            n = finite.sum(axis=0)
-        mask = n > 0
-        out.append(sums[mask] / n[mask])
-    return np.concatenate(out)
+    means = np.concatenate([_finite_mean(tr.sinr_db, axis=0) for tr in traces])
+    return means[~np.isnan(means)]
 
 
 def clearance_ttis(trace: EpisodeTrace, ttis_per_episode: int) -> int:
@@ -128,8 +128,13 @@ def summarize_run(traces, ttis_per_episode: int) -> RunSummary:
     )
 
 
-def _fmt(x) -> str:
-    return FLOAT_FORMAT % float(x)
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """Write ``header``, then ``row_format % row`` for each row, streamed;
+    lines end in CRLF, as ``csv.writer`` ends them."""
+    line = row_format + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(map(line.__mod__, rows))
 
 
 def write_cdf_csv(path, samples) -> None:
@@ -143,49 +148,34 @@ def write_cdf_csv(path, samples) -> None:
     while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
               for i in near):
         digits += 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "probability"])
-        for value, prob in zip(v, p):
-            writer.writerow(["%.*g" % (digits, value), _fmt(prob)])
+    _write_csv(path, "value,probability", f"%.{digits}g,{FLOAT_FORMAT}", zip(v, p))
 
 
 def write_episodes_csv(path, episode_results) -> None:
     """episodes_<agent>.csv: episode, total_reward, ttis, cleared."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "total_reward", "ttis", "cleared"])
-        for episode, result in episode_results:
-            writer.writerow([episode, _fmt(result.total_reward),
-                             result.ttis, int(result.cleared)])
+    _write_csv(path, "episode,total_reward,ttis,cleared", f"%s,{FLOAT_FORMAT},%s,%d",
+               ((episode, result.total_reward, result.ttis, result.cleared)
+                for episode, result in episode_results))
 
 
 def write_summary_csv(path, rows) -> None:
     """summary.csv: agent, q, peak, average, edge, cell_average,
     mean_clearance_ttis.  ``rows`` holds (agent, q, RunSummary)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "q", "peak", "average", "edge",
-                         "cell_average", "mean_clearance_ttis"])
-        for agent, q, summary in rows:
-            tp = summary.throughput
-            writer.writerow([agent, q, _fmt(tp.peak_mbps),
-                             _fmt(tp.average_mbps), _fmt(tp.edge_mbps),
-                             _fmt(tp.cell_average_mbps),
-                             _fmt(summary.mean_clearance_ttis)])
+    _write_csv(path, "agent,q,peak,average,edge,cell_average,mean_clearance_ttis",
+               "%s,%s" + f",{FLOAT_FORMAT}" * 5,
+               ((agent, q, s.throughput.peak_mbps, s.throughput.average_mbps,
+                 s.throughput.edge_mbps, s.throughput.cell_average_mbps,
+                 s.mean_clearance_ttis) for agent, q, s in rows))
+
+
+def _trace_rows(tr: EpisodeTrace):
+    """One trace's rows, with each TTI's mean over its finite UE SINRs."""
+    return zip(itertools.repeat(tr.episode), tr.tti, tr.state, tr.action,
+               tr.reward, tr.alarm_count, _finite_mean(tr.sinr_db, axis=1))
 
 
 def write_trace_csv(path, traces) -> None:
     """traces_<agent>.csv: one row per TTI with the mean UE SINR."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "tti", "state", "action", "reward",
-                         "alarm_count", "mean_sinr_db"])
-        for tr in traces:
-            for i in range(len(tr.tti)):
-                row_sinr = tr.sinr_db[i]
-                finite = row_sinr[np.isfinite(row_sinr)]
-                mean_sinr = finite.mean() if finite.size else float("nan")
-                writer.writerow([tr.episode, int(tr.tti[i]), int(tr.state[i]),
-                                 int(tr.action[i]), _fmt(tr.reward[i]),
-                                 int(tr.alarm_count[i]), _fmt(mean_sinr)])
+    _write_csv(path, "episode,tti,state,action,reward,alarm_count,mean_sinr_db",
+               f"%s,%d,%d,%d,{FLOAT_FORMAT},%d,{FLOAT_FORMAT}",
+               itertools.chain.from_iterable(map(_trace_rows, traces)))

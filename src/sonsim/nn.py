@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_LAYER_SIZES = (3, 24, 24, 5)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba defaults
 
 
 def init_params(layer_sizes=DEFAULT_LAYER_SIZES,
@@ -89,9 +90,6 @@ class AdamState:
     v: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray],
@@ -109,7 +107,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     reference to the old list remains a valid pre-update snapshot.
     """
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params: list[np.ndarray] = []
     for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
@@ -117,7 +115,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         m_hat = state.m[i] / (1.0 - b1 ** t)
         v_hat = state.v[i] / (1.0 - b2 ** t)
         new_params.append(p - state.learning_rate * m_hat
-                          / (np.sqrt(v_hat) + state.epsilon))
+                          / (np.sqrt(v_hat) + ADAM_EPSILON))
     state.step_count = t
     return new_params, state
 

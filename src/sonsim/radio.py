@@ -305,14 +305,13 @@ def compute_sinr_all(ues: np.recarray, cells: CellTable,
 
 
 def step_mobility(ues: np.recarray, cells: CellTable,
-                  config: ClusterConfig, rng: np.random.Generator,
-                  duration_ms: float = 1.0) -> np.ndarray:
-    """Advance every UE one step of a perturbed random walk, reflect at the
-    cluster boundary, and re-run the handover rule.
+                  config: ClusterConfig, rng: np.random.Generator) -> np.ndarray:
+    """Advance every UE one 1 ms TTI of a perturbed random walk, reflect at
+    the cluster boundary, and re-run the handover rule.
 
     Returns the fresh received-power matrix so callers can reuse it.
     """
-    step_m = config.ue_speed / 3.6 * (duration_ms / 1000.0)
+    step_m = config.ue_speed / 3.6 * (1.0 / 1000.0)
     turns = rng.normal(0.0, TURN_SIGMA_RAD, size=len(ues))
     radius = config.bounding_radius
     position, heading = ues.position, ues.heading

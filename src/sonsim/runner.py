@@ -16,41 +16,37 @@ class EpisodeResult:
     cleared: bool
 
 
-def run_episode(env, agent, episode_index: int = 0,
-                record: bool = False) -> tuple[EpisodeResult, EpisodeTrace | None]:
+def run_episode(env, agent, episode_index: int = 0) -> tuple[EpisodeResult, EpisodeTrace]:
     """Reset the environment, run one episode to termination, and return a
-    summary plus (optionally) the per-TTI trace."""
+    summary plus the per-TTI trace."""
     state = env.reset(episode_index)
     agent.begin_episode()
 
     total = 0.0
-    rows = [] if record else None
+    rows = []
     while True:
         action = agent.act(state, env)
         next_state, reward, terminal, obs = env.step(action)
         agent.observe(state, action, reward, next_state, terminal, obs)
         total += reward
-        if record:
-            rows.append((env.t, int(state), int(action), reward,
-                         obs["alarm_count"], obs["sinr_db"],
-                         obs["ue_mbps"], obs["cell_mbps"]))
+        rows.append((env.t, int(state), int(action), reward,
+                     obs["alarm_count"], obs["sinr_db"],
+                     obs["ue_mbps"], obs["cell_mbps"]))
         state = next_state
         if terminal:
             break
 
     result = EpisodeResult(total_reward=total, ttis=env.t,
                            cleared=env.alarm_count == 0)
-    trace = None
-    if record:
-        trace = EpisodeTrace(
-            episode=episode_index,
-            tti=np.array([r[0] for r in rows], dtype=int),
-            state=np.array([r[1] for r in rows], dtype=int),
-            action=np.array([r[2] for r in rows], dtype=int),
-            reward=np.array([r[3] for r in rows], dtype=float),
-            alarm_count=np.array([r[4] for r in rows], dtype=int),
-            sinr_db=np.stack([r[5] for r in rows]),
-            rate_mbps=np.stack([r[6] for r in rows]),
-            cell_mbps=np.stack([r[7] for r in rows]),
-        )
-    return result, trace
+    tti, states, actions, rewards, alarms, sinr, rate, cell = zip(*rows)
+    return result, EpisodeTrace(
+        episode=episode_index,
+        tti=np.array(tti, dtype=int),
+        state=np.array(states, dtype=int),
+        action=np.array(actions, dtype=int),
+        reward=np.array(rewards, dtype=float),
+        alarm_count=np.array(alarms, dtype=int),
+        sinr_db=np.stack(sinr),
+        rate_mbps=np.stack(rate),
+        cell_mbps=np.stack(cell),
+    )

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim.metrics import (EpisodeTrace, clearance_ttis, empirical_cdf,
-                            percentile, summarize_run, ue_average_rates,
-                            ue_average_sinrs, write_cdf_csv,
-                            write_episodes_csv, write_summary_csv,
-                            write_trace_csv)
+from sonsim import metrics
+from sonsim.config import KNOWN_AGENTS
+from sonsim.metrics import (EpisodeTrace, RunSummary, ThroughputSummary,
+                            clearance_ttis, empirical_cdf, percentile,
+                            summarize_run, ue_average_rates, ue_average_sinrs,
+                            write_cdf_csv, write_episodes_csv,
+                            write_summary_csv, write_trace_csv)
 from sonsim.runner import EpisodeResult
 
 
@@ -263,3 +266,185 @@ def test_cdf_csv_prints_strictly_increasing_values(tmp_path_factory, samples, ne
     values = [float(v) for v, _ in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert rows[-1][1] == "1"
+
+
+# --- csv.writer transcription of the row-at-a-time writers ------------------
+
+def _fmt_oracle(x):
+    return "%.8g" % float(x)
+
+
+def cdf_csv_oracle(path, samples):
+    steps = empirical_cdf(samples)
+    v, p = steps[:, 0], steps[:, 1]
+    near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    digits = 8
+    while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
+              for i in near):
+        digits += 1
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value", "probability"])
+        for value, prob in zip(v, p):
+            writer.writerow(["%.*g" % (digits, value), _fmt_oracle(prob)])
+
+
+def episodes_csv_oracle(path, episode_results):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "total_reward", "ttis", "cleared"])
+        for episode, result in episode_results:
+            writer.writerow([episode, _fmt_oracle(result.total_reward),
+                             result.ttis, int(result.cleared)])
+
+
+def summary_csv_oracle(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["agent", "q", "peak", "average", "edge",
+                         "cell_average", "mean_clearance_ttis"])
+        for agent, q, summary in rows:
+            tp = summary.throughput
+            writer.writerow([agent, q, _fmt_oracle(tp.peak_mbps),
+                             _fmt_oracle(tp.average_mbps), _fmt_oracle(tp.edge_mbps),
+                             _fmt_oracle(tp.cell_average_mbps),
+                             _fmt_oracle(summary.mean_clearance_ttis)])
+
+
+def row_mean_oracle(row_sinr):
+    finite = row_sinr[np.isfinite(row_sinr)]
+    return finite.mean() if finite.size else float("nan")
+
+
+def trace_csv_oracle(path, traces):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "tti", "state", "action", "reward",
+                         "alarm_count", "mean_sinr_db"])
+        for tr in traces:
+            for i in range(len(tr.tti)):
+                writer.writerow([tr.episode, int(tr.tti[i]), int(tr.state[i]),
+                                 int(tr.action[i]), _fmt_oracle(tr.reward[i]),
+                                 int(tr.alarm_count[i]),
+                                 _fmt_oracle(row_mean_oracle(tr.sinr_db[i]))])
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+small_int = st.integers(-10**9, 10**9)
+
+
+@st.composite
+def traces_st(draw):
+    traces = []
+    for episode in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 12))
+        # whole rows finite or whole rows in outage: the mean of a partial
+        # row may differ from the oracle in its last bit (see TestTraceMean)
+        rows = [draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+                if draw(st.booleans()) else
+                draw(st.lists(st.sampled_from([-math.inf, math.nan]), min_size=n, max_size=n))
+                for _ in range(t)]
+        ints = st.lists(small_int, min_size=t, max_size=t)
+        start = draw(small_int)
+        traces.append(EpisodeTrace(
+            episode=draw(small_int),
+            tti=np.arange(start, start + t),
+            state=np.array(draw(ints)),
+            action=np.array(draw(ints)),
+            reward=np.array(draw(st.lists(any_float, min_size=t, max_size=t))),
+            alarm_count=np.array(draw(ints)),
+            sinr_db=np.array(rows, dtype=float),
+            rate_mbps=np.zeros((t, n)),
+            cell_mbps=np.zeros((t, 1))))
+    return traces
+
+
+summaries_st = st.builds(
+    RunSummary,
+    throughput=st.builds(ThroughputSummary, any_float, any_float, any_float, any_float),
+    mean_sinr_db=any_float, mean_clearance_ttis=any_float, cleared_fraction=any_float)
+
+
+def assert_same_bytes(tmp_path, writer, oracle, arg):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    writer(got, arg)
+    oracle(want, arg)
+    assert got.read_bytes() == want.read_bytes()
+
+
+class TestWriterBytes:
+    """All four writers give the bytes of the csv.writer transcription
+    above, CRLF line ends included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(any_float, min_size=1, max_size=40), st.integers(0, 5))
+    def test_cdf(self, tmp_path_factory, samples, neighbours):
+        samples = samples + [float(np.nextafter(x, 0.0)) for x in samples[:neighbours]]
+        assert_same_bytes(tmp_path_factory.mktemp("cdf"), write_cdf_csv,
+                          cdf_csv_oracle, samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(small_int, st.builds(EpisodeResult, any_float, small_int,
+                                                   st.booleans())), max_size=20))
+    def test_episodes(self, tmp_path_factory, rows):
+        assert_same_bytes(tmp_path_factory.mktemp("episodes"), write_episodes_csv,
+                          episodes_csv_oracle, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(KNOWN_AGENTS), small_int, summaries_st),
+                    max_size=8))
+    def test_summary(self, tmp_path_factory, rows):
+        assert_same_bytes(tmp_path_factory.mktemp("summary"), write_summary_csv,
+                          summary_csv_oracle, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces_st())
+    def test_trace(self, tmp_path_factory, traces):
+        assert_same_bytes(tmp_path_factory.mktemp("trace"), write_trace_csv,
+                          trace_csv_oracle, traces)
+
+
+class TestTraceMean:
+    """The trace's per-TTI mean over finite SINRs, computed on whole
+    episodes, against the per-row mean it replaced."""
+
+    @staticmethod
+    def means(sinr_db):
+        t, n = sinr_db.shape
+        tr = make_trace(0, rates=np.zeros((t, n)), sinrs=sinr_db,
+                        alarm_counts=np.zeros(t))
+        return np.array([row[-1] for row in metrics._trace_rows(tr)])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 21, 127, 128, 129, 210, 1050])
+    def test_all_finite_rows_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        sinr = rng.normal(8.0, 6.0, (5, n))
+        got = self.means(sinr)
+        want = np.array([row_mean_oracle(row) for row in sinr])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_with_outages_within_rounding(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 1051))
+        sinr = rng.normal(8.0, 6.0, (6, n))
+        sinr[rng.random((6, n)) < rng.random((6, 1))] = -np.inf
+        sinr[0, :] = -np.inf
+        sinr[1, 1:] = -np.inf  # one UE served
+        got = self.means(sinr)
+        want = np.array([row_mean_oracle(row) for row in sinr])
+        assert np.isnan(got[0])
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15, atol=0)
+
+    def test_all_outage_row_prints_nan(self, tmp_path):
+        tr = make_trace(2, rates=np.zeros((2, 3)),
+                        sinrs=[[-np.inf, -np.inf, -np.inf], [-np.inf, 4.0, 8.0]],
+                        alarm_counts=[1, 0])
+        path = tmp_path / "traces_x.csv"
+        write_trace_csv(path, [tr])
+        rows = path.read_bytes().split(b"\r\n")
+        assert rows[1] == b"2,1,0,0,0,1,nan"
+        assert rows[2] == b"2,2,0,0,0,0,6"
+        assert rows[3] == b""
