@@ -1,17 +1,22 @@
 """The self-healing control problem: states, actions, reward and the
 TTI-clocked environment wrapping the radio cluster and the fault process.
 
-One environment step is one TTI (1 ms): the fault process draws one event,
-the agent's action (if any) clears one alarm instance, the reward compares
-the register population before and after, UEs move and the radio
-observables are refreshed.  An episode ends when the register empties or
-the TTI budget runs out.
+One environment step is one TTI (1 ms) of the control loop: the fault
+process draws one event, the agent's action (if any) clears one alarm
+instance, the reward compares the register population before and after,
+and the TTI's register-derived cell state is recorded.  An episode ends
+when the register empties or the TTI budget runs out.  The agents see the
+register alone, so the radio observables (SINR and throughput, which only
+the metrics read) are computed once per episode, at its terminal step:
+the UEs walk every TTI, then handover, SINR and throughput run over blocks
+of TTIs, each TTI under the cells it recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,10 +25,13 @@ from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
                      apply_fault, clear_fault, derive_cells, paired_alarm,
                      sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
-                    compute_throughputs, step_mobility)
+                    compute_throughputs, reassign_serving, step_mobility)
 
 NUM_STATES = 3
 NUM_ACTIONS = 5
+# UE-rows (TTIs x UEs) per block of an episode's radio pass; bounds its
+# (rows, C) temporaries, as DROP_CHUNK_ROWS does for the drop
+RADIO_BLOCK_ROWS = 2048
 
 
 class MdpState(IntEnum):
@@ -131,6 +139,7 @@ class SonEnv:
 
         self.cells, self.ues = build_cluster(
             cluster, seeding.stream(seed, seeding.GEOMETRY))
+        self._cells_by_tti = self.cells.record(self.episode_config.ttis_per_episode)
         self.register = FaultRegister()
         self.state = MdpState.TRANSIENT
         self.t = 0
@@ -145,8 +154,8 @@ class SonEnv:
 
     def reset(self, episode_index: int = 0) -> MdpState:
         """Empty the register (which heals every cell), redraw shadowing,
-        rewind the TTI clock and return the start state; the first ``step``
-        sets the serving cells."""
+        rewind the TTI clock and return the start state; the terminal
+        ``step`` sets the serving cells."""
         self.register.clear()
         derive_cells(self.cells, self.register, self.azimuth_delta)
 
@@ -163,8 +172,14 @@ class SonEnv:
         return self.state
 
     def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:
-        """Advance one TTI under ``action``; returns (state, reward,
-        terminal, observables)."""
+        """Advance the control loop one TTI under ``action``; returns (state,
+        reward, terminal, observables).
+
+        The observables are the TTI (1-based), the fault event and the alarm
+        count.  On the terminal TTI they also hold the whole episode's radio
+        observables, one row per TTI: ``sinr_db`` and ``ue_mbps`` (T, N) and
+        ``cell_mbps`` (T, C).
+        """
         if self.terminal:
             raise RuntimeError("episode is finished; call reset() first")
         action = MdpAction(action)
@@ -186,20 +201,34 @@ class SonEnv:
         cur_count = self.register.active_count
         reward = alarm_reward(prev_count, cur_count, self.rewards)
         self.state = transition(self.state, prev_count, cur_count)
+        self._cells_by_tti[self.t] = self.cells
         self.t += 1
         self.terminal = (cur_count == 0
                          or self.t >= self.episode_config.ttis_per_episode)
 
-        rx = step_mobility(self.ues, self.cells, self.config, self._mobility_rng)
-        sinr_db = compute_sinr_all(self.ues, self.cells, self.config, rx)
-        ue_mbps, cell_mbps = compute_throughputs(self.ues, self.cells,
-                                                 self.config, sinr_db)
-        obs = {
-            "tti": self.t,
-            "fault_event": event,
-            "alarm_count": cur_count,
-            "sinr_db": sinr_db,
-            "ue_mbps": ue_mbps,
-            "cell_mbps": cell_mbps,
-        }
+        obs = {"tti": self.t, "fault_event": event, "alarm_count": cur_count}
+        if self.terminal:
+            obs.update(self._episode_radio())
         return self.state, reward, self.terminal, obs
+
+    def _episode_radio(self) -> dict:
+        """Walk the UEs through the episode's TTIs, then run handover, SINR
+        and throughput over blocks of at most RADIO_BLOCK_ROWS UE-rows, each
+        TTI under its recorded cells; the UE table ends at the last TTI."""
+        ttis, n = self.t, len(self.ues)
+        track = step_mobility(self.ues, self.config, self._mobility_rng, ttis)
+        serving = np.empty((ttis, n), dtype=self.ues.serving_cell.dtype)
+        sinr_db, ue_mbps = np.empty((ttis, n)), np.empty((ttis, n))
+        cell_mbps = np.empty((ttis, len(self.cells)))
+        block = max(1, RADIO_BLOCK_ROWS // n)
+        for a in range(0, ttis, block):
+            rows = slice(a, min(a + block, ttis))
+            ues = SimpleNamespace(position=track[rows], serving_cell=serving[rows],
+                                  shadow_map=self.ues.shadow_map)
+            cells = self._cells_by_tti[rows]
+            rx = reassign_serving(ues, cells, self.config)
+            sinr_db[rows] = compute_sinr_all(ues, cells, self.config, rx)
+            ue_mbps[rows], cell_mbps[rows] = compute_throughputs(
+                ues, cells, self.config, sinr_db[rows])
+        self.ues.serving_cell[:] = serving[-1]
+        return {"sinr_db": sinr_db, "ue_mbps": ue_mbps, "cell_mbps": cell_mbps}

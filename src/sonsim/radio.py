@@ -11,10 +11,17 @@ fault state ``faults.derive_cells`` writes from the alarm register.  The
 UEs are one ``np.recarray`` table whose row index is the UE id, with the
 fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell`` and
 ``shadow_map`` (num_cells,) dB.  Every radio function works on columns.
+
+The link budget, handover, SINR and throughput functions also take a
+leading TTI axis: ``ues`` may be any object with the table's columns whose
+``position`` (T, N, 2) and ``serving_cell`` (T, N) hold T TTIs, and a
+:class:`CellTable` record holds the fault arrays of T TTIs as (T, C); the
+results then carry the same leading axis.  One TTI is the case without it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, fields
 
@@ -36,6 +43,8 @@ DROP_CHUNK_ROWS = 512  # 86 KB temporaries; 1,024 rows cost 0.7 MB more peak RSS
 
 OUTAGE_SINR_DB = float("-inf")
 NO_SERVING_CELL = -1
+# The CellTable arrays the alarm register writes; a record gives them a TTI axis.
+FAULT_FIELDS = ("azimuth_offset", "tx_power_delta", "diversity", "is_up")
 
 
 @dataclass
@@ -129,6 +138,27 @@ class CellTable:
     def __len__(self) -> int:
         return len(self.site)
 
+    def record(self, ttis: int) -> CellTable:
+        """An unwritten record of these cells over ``ttis`` TTIs: the same
+        cells, each fault array with a leading TTI axis."""
+        out = copy.copy(self)
+        for name in FAULT_FIELDS:
+            column = getattr(self, name)
+            setattr(out, name, np.empty((ttis,) + column.shape, column.dtype))
+        return out
+
+    def __getitem__(self, ttis: slice) -> CellTable:
+        """The cells at TTIs ``ttis`` of a record."""
+        out = copy.copy(self)
+        for name in FAULT_FIELDS:
+            setattr(out, name, getattr(self, name)[ttis])
+        return out
+
+    def __setitem__(self, tti: int, cells: CellTable) -> None:
+        """Write the fault arrays of ``cells`` at TTI ``tti`` of a record."""
+        for name in FAULT_FIELDS:
+            getattr(self, name)[tti] = getattr(cells, name)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, CellTable) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
@@ -150,13 +180,25 @@ def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
     return pl if pl.ndim else float(pl)
 
 
-def antenna_gain(bearing_offset_deg):
-    """Horizontal sector gain in dB: -min(12*(theta/65)^2, 20)."""
-    # the bits of numpy's float ``(x + 180) % 360``, faster: fmod, +360 if negative
-    off = np.fmod(np.asarray(bearing_offset_deg, dtype=float) + 180.0, 360.0)
-    off += 360.0 * (off < 0.0)
-    off -= 180.0
-    g = -np.minimum(12.0 * (off / HORIZ_BEAMWIDTH_DEG) ** 2, PATTERN_FLOOR_DB)
+def antenna_gain(bearing_offset_deg, out=None):
+    """Horizontal sector gain in dB: -min(12*(theta/65)^2, 20).
+
+    The passes run in one buffer: ``out`` when given (it may be the input
+    array itself), else a new one.
+    """
+    x = np.asarray(bearing_offset_deg, dtype=float)
+    g = np.add(x, 180.0, out=np.empty_like(x) if out is None else out)
+    # the bits of numpy's float ``(x + 180) % 360``, faster: fmod, +360 if
+    # negative; fmod is the identity below 360 in magnitude, so skipped then
+    if not (g.size == 0 or -360.0 < g.min() and g.max() < 360.0):
+        np.fmod(g, 360.0, out=g)
+    g += 360.0 * (g < 0.0)
+    g -= 180.0
+    g /= HORIZ_BEAMWIDTH_DEG
+    np.square(g, out=g)
+    g *= 12.0
+    np.minimum(g, PATTERN_FLOOR_DB, out=g)
+    np.negative(g, out=g)
     return g if g.ndim else float(g)
 
 
@@ -179,41 +221,51 @@ def _make_cells(config: ClusterConfig) -> CellTable:
 
 def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig) -> np.ndarray:
     """Unshadowed received power in dBm from every cell at every point of
-    ``points`` (M, 2), shape (M, C); geometry and path loss are computed
-    once per site and shared by its sectors."""
+    ``points`` (..., M, 2), a new C-ordered array of shape (..., M, C);
+    fault arrays (..., C) apply per leading index.  Geometry and path loss
+    are computed once per site and shared by its sectors."""
     sites, site = cells.sites, cells.site
-    dx = points[:, None, 0] - sites[None, :, 0]
-    dy = points[:, None, 1] - sites[None, :, 1]
-    dist_km = np.hypot(dx, dy) / 1000.0
+    dx = points[..., None, 0] - sites[:, 0]
+    dy = points[..., None, 1] - sites[:, 1]
+    dist_km = np.hypot(dx, dy)
+    dist_km /= 1000.0
     bearing = np.degrees(np.arctan2(dy, dx))
-
-    boresight = cells.azimuth + cells.azimuth_offset
-    gain = antenna_gain(bearing[:, site] - boresight) - config.tilt_offset_db
     pl = path_loss_cost231(dist_km, config.carrier_freq,
                            config.bs_height, config.ue_height)
-    return config.bs_tx_power + cells.tx_power_delta + gain - pl[:, site]
+
+    # (P + delta) + gain - pl, in place in one buffer, which take (unlike a
+    # fancy gather) allocates C-ordered whatever the leading axes
+    rx = bearing.take(site, axis=-1)
+    rx -= (cells.azimuth + cells.azimuth_offset)[..., None, :]
+    antenna_gain(rx, out=rx)
+    rx -= config.tilt_offset_db
+    rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, :]
+    rx -= pl.take(site, axis=-1)
+    return rx
 
 
 def rx_power_matrix(ues: np.recarray, cells: CellTable,
                     config: ClusterConfig) -> np.ndarray:
-    """Received power in dBm from every cell at every UE, shape (N, C).
+    """Received power in dBm from every cell at every UE, shape (..., N, C).
 
     Down cells are still evaluated; callers mask them via ``is_up``.
     """
-    return _rx_dbm(ues.position, cells, config) + ues.shadow_map
+    rx = _rx_dbm(ues.position, cells, config)
+    rx += ues.shadow_map
+    return rx
 
 
 def reassign_serving(ues: np.recarray, cells: CellTable,
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
-    """Apply the handover rule: serve every UE from its strongest up cell
-    (ties: lowest cell id; ``NO_SERVING_CELL`` when every cell is down)."""
+    """Apply the handover rule at every TTI: serve every UE from its
+    strongest up cell (ties: lowest cell id; ``NO_SERVING_CELL`` when every
+    cell is down)."""
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
-    if cells.is_up.any():
-        ues.serving_cell[:] = np.where(cells.is_up, rx_dbm, -np.inf).argmax(axis=1)
-    else:
-        ues.serving_cell[:] = NO_SERVING_CELL
+    up = cells.is_up[..., None, :]
+    serving = np.where(up, rx_dbm, -np.inf).argmax(axis=-1)
+    ues.serving_cell[:] = np.where(up.any(axis=-1), serving, NO_SERVING_CELL)
     return rx_dbm
 
 
@@ -277,7 +329,7 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
 def compute_sinr_all(ues: np.recarray, cells: CellTable,
                      config: ClusterConfig,
                      rx_dbm: np.ndarray | None = None) -> np.ndarray:
-    """Downlink SINR in dB per UE.
+    """Downlink SINR in dB per UE, shape (..., N).
 
     Serving power over the sum of the other up cells plus thermal noise, in
     the linear domain; a flat penalty applies when the serving cell lost
@@ -287,43 +339,53 @@ def compute_sinr_all(ues: np.recarray, cells: CellTable,
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
     serving = ues.serving_cell
-    up = cells.is_up
-    lin = np.power(10.0, rx_dbm / 10.0) * up
+    lin = np.divide(rx_dbm, 10.0)
+    np.power(10.0, lin, out=lin)
+    lin *= cells.is_up[..., None, :]
     noise_mw = 10.0 ** (config.noise_power_dbm / 10.0)
 
-    sinr = np.full(len(serving), OUTAGE_SINR_DB)
-    ok = (serving >= 0) & up[np.clip(serving, 0, len(cells) - 1)]
+    sinr = np.full(serving.shape, OUTAGE_SINR_DB)
+    cell = np.clip(serving, 0, len(cells) - 1)
+    ok = (serving >= 0) & np.take_along_axis(cells.is_up, cell, axis=-1)
     if ok.any():
-        idx = np.nonzero(ok)[0]
-        sig = lin[idx, serving[idx]]
-        interference = lin[idx].sum(axis=1) - sig
+        diversity = np.take_along_axis(cells.diversity, cell, axis=-1)[ok]
+        cell = cell[ok]
+        sig = lin[ok, cell]
+        interference = lin[ok].sum(axis=-1) - sig  # a C-ordered copy: rows sum as alone
         with np.errstate(divide="ignore"):
             vals = 10.0 * np.log10(sig / (interference + noise_mw))
-        vals = np.where(cells.diversity[serving[idx]], vals, vals - config.diversity_gain)
-        sinr[idx] = np.minimum(vals, config.sinr_cap)
+        vals = np.where(diversity, vals, vals - config.diversity_gain)
+        sinr[ok] = np.minimum(vals, config.sinr_cap)
     return sinr
 
 
-def step_mobility(ues: np.recarray, cells: CellTable,
-                  config: ClusterConfig, rng: np.random.Generator) -> np.ndarray:
-    """Advance every UE one 1 ms TTI of a perturbed random walk, reflect at
-    the cluster boundary, and re-run the handover rule.
+def step_mobility(ues: np.recarray, config: ClusterConfig,
+                  rng: np.random.Generator, ttis: int = 1) -> np.ndarray:
+    """Advance every UE ``ttis`` 1 ms TTIs of a perturbed random walk,
+    reflecting at the cluster boundary; the table ends at the last TTI.
 
-    Returns the fresh received-power matrix so callers can reuse it.
+    The turns are one (ttis, N) draw, the values ``ttis`` draws of N would
+    give.  Returns the positions after each TTI, shape (ttis, N, 2); the
+    handover rule is ``reassign_serving``'s.
     """
     step_m = config.ue_speed / 3.6 * (1.0 / 1000.0)
-    turns = rng.normal(0.0, TURN_SIGMA_RAD, size=len(ues))
+    turns = rng.normal(0.0, TURN_SIGMA_RAD, size=(ttis, len(ues)))
     radius = config.bounding_radius
-    position, heading = ues.position, ues.heading
-    heading[:] = (heading + turns) % (2.0 * math.pi)
-    position[:, 0] += step_m * np.cos(heading)
-    position[:, 1] += step_m * np.sin(heading)
-    rr = np.hypot(position[:, 0], position[:, 1])
-    out = rr > radius
-    # fold the overshoot back inside and turn around
-    position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
-    heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
-    return reassign_serving(ues, cells, config)
+    track = np.empty((ttis, len(ues), 2))
+    position, heading = ues.position.copy(), ues.heading.copy()
+    for turn, now in zip(turns, track):
+        heading += turn
+        np.remainder(heading, 2.0 * math.pi, out=heading)
+        position[:, 0] += step_m * np.cos(heading)
+        position[:, 1] += step_m * np.sin(heading)
+        rr = np.hypot(position[:, 0], position[:, 1])
+        out = rr > radius
+        if out.any():  # fold the overshoot back inside and turn around
+            position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
+            heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
+        now[:] = position
+    ues.position[:], ues.heading[:] = position, heading
+    return track
 
 
 def compute_throughputs(ues: np.recarray, cells: CellTable,
@@ -331,21 +393,25 @@ def compute_throughputs(ues: np.recarray, cells: CellTable,
                         sinr_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shannon-rate throughputs under an equal share of the cell bandwidth.
 
-    Each UE gets bandwidth / (UEs currently attached to its cell); outage
-    UEs rate 0.  Returns (per-UE Mbps, per-cell Mbps).
+    Each UE gets bandwidth / (UEs attached to its cell at that TTI); outage
+    UEs rate 0.  Returns (per-UE Mbps (..., N), per-cell Mbps (..., C)).
     """
     n_cells = len(cells)
     serving = ues.serving_cell
+    lead = serving.shape[:-1]
     ok = serving >= 0
-    attached = np.bincount(serving[ok], minlength=n_cells)
+    # one bincount key per (TTI, cell); each key sums its UEs in id order
+    ttis = np.arange(math.prod(lead)).reshape(lead + (1,))
+    key = (serving + n_cells * ttis)[ok]
+    attached = np.bincount(key, minlength=n_cells * ttis.size)
 
-    rate_bps = np.zeros(len(serving))
+    rate_bps = np.zeros(serving.shape)
     if ok.any():
-        share = config.bandwidth / attached[serving[ok]]
+        share = config.bandwidth / attached[key]
         lin = np.power(10.0, sinr_db[ok] / 10.0)  # -inf maps to 0
         rate_bps[ok] = share * np.log2(1.0 + lin)
 
     ue_mbps = rate_bps / 1e6
-    cell_mbps = np.bincount(serving[ok], weights=rate_bps[ok],
-                            minlength=n_cells) / 1e6
+    cell_mbps = np.bincount(key, weights=rate_bps[ok],
+                            minlength=n_cells * ttis.size).reshape(lead + (n_cells,)) / 1e6
     return ue_mbps, cell_mbps

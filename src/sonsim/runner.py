@@ -18,7 +18,8 @@ class EpisodeResult:
 
 def run_episode(env, agent, episode_index: int = 0) -> tuple[EpisodeResult, EpisodeTrace]:
     """Reset the environment, run one episode to termination, and return a
-    summary plus the per-TTI trace."""
+    summary plus the per-TTI trace, whose radio columns are the terminal
+    step's episode observables."""
     state = env.reset(episode_index)
     agent.begin_episode()
 
@@ -29,24 +30,22 @@ def run_episode(env, agent, episode_index: int = 0) -> tuple[EpisodeResult, Epis
         next_state, reward, terminal, obs = env.step(action)
         agent.observe(state, action, reward, next_state, terminal, obs)
         total += reward
-        rows.append((env.t, int(state), int(action), reward,
-                     obs["alarm_count"], obs["sinr_db"],
-                     obs["ue_mbps"], obs["cell_mbps"]))
+        rows.append((int(state), int(action), reward, obs["alarm_count"]))
         state = next_state
         if terminal:
             break
 
     result = EpisodeResult(total_reward=total, ttis=env.t,
                            cleared=env.alarm_count == 0)
-    tti, states, actions, rewards, alarms, sinr, rate, cell = zip(*rows)
+    states, actions, rewards, alarms = zip(*rows)
     return result, EpisodeTrace(
         episode=episode_index,
-        tti=np.array(tti, dtype=int),
+        tti=np.arange(1, env.t + 1),
         state=np.array(states, dtype=int),
         action=np.array(actions, dtype=int),
         reward=np.array(rewards, dtype=float),
         alarm_count=np.array(alarms, dtype=int),
-        sinr_db=np.stack(sinr),
-        rate_mbps=np.stack(rate),
-        cell_mbps=np.stack(cell),
+        sinr_db=obs["sinr_db"],
+        rate_mbps=obs["ue_mbps"],
+        cell_mbps=obs["cell_mbps"],
     )

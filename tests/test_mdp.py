@@ -1,9 +1,14 @@
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_faults import cells_oracle
+from test_radio import per_cell_rx_oracle
 
+from sonsim import mdp, radio, seeding
 from sonsim.faults import FaultKind, FaultRates, derive_cells
 from sonsim.mdp import (ACTION_CLEARS, CLEAR_ACTION_FOR, EpisodeConfig,
                         MdpAction, MdpState, RewardSchedule, SonEnv,
@@ -168,10 +173,10 @@ class TestEnv:
                 while not env.terminal:
                     action = MdpAction((k + ep) % 5)
                     state, r, term, obs = env.step(action)
-                    out.append((int(state), r, term,
-                                obs["sinr_db"].tobytes(),
-                                obs["ue_mbps"].tobytes()))
+                    out.append((int(state), r, term))
                     k += 1
+                # the episode's observables, one row per TTI
+                out.append((obs["sinr_db"].tobytes(), obs["ue_mbps"].tobytes()))
             return out
 
         a, b = run(11), run(11)
@@ -213,3 +218,79 @@ class TestEnv:
         assert not np.array_equal(env.ues[0].shadow_map, first)
         env.reset(0)
         assert np.array_equal(env.ues[0].shadow_map, first)
+
+
+def tti_radio_oracle(ues, cells, cfg, rng):
+    # one TTI of the radio path as every step used to run it, in the order
+    # step_mobility -> reassign_serving -> compute_sinr_all ->
+    # compute_throughputs: walk, hand over on the shadowed link budget,
+    # SINR, equal-share throughput; moves the table, returns the observables
+    step_m = cfg.ue_speed / 3.6 * (1.0 / 1000.0)
+    turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=len(ues))
+    radius = cfg.bounding_radius
+    position, heading = ues.position, ues.heading
+    heading[:] = (heading + turns) % (2.0 * math.pi)
+    position[:, 0] += step_m * np.cos(heading)
+    position[:, 1] += step_m * np.sin(heading)
+    rr = np.hypot(position[:, 0], position[:, 1])
+    out = rr > radius
+    position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
+    heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
+
+    rx = per_cell_rx_oracle(position, cells, cfg) + ues.shadow_map
+    up = cells.is_up
+    ues.serving_cell[:] = (np.where(up, rx, -np.inf).argmax(axis=1) if up.any()
+                           else radio.NO_SERVING_CELL)
+    serving = ues.serving_cell
+
+    lin = np.power(10.0, rx / 10.0) * up
+    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    sinr = np.full(len(serving), -np.inf)
+    idx = np.nonzero((serving >= 0) & up[np.clip(serving, 0, len(cells) - 1)])[0]
+    if idx.size:
+        sig = lin[idx, serving[idx]]
+        interference = lin[idx].sum(axis=1) - sig
+        with np.errstate(divide="ignore"):
+            vals = 10.0 * np.log10(sig / (interference + noise_mw))
+        vals = np.where(cells.diversity[serving[idx]], vals, vals - cfg.diversity_gain)
+        sinr[idx] = np.minimum(vals, cfg.sinr_cap)
+
+    ok = serving >= 0
+    attached = np.bincount(serving[ok], minlength=len(cells))
+    rate = np.zeros(len(serving))
+    rate[ok] = (cfg.bandwidth / attached[serving[ok]]
+                * np.log2(1.0 + np.power(10.0, sinr[ok] / 10.0)))
+    cell = np.bincount(serving[ok], weights=rate[ok], minlength=len(cells))
+    return sinr, rate / 1e6, cell / 1e6
+
+
+class TestEpisodeRadio:
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
+           q=st.sampled_from([1, 10]), seed=st.integers(0, 10_000),
+           ttis_per_block=st.integers(1, 7), spare_rows=st.integers(0, 20))
+    def test_matches_per_tti_path_bit_for_bit(self, weights, q, seed,
+                                              ttis_per_block, spare_rows):
+        # events 5..8 are the spontaneous clears; blocks of a few TTIs make
+        # long episodes span several, the last one partial
+        cfg = ClusterConfig(ues_per_cell=q)
+        env = SonEnv(cfg, rates=FaultRates(np.array(weights) / sum(weights)), seed=seed)
+        n = len(env.ues)
+        actions = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows % n)
+            for ep in range(3):
+                env.reset(ep)
+                ues = env.ues.copy()
+                cells = []
+                while not env.terminal:
+                    *_, obs = env.step(MdpAction(int(actions.integers(5))))
+                    cells.append(copy.deepcopy(env.cells))
+                walk = seeding.stream(seed, seeding.MOBILITY, ep)
+                want = [np.stack(col) for col in
+                        zip(*(tti_radio_oracle(ues, c, cfg, walk) for c in cells))]
+                got = obs["sinr_db"], obs["ue_mbps"], obs["cell_mbps"]
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+                assert env.ues.tobytes() == ues.tobytes()

@@ -377,7 +377,7 @@ class TestMobility:
         ue = ues[:1]
         ue.position[0] = 10.0, 10.0  # far from the boundary
         before = ue.position[0].copy()
-        step_mobility(ue, cells, cfg, np.random.default_rng(0))
+        step_mobility(ue, cfg, np.random.default_rng(0))
         moved = math.hypot(*(ue.position[0] - before))
         assert moved == pytest.approx(3.0 / 3.6 * 1e-3, rel=1e-12)
 
@@ -385,7 +385,7 @@ class TestMobility:
         cfg = ClusterConfig(ues_per_cell=2, ue_speed=0.0)
         cells, ues = build_cluster(cfg, seed=5)
         before = ues.position.copy()
-        step_mobility(ues, cells, cfg, np.random.default_rng(0))
+        step_mobility(ues, cfg, np.random.default_rng(0))
         assert np.array_equal(ues.position, before)
 
     def test_reflection_keeps_ues_inside(self):
@@ -393,7 +393,7 @@ class TestMobility:
         cells, ues = build_cluster(cfg, seed=5)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            step_mobility(ues, cells, cfg, rng)
+            step_mobility(ues, cfg, rng)
         assert np.all(np.hypot(*ues.position.T) <= cfg.bounding_radius + 1e-6)
 
     def test_handover_tracks_best_up_cell(self):
@@ -401,7 +401,8 @@ class TestMobility:
         cells, ues = build_cluster(cfg, seed=8)
         rng = np.random.default_rng(2)
         cells.is_up[[4, 11]] = False
-        step_mobility(ues, cells, cfg, rng)
+        step_mobility(ues, cfg, rng)
+        reassign_serving(ues, cells, cfg)
         rx = rx_power_matrix(ues, cells, cfg)
         up = cells.is_up
         masked = np.where(up[None, :], rx, -np.inf)
@@ -455,7 +456,8 @@ class TestArrayWalk:
         walk, turns = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
         positions, headings, reflected = ues.position.copy(), ues.heading.copy(), 0
         for _ in range(20):
-            step_mobility(ues, cells, cfg, walk)
+            step_mobility(ues, cfg, walk)
+            reassign_serving(ues, cells, cfg)
             positions, headings, n = loop_walk_oracle(
                 positions, headings, turns.normal(0.0, radio.TURN_SIGMA_RAD, len(ues)), cfg)
             reflected += n
