@@ -32,7 +32,6 @@ class ReplayMemory:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._buf: deque[Experience] = deque(maxlen=capacity)
-        self.capacity = capacity
 
     def push(self, exp: Experience) -> None:
         self._buf.append(exp)

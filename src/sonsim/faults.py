@@ -63,8 +63,8 @@ class FaultRates:
             p = p + (0.0,) * 4
         if len(p) != 9:
             raise ValueError("need 5 or 9 event probabilities")
-        if any(x < 0 for x in p):
-            raise ValueError("event probabilities must be non-negative")
+        if not all(0.0 <= x <= 1.0 for x in p):  # NaN fails too
+            raise ValueError("faults.p: event probabilities must be in [0, 1]")
         if abs(sum(p) - 1.0) > 1e-9:
             raise ValueError(f"event probabilities sum to {sum(p)!r}, expected 1")
         self.p = p

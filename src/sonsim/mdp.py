@@ -14,7 +14,8 @@ of TTIs, each TTI under the cells it recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -66,6 +67,11 @@ class RewardSchedule:
     unchanged: float = 0.0    # population count unchanged
     improved: float = 1.0     # fewer alarm types active
     cleared: float = 5.0      # register empty (objective met)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"rewards.{f.name} must be finite")
 
 
 @dataclass
@@ -144,7 +150,6 @@ class SonEnv:
         self.state = MdpState.TRANSIENT
         self.t = 0
         self.terminal = True  # needs reset() before stepping
-        self._episode_index: int | None = None
         self._fault_rng: np.random.Generator | None = None
         self._mobility_rng: np.random.Generator | None = None
 
@@ -168,7 +173,6 @@ class SonEnv:
         self.state = MdpState.TRANSIENT
         self.t = 0
         self.terminal = False
-        self._episode_index = episode_index
         return self.state
 
     def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:

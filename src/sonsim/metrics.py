@@ -1,8 +1,10 @@
 """Performance reporting: empirical CDFs, nearest-rank percentiles,
 throughput/SINR summaries and the fixed-layout CSV outputs.
 
-UEs in outage carry a -inf SINR sentinel; they enter throughput statistics
-at 0 Mbps and are excluded from SINR statistics.
+A UE on a down serving cell (outage, which a run never has) gets -inf SINR,
+as does one whose signal underflows to zero under an extreme config; such
+UEs enter throughput statistics at 0 Mbps and are left out of SINR
+statistics.
 """
 
 from __future__ import annotations

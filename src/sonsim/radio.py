@@ -12,6 +12,10 @@ UEs are one ``np.recarray`` table whose row index is the UE id, with the
 fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell`` and
 ``shadow_map`` (num_cells,) dB.  Every radio function works on columns.
 
+Outage is a down serving cell: it gives its UEs no signal, so ``-inf``
+SINR and 0 Mbps.  Handover serves every UE from its strongest up cell and
+faults never take the managed cell down, so a run never has one.
+
 The link budget, handover, SINR and throughput functions also take a
 leading TTI axis: ``ues`` may be any object with the table's columns whose
 ``position`` (T, N, 2) and ``serving_cell`` (T, N) hold T TTIs, and a
@@ -41,8 +45,6 @@ DROP_MAX_ATTEMPTS = 100_000
 DROP_DRAWS_PER_UE = 50
 DROP_CHUNK_ROWS = 512  # 86 KB temporaries; 1,024 rows cost 0.7 MB more peak RSS
 
-OUTAGE_SINR_DB = float("-inf")
-NO_SERVING_CELL = -1
 # The CellTable arrays the alarm register writes; a record gives them a TTI axis.
 FAULT_FIELDS = ("azimuth_offset", "tx_power_delta", "diversity", "is_up")
 
@@ -256,16 +258,14 @@ def rx_power_matrix(ues: np.recarray, cells: CellTable,
 
 
 def reassign_serving(ues: np.recarray, cells: CellTable,
-                     config: ClusterConfig,
-                     rx_dbm: np.ndarray | None = None) -> np.ndarray:
+                     config: ClusterConfig) -> np.ndarray:
     """Apply the handover rule at every TTI: serve every UE from its
-    strongest up cell (ties: lowest cell id; ``NO_SERVING_CELL`` when every
-    cell is down)."""
-    if rx_dbm is None:
-        rx_dbm = rx_power_matrix(ues, cells, config)
-    up = cells.is_up[..., None, :]
-    serving = np.where(up, rx_dbm, -np.inf).argmax(axis=-1)
-    ues.serving_cell[:] = np.where(up.any(axis=-1), serving, NO_SERVING_CELL)
+    strongest up cell (ties: lowest cell id).  When every cell is down that
+    is cell 0, which is down, so the UE is in outage.  Returns the (..., N,
+    C) received powers."""
+    rx_dbm = rx_power_matrix(ues, cells, config)
+    ues.serving_cell[:] = np.where(cells.is_up[..., None, :], rx_dbm,
+                                   -np.inf).argmax(axis=-1)
     return rx_dbm
 
 
@@ -333,30 +333,24 @@ def compute_sinr_all(ues: np.recarray, cells: CellTable,
 
     Serving power over the sum of the other up cells plus thermal noise, in
     the linear domain; a flat penalty applies when the serving cell lost
-    transmit diversity; the result is capped at ``sinr_cap``.  UEs without
-    a live serving cell get ``-inf``.
+    transmit diversity; the result is capped at ``sinr_cap``.  A down
+    serving cell gives no signal, so a UE on one (outage) gets ``-inf``.
     """
     if rx_dbm is None:
         rx_dbm = rx_power_matrix(ues, cells, config)
     serving = ues.serving_cell
-    lin = np.divide(rx_dbm, 10.0)
+    lin = np.divide(rx_dbm, 10.0)  # C-ordered like rx_dbm: each row sums as alone
     np.power(10.0, lin, out=lin)
     lin *= cells.is_up[..., None, :]
     noise_mw = 10.0 ** (config.noise_power_dbm / 10.0)
 
-    sinr = np.full(serving.shape, OUTAGE_SINR_DB)
-    cell = np.clip(serving, 0, len(cells) - 1)
-    ok = (serving >= 0) & np.take_along_axis(cells.is_up, cell, axis=-1)
-    if ok.any():
-        diversity = np.take_along_axis(cells.diversity, cell, axis=-1)[ok]
-        cell = cell[ok]
-        sig = lin[ok, cell]
-        interference = lin[ok].sum(axis=-1) - sig  # a C-ordered copy: rows sum as alone
-        with np.errstate(divide="ignore"):
-            vals = 10.0 * np.log10(sig / (interference + noise_mw))
-        vals = np.where(diversity, vals, vals - config.diversity_gain)
-        sinr[ok] = np.minimum(vals, config.sinr_cap)
-    return sinr
+    sig = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
+    interference = lin.sum(axis=-1) - sig
+    with np.errstate(divide="ignore"):
+        sinr = 10.0 * np.log10(sig / (interference + noise_mw))
+    diversity = np.take_along_axis(cells.diversity, serving, axis=-1)
+    sinr = np.where(diversity, sinr, sinr - config.diversity_gain)
+    return np.minimum(sinr, config.sinr_cap)
 
 
 def step_mobility(ues: np.recarray, config: ClusterConfig,
@@ -393,25 +387,18 @@ def compute_throughputs(ues: np.recarray, cells: CellTable,
                         sinr_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shannon-rate throughputs under an equal share of the cell bandwidth.
 
-    Each UE gets bandwidth / (UEs attached to its cell at that TTI); outage
-    UEs rate 0.  Returns (per-UE Mbps (..., N), per-cell Mbps (..., C)).
+    Each UE gets bandwidth / (UEs attached to its cell at that TTI); a UE
+    in outage (``-inf`` SINR) rates 0.  Returns (per-UE Mbps (..., N),
+    per-cell Mbps (..., C)).
     """
     n_cells = len(cells)
     serving = ues.serving_cell
     lead = serving.shape[:-1]
-    ok = serving >= 0
     # one bincount key per (TTI, cell); each key sums its UEs in id order
     ttis = np.arange(math.prod(lead)).reshape(lead + (1,))
-    key = (serving + n_cells * ttis)[ok]
-    attached = np.bincount(key, minlength=n_cells * ttis.size)
-
-    rate_bps = np.zeros(serving.shape)
-    if ok.any():
-        share = config.bandwidth / attached[key]
-        lin = np.power(10.0, sinr_db[ok] / 10.0)  # -inf maps to 0
-        rate_bps[ok] = share * np.log2(1.0 + lin)
-
-    ue_mbps = rate_bps / 1e6
-    cell_mbps = np.bincount(key, weights=rate_bps[ok],
-                            minlength=n_cells * ttis.size).reshape(lead + (n_cells,)) / 1e6
-    return ue_mbps, cell_mbps
+    key = (serving + n_cells * ttis).ravel()
+    n_keys = n_cells * ttis.size
+    share = config.bandwidth / np.bincount(key, minlength=n_keys)[key]
+    rate_bps = share * np.log2(1.0 + np.power(10.0, sinr_db.ravel() / 10.0))
+    cell_mbps = np.bincount(key, weights=rate_bps, minlength=n_keys) / 1e6
+    return (rate_bps / 1e6).reshape(serving.shape), cell_mbps.reshape(lead + (n_cells,))

@@ -106,6 +106,24 @@ class TestValues:
         with pytest.raises(ConfigError, match="faults.azimuth_delta"):
             parse(f"faults.azimuth_delta = {value}\n")
 
+    @pytest.mark.parametrize("value", [
+        "nan,0.5,0.5,0,0", "0.5,nan,0.5,0,0", "1,0,0,0,0,inf,0,0,0", "0,1,0,0,-inf",
+    ])
+    def test_non_finite_fault_rate_rejected(self, value):
+        with pytest.raises(ConfigError, match="faults.p"):
+            parse(f"faults.p = {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("cleared", "nan"), ("worsened", "inf"), ("improved", "-inf"), ("unchanged", "nan"),
+    ])
+    def test_non_finite_reward_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"rewards.{key}"):
+            parse(f"rewards.{key} = {value}\n")
+
+    def test_finite_rewards_accepted(self):
+        cfg = parse("rewards.cleared = 10\nrewards.worsened = -2.5\n")
+        assert (cfg.rewards.cleared, cfg.rewards.worsened) == (10.0, -2.5)
+
     def test_uncapped_sinr_and_standing_ues_accepted(self):
         cfg = parse("cluster.sinr_cap = inf\ncluster.ue_speed = 0\n")
         assert cfg.cluster.sinr_cap == float("inf")

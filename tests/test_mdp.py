@@ -240,7 +240,7 @@ def tti_radio_oracle(ues, cells, cfg, rng):
     rx = per_cell_rx_oracle(position, cells, cfg) + ues.shadow_map
     up = cells.is_up
     ues.serving_cell[:] = (np.where(up, rx, -np.inf).argmax(axis=1) if up.any()
-                           else radio.NO_SERVING_CELL)
+                           else -1)
     serving = ues.serving_cell
 
     lin = np.power(10.0, rx / 10.0) * up
@@ -290,6 +290,7 @@ class TestEpisodeRadio:
                 want = [np.stack(col) for col in
                         zip(*(tti_radio_oracle(ues, c, cfg, walk) for c in cells))]
                 got = obs["sinr_db"], obs["ue_mbps"], obs["cell_mbps"]
+                assert np.isfinite(obs["sinr_db"]).all()  # no UE is ever in outage
                 for g, w in zip(got, want):
                     assert g.shape == w.shape
                     assert g.tobytes() == w.tobytes()

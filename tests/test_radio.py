@@ -1,4 +1,5 @@
 import math
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -356,7 +357,7 @@ class TestSinr:
         cells, ues = build_cluster(cfg, seed=0)
         cells.is_up[0] = False
         reassign_serving(ues, cells, cfg)
-        assert ues.serving_cell[0] == -1
+        assert not cells.is_up[ues.serving_cell[0]]  # served by a down cell
         assert compute_sinr_all(ues, cells, cfg)[0] == float("-inf")
         ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg,
                                                  compute_sinr_all(ues, cells, cfg))
@@ -368,6 +369,76 @@ class TestSinr:
         ues.position[0] = 1.0, 0.0
         reassign_serving(ues, cells, cfg)
         assert compute_sinr_all(ues, cells, cfg)[0] == 10.0
+
+
+def masked_sinr_oracle(serving, cells, cfg, rx_dbm):
+    # SINR as computed when outage was a -1 serving cell: a clip, an ok
+    # mask (served, and by an up cell), and boolean gathers of its rows
+    lin = np.divide(rx_dbm, 10.0)
+    np.power(10.0, lin, out=lin)
+    lin *= cells.is_up[..., None, :]
+    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    sinr = np.full(serving.shape, -np.inf)
+    cell = np.clip(serving, 0, len(cells) - 1)
+    ok = (serving >= 0) & np.take_along_axis(cells.is_up, cell, axis=-1)
+    if ok.any():
+        diversity = np.take_along_axis(cells.diversity, cell, axis=-1)[ok]
+        cell = cell[ok]
+        sig = lin[ok, cell]
+        interference = lin[ok].sum(axis=-1) - sig
+        with np.errstate(divide="ignore"):
+            vals = 10.0 * np.log10(sig / (interference + noise_mw))
+        vals = np.where(diversity, vals, vals - cfg.diversity_gain)
+        sinr[ok] = np.minimum(vals, cfg.sinr_cap)
+    return sinr
+
+
+def masked_throughput_oracle(serving, n_cells, cfg, sinr_db):
+    # equal-share rates as computed when only UEs with serving >= 0 were
+    # keyed, counted and rated
+    lead = serving.shape[:-1]
+    ok = serving >= 0
+    ttis = np.arange(math.prod(lead)).reshape(lead + (1,))
+    key = (serving + n_cells * ttis)[ok]
+    attached = np.bincount(key, minlength=n_cells * ttis.size)
+    rate_bps = np.zeros(serving.shape)
+    if ok.any():
+        share = cfg.bandwidth / attached[key]
+        rate_bps[ok] = share * np.log2(1.0 + np.power(10.0, sinr_db[ok] / 10.0))
+    cell_mbps = np.bincount(key, weights=rate_bps[ok],
+                            minlength=n_cells * ttis.size).reshape(lead + (n_cells,)) / 1e6
+    return rate_bps / 1e6, cell_mbps
+
+
+class TestOutageAsDownServingCell:
+    @settings(max_examples=200, deadline=None)
+    @given(n_cells=st.integers(1, 21), n_ues=st.integers(1, 30),
+           ttis=st.one_of(st.none(), st.integers(1, 4)),
+           p_up=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+           offset=st.sampled_from([0.0, -4000.0]), sinr_cap=st.sampled_from([30.0, math.inf]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_masked_path_bit_for_bit(self, n_cells, n_ues, ttis, p_up, offset,
+                                             sinr_cap, seed):
+        # serving cells in [0, C) that may be down, every cell down included;
+        # an offset of -4000 dB underflows every signal to zero
+        rng = np.random.default_rng(seed)
+        cfg = ClusterConfig(sinr_cap=sinr_cap)
+        lead = () if ttis is None else (ttis,)
+        cells = CellTable(np.zeros((n_cells, 2)), np.arange(n_cells), np.zeros(n_cells))
+        if ttis is not None:
+            cells = cells.record(ttis)
+        cells.is_up[...] = rng.random(lead + (n_cells,)) < p_up
+        cells.diversity[...] = rng.random(lead + (n_cells,)) < 0.7
+        serving = rng.integers(0, n_cells, size=lead + (n_ues,))
+        rx_dbm = rng.normal(-90.0, 25.0, size=lead + (n_ues, n_cells)) + offset
+        ues = types.SimpleNamespace(serving_cell=serving)
+
+        sinr = compute_sinr_all(ues, cells, cfg, rx_dbm.copy())
+        want = masked_sinr_oracle(serving, cells, cfg, rx_dbm.copy())
+        assert sinr.shape == want.shape and sinr.tobytes() == want.tobytes()
+        got = compute_throughputs(ues, cells, cfg, sinr)
+        for g, w in zip(got, masked_throughput_oracle(serving, n_cells, cfg, sinr)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestMobility:
