@@ -8,7 +8,7 @@ values accept plain literals and simple fractions such as ``5/9``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .faults import DEFAULT_AZIMUTH_DELTA_DEG, FaultRates
 from .mdp import EpisodeConfig, RewardSchedule
@@ -67,6 +67,17 @@ class ExperimentConfig:
         # an empty register must leave the cells healthy, and 0 * inf is NaN
         if not math.isfinite(self.azimuth_delta):
             raise ConfigError("faults.azimuth_delta must be finite")
+        # checked here, not in the parser, so the CLI's overrides are too
+        for key, values in (("run.agents", self.agents), ("run.seeds", self.seeds),
+                            ("run.q", self.qs)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {values}")
+        if not self.agents:
+            raise ConfigError("run.agents must name at least one agent")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("run.seeds must name at least one seed, each at least 0")
+        if self.qs and min(self.qs) < 1:
+            raise ConfigError("run.q must be at least 1")
 
     def effective_qs(self) -> tuple:
         return tuple(self.qs) if self.qs else (self.cluster.ues_per_cell,)
@@ -124,23 +135,16 @@ def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
 
+    run = {"run.agents": "agents", "run.seeds": "seeds", "run.q": "qs",
+           "run.output_dir": "output_dir"}
     try:
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             rates=FaultRates(top["faults.p"]) if "faults.p" in top else FaultRates(),
             azimuth_delta=top.get("faults.azimuth_delta", DEFAULT_AZIMUTH_DELTA_DEG),
-            **{section: cls(**values[section]) for section, cls in sections.items()})
+            **{section: cls(**values[section]) for section, cls in sections.items()},
+            **{name: top[key] for key, name in run.items() if key in top})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-    if "run.agents" in top:
-        cfg = replace(cfg, agents=top["run.agents"])
-    if "run.seeds" in top:
-        cfg = replace(cfg, seeds=top["run.seeds"])
-    if "run.q" in top:
-        cfg = replace(cfg, qs=top["run.q"])
-    if "run.output_dir" in top:
-        cfg = replace(cfg, output_dir=top["run.output_dir"])
-    return cfg
 
 
 def _assign(key: str, value: str, sections, values, top) -> None:

@@ -6,12 +6,14 @@ costing 3 dB of signal.  Events 5..8 are the matching spontaneous clears
 (event k clears alarm k-4); they are only admissible while that alarm is
 active.  The register keeps one occurrence counter per alarm type; the
 type's bit reads as set while its counter is positive.  It is the only
-mutable fault state: ``derive_cells`` writes the cells' fault arrays from
-it after every change.
+fault state: the environment records a snapshot of it every TTI, and
+``derive_cells`` turns a run of snapshots into the cells' fault arrays,
+one row per TTI, when the radio needs them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -130,32 +132,38 @@ def sample_event(rates: FaultRates, register: FaultRegister,
     return kind
 
 
-def derive_cells(cells, register: FaultRegister,
-                 azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> None:
-    """Write the cells' fault arrays from the register alone: the managed
-    cell turns by ``azimuth_delta`` per pending drift, and loses
-    ``FEEDER_LOSS_DB`` while a feeder fault is pending and its diversity
-    while a diversity loss is; the register's down cells are dark."""
-    cells.azimuth_offset.fill(0.0)  # += keeps 0 x a negative delta at +0.0
-    cells.azimuth_offset[MANAGED_CELL] += register.count(FaultKind.AZIMUTH_DRIFT) * azimuth_delta
-    cells.tx_power_delta.fill(0.0)
-    if register.is_active(FaultKind.FEEDER_FAULT):
-        cells.tx_power_delta[MANAGED_CELL] = -FEEDER_LOSS_DB
-    cells.diversity.fill(True)
-    cells.diversity[MANAGED_CELL] = not register.is_active(FaultKind.DIVERSITY_LOST)
-    cells.is_up.fill(True)
-    cells.is_up[list(register.down_cells)] = False
+def derive_cells(cells, history, azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG):
+    """The cells under each register snapshot ``(counts, down_cells)`` of
+    ``history``: a copy of the healthy ``cells`` whose four fault arrays
+    are (T, C), one row per snapshot.  The managed cell turns by
+    ``azimuth_delta`` per pending drift, and loses ``FEEDER_LOSS_DB`` while
+    a feeder fault is pending and its diversity while a diversity loss is;
+    the snapshot's down cells are dark."""
+    counts, down_cells = zip(*history)
+    drifts, _, losses, feeders = np.array(counts).T
+    out = copy.copy(cells)
+    shape = (len(history), len(cells))
+    out.azimuth_offset = np.zeros(shape)  # += keeps 0 x a negative delta at +0.0
+    out.azimuth_offset[:, MANAGED_CELL] += drifts * azimuth_delta
+    out.tx_power_delta = np.zeros(shape)
+    out.tx_power_delta[feeders > 0, MANAGED_CELL] = -FEEDER_LOSS_DB
+    out.diversity = np.ones(shape, dtype=bool)
+    out.diversity[:, MANAGED_CELL] = losses == 0
+    out.is_up = np.ones(shape, dtype=bool)
+    for up, down in zip(out.is_up, down_cells):
+        up[list(down)] = False
+    return out
 
 
-def apply_fault(kind: FaultKind, cells, register: FaultRegister,
-                rng: np.random.Generator,
-                azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> bool:
-    """Count one fault in the register and re-derive the cells.
+def apply_fault(kind: FaultKind, register: FaultRegister,
+                rng: np.random.Generator, num_cells: int) -> bool:
+    """Count one fault in the register.
 
     Azimuth drift, diversity loss and feeder faults strike the managed
     (serving) cell; a neighbour outage downs one uniformly chosen up cell
-    other than the managed one.  Returns whether the fault actually landed
-    (a neighbour outage with no up neighbour left is dropped).
+    of the ``num_cells`` other than the managed one.  Returns whether the
+    fault actually landed (a neighbour outage with no up neighbour left is
+    dropped).
     """
     kind = FaultKind(kind)
     if kind == FaultKind.NORMAL:
@@ -164,23 +172,19 @@ def apply_fault(kind: FaultKind, cells, register: FaultRegister,
         raise ValueError(f"apply_fault takes fault kinds 1..4, got {kind!r}")
 
     if kind == FaultKind.NEIGHBOR_DOWN:
-        candidates = np.flatnonzero(cells.is_up)
-        candidates = candidates[candidates != MANAGED_CELL]
-        if not candidates.size:
+        down = register.down_cells
+        candidates = [c for c in range(num_cells) if c != MANAGED_CELL and c not in down]
+        if not candidates:
             return False
-        register.note_cell_down(int(candidates[int(rng.integers(len(candidates)))]))
+        register.note_cell_down(candidates[int(rng.integers(len(candidates)))])
     register.increment(kind)
-    derive_cells(cells, register, azimuth_delta)
     return True
 
 
-def clear_fault(alarm: FaultKind, cells, register: FaultRegister,
-                azimuth_delta: float = DEFAULT_AZIMUTH_DELTA_DEG) -> None:
+def clear_fault(alarm: FaultKind, register: FaultRegister) -> None:
     """Clear one instance of an alarm (the oldest outage, for a neighbour
-    outage) and re-derive the cells; clearing an inactive alarm is a legal
-    no-op."""
+    outage); clearing an inactive alarm is a legal no-op."""
     alarm = FaultKind(alarm)
     if alarm not in ALARM_KINDS:
         raise ValueError(f"clear_fault takes alarm kinds 1..4, got {alarm!r}")
     register.decrement(alarm)
-    derive_cells(cells, register, azimuth_delta)

@@ -4,12 +4,13 @@ TTI-clocked environment wrapping the radio cluster and the fault process.
 One environment step is one TTI (1 ms) of the control loop: the fault
 process draws one event, the agent's action (if any) clears one alarm
 instance, the reward compares the register population before and after,
-and the TTI's register-derived cell state is recorded.  An episode ends
-when the register empties or the TTI budget runs out.  The agents see the
-register alone, so the radio observables (SINR and throughput, which only
-the metrics read) are computed once per episode, at its terminal step:
-the UEs walk every TTI, then handover, SINR and throughput run over blocks
-of TTIs, each TTI under the cells it recorded.
+and a snapshot of the register is recorded.  An episode ends when the
+register empties or the TTI budget runs out.  The agents see the register
+alone, so the radio observables (SINR and throughput, which only the
+metrics read) are computed once per episode, at its terminal step: the
+UEs walk every TTI, then handover, SINR and throughput run over blocks of
+TTIs, each block under the cells ``derive_cells`` derives from its
+register snapshots.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def encode_state(state) -> np.ndarray:
 class SonEnv:
     """Fault-injected cluster as a step environment for the healing agents.
 
+    The alarm register is the only fault state: ``cells`` is the healthy
+    cluster from the drop and is never written, and the radio derives each
+    TTI's cells from the register snapshot ``step`` recorded for it.
     All randomness is keyed off ``seed`` through named substreams; fault,
     mobility and shadowing streams are re-keyed per episode.  UE positions
     and headings are not reset: each episode starts where the previous
@@ -145,7 +149,7 @@ class SonEnv:
 
         self.cells, self.ues = build_cluster(
             cluster, seeding.stream(seed, seeding.GEOMETRY))
-        self._cells_by_tti = self.cells.record(self.episode_config.ttis_per_episode)
+        self.history: list = []  # (counts, down cells) of the register per TTI
         self.register = FaultRegister()
         self.state = MdpState.TRANSIENT
         self.t = 0
@@ -158,11 +162,11 @@ class SonEnv:
         return self.register.active_count
 
     def reset(self, episode_index: int = 0) -> MdpState:
-        """Empty the register (which heals every cell), redraw shadowing,
-        rewind the TTI clock and return the start state; the terminal
-        ``step`` sets the serving cells."""
+        """Empty the register and its history, redraw shadowing, rewind
+        the TTI clock and return the start state; the terminal ``step``
+        sets the serving cells."""
         self.register.clear()
-        derive_cells(self.cells, self.register, self.azimuth_delta)
+        self.history = []
 
         shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
         self.ues.shadow_map[:] = shadow_rng.normal(0.0, self.config.shadow_sigma,
@@ -191,21 +195,18 @@ class SonEnv:
 
         event = sample_event(self.rates, self.register, self._fault_rng)
         if event in ALARM_KINDS:
-            if not apply_fault(event, self.cells, self.register,
-                               self._fault_rng, self.azimuth_delta):
+            if not apply_fault(event, self.register, self._fault_rng, len(self.cells)):
                 event = FaultKind.NORMAL
         elif event != FaultKind.NORMAL:
-            clear_fault(paired_alarm(event), self.cells, self.register,
-                        self.azimuth_delta)
+            clear_fault(paired_alarm(event), self.register)
 
         if action != MdpAction.NO_ACTION:
-            clear_fault(ACTION_CLEARS[action], self.cells, self.register,
-                        self.azimuth_delta)
+            clear_fault(ACTION_CLEARS[action], self.register)
 
         cur_count = self.register.active_count
         reward = alarm_reward(prev_count, cur_count, self.rewards)
         self.state = transition(self.state, prev_count, cur_count)
-        self._cells_by_tti[self.t] = self.cells
+        self.history.append((self.register.counts, self.register.down_cells))
         self.t += 1
         self.terminal = (cur_count == 0
                          or self.t >= self.episode_config.ttis_per_episode)
@@ -218,7 +219,8 @@ class SonEnv:
     def _episode_radio(self) -> dict:
         """Walk the UEs through the episode's TTIs, then run handover, SINR
         and throughput over blocks of at most RADIO_BLOCK_ROWS UE-rows, each
-        TTI under its recorded cells; the UE table ends at the last TTI."""
+        TTI under the cells of its register snapshot; the UE table ends at
+        the last TTI."""
         ttis, n = self.t, len(self.ues)
         track = step_mobility(self.ues, self.config, self._mobility_rng, ttis)
         serving = np.empty((ttis, n), dtype=self.ues.serving_cell.dtype)
@@ -229,7 +231,7 @@ class SonEnv:
             rows = slice(a, min(a + block, ttis))
             ues = SimpleNamespace(position=track[rows], serving_cell=serving[rows],
                                   shadow_map=self.ues.shadow_map)
-            cells = self._cells_by_tti[rows]
+            cells = derive_cells(self.cells, self.history[rows], self.azimuth_delta)
             rx = reassign_serving(ues, cells, self.config)
             sinr_db[rows] = compute_sinr_all(ues, cells, self.config, rx)
             ue_mbps[rows], cell_mbps[rows] = compute_throughputs(

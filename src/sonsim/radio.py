@@ -6,8 +6,9 @@ COST231-Hata path loss, a 3GPP 36.942-style horizontal sector pattern,
 log-normal shadowing and a flat transmit-diversity gain term.  Electrical
 tilt is folded into a constant boresight offset (2-D simulation).
 
-The cells are one :class:`CellTable` of arrays indexed by cell id, whose
-fault state ``faults.derive_cells`` writes from the alarm register.  The
+The cells are one :class:`CellTable` of arrays indexed by cell id; the
+healthy table comes from the drop, and ``faults.derive_cells`` derives the
+faulted ones from the alarm register, which is the only fault state.  The
 UEs are one ``np.recarray`` table whose row index is the UE id, with the
 fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell`` and
 ``shadow_map`` (num_cells,) dB.  Every radio function works on columns.
@@ -18,14 +19,14 @@ faults never take the managed cell down, so a run never has one.
 
 The link budget, handover, SINR and throughput functions also take a
 leading TTI axis: ``ues`` may be any object with the table's columns whose
-``position`` (T, N, 2) and ``serving_cell`` (T, N) hold T TTIs, and a
-:class:`CellTable` record holds the fault arrays of T TTIs as (T, C); the
-results then carry the same leading axis.  One TTI is the case without it.
+``position`` (T, N, 2) and ``serving_cell`` (T, N) hold T TTIs, and the
+:class:`CellTable` from ``derive_cells`` holds the fault arrays of T TTIs
+as (T, C); the results then carry the same leading axis.  One TTI is the
+case without it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, fields
 
@@ -44,9 +45,6 @@ MIN_DISTANCE_KM = 1e-3
 DROP_MAX_ATTEMPTS = 100_000
 DROP_DRAWS_PER_UE = 50
 DROP_CHUNK_ROWS = 512  # 86 KB temporaries; 1,024 rows cost 0.7 MB more peak RSS
-
-# The CellTable arrays the alarm register writes; a record gives them a TTI axis.
-FAULT_FIELDS = ("azimuth_offset", "tx_power_delta", "diversity", "is_up")
 
 
 @dataclass
@@ -119,7 +117,8 @@ class CellTable:
     ``sites`` (S, 2) holds the site positions in metres, ``site`` (C,) each
     cell's site index and ``azimuth`` (C,) its boresight in degrees.  The
     fault arrays start healthy: ``azimuth_offset`` (degrees) and
-    ``tx_power_delta`` (dB) at 0, ``diversity`` and ``is_up`` all true.
+    ``tx_power_delta`` (dB) at 0, ``diversity`` and ``is_up`` all true;
+    ``faults.derive_cells`` gives faulted copies with (T, C) fault arrays.
     """
 
     sites: np.ndarray
@@ -140,46 +139,17 @@ class CellTable:
     def __len__(self) -> int:
         return len(self.site)
 
-    def record(self, ttis: int) -> CellTable:
-        """An unwritten record of these cells over ``ttis`` TTIs: the same
-        cells, each fault array with a leading TTI axis."""
-        out = copy.copy(self)
-        for name in FAULT_FIELDS:
-            column = getattr(self, name)
-            setattr(out, name, np.empty((ttis,) + column.shape, column.dtype))
-        return out
-
-    def __getitem__(self, ttis: slice) -> CellTable:
-        """The cells at TTIs ``ttis`` of a record."""
-        out = copy.copy(self)
-        for name in FAULT_FIELDS:
-            setattr(out, name, getattr(self, name)[ttis])
-        return out
-
-    def __setitem__(self, tti: int, cells: CellTable) -> None:
-        """Write the fault arrays of ``cells`` at TTI ``tti`` of a record."""
-        for name in FAULT_FIELDS:
-            getattr(self, name)[tti] = getattr(cells, name)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CellTable) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self))
-
 
 def path_loss_cost231(distance_km, freq_mhz: float, bs_height_m: float,
                       ue_height_m: float):
-    """COST231-Hata urban path loss in dB (urban correction C = 0).
-
-    Accepts scalar or array distances; distances below 1 m are clamped.
-    """
+    """COST231-Hata urban path loss in dB (urban correction C = 0) at an
+    array of distances; distances below 1 m are clamped."""
     d = np.maximum(np.asarray(distance_km, dtype=float), MIN_DISTANCE_KM)
     lf = math.log10(freq_mhz)
     lh = math.log10(bs_height_m)
     a_hm = (1.1 * lf - 0.7) * ue_height_m - (1.56 * lf - 0.8)
-    pl = (46.3 + 33.9 * lf - 13.82 * lh - a_hm
-          + (44.9 - 6.55 * lh) * np.log10(d))
-    return pl if pl.ndim else float(pl)
+    return (46.3 + 33.9 * lf - 13.82 * lh - a_hm
+            + (44.9 - 6.55 * lh) * np.log10(d))
 
 
 def antenna_gain(bearing_offset_deg, out=None):
@@ -201,7 +171,7 @@ def antenna_gain(bearing_offset_deg, out=None):
     g *= 12.0
     np.minimum(g, PATTERN_FLOOR_DB, out=g)
     np.negative(g, out=g)
-    return g if g.ndim else float(g)
+    return g
 
 
 def site_positions(config: ClusterConfig) -> list[tuple[float, float]]:
@@ -327,17 +297,15 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
 
 
 def compute_sinr_all(ues: np.recarray, cells: CellTable,
-                     config: ClusterConfig,
-                     rx_dbm: np.ndarray | None = None) -> np.ndarray:
-    """Downlink SINR in dB per UE, shape (..., N).
+                     config: ClusterConfig, rx_dbm: np.ndarray) -> np.ndarray:
+    """Downlink SINR in dB per UE, shape (..., N), from the received powers
+    ``rx_dbm`` (..., N, C) that ``reassign_serving`` returns.
 
     Serving power over the sum of the other up cells plus thermal noise, in
     the linear domain; a flat penalty applies when the serving cell lost
     transmit diversity; the result is capped at ``sinr_cap``.  A down
     serving cell gives no signal, so a UE on one (outage) gets ``-inf``.
     """
-    if rx_dbm is None:
-        rx_dbm = rx_power_matrix(ues, cells, config)
     serving = ues.serving_cell
     lin = np.divide(rx_dbm, 10.0)  # C-ordered like rx_dbm: each row sums as alone
     np.power(10.0, lin, out=lin)

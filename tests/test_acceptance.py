@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from test_faults import register_cells, same_bits
 
 from sonsim.config import default_config
 from sonsim.dqn import ExplorationSchedule, decay_epsilon
@@ -22,7 +23,8 @@ from sonsim.faults import FaultKind, FaultRegister, apply_fault, clear_fault
 from sonsim.mdp import (EpisodeConfig, MdpAction, RewardSchedule, alarm_reward)
 from sonsim.metrics import empirical_cdf, percentile, summarize_run
 from sonsim.nn import backward, forward, init_params
-from sonsim.radio import ClusterConfig, build_cluster, compute_sinr_all
+from sonsim.radio import (ClusterConfig, build_cluster, compute_sinr_all,
+                          rx_power_matrix)
 
 AGENTS = ("random", "fifo", "dqn")
 
@@ -119,25 +121,25 @@ def test_c04_fault_roundtrip():
                      FaultKind.DIVERSITY_LOST, FaultKind.FEEDER_FAULT):
             cells, _ = build_cluster(ClusterConfig(ues_per_cell=1), seed=0)
             reg = FaultRegister()
-            apply_fault(kind, cells, reg, np.random.default_rng(4))
-            clear_fault(kind, cells, reg)
-            assert cells == cells_ref
+            apply_fault(kind, reg, np.random.default_rng(4), len(cells))
+            clear_fault(kind, reg)
+            assert same_bits(register_cells(reg, healthy=cells), cells_ref)
             assert reg.active_count == 0
 
         # double neighbour-outage counter semantics
         cells, _ = build_cluster(ClusterConfig(ues_per_cell=1), seed=0)
         reg = FaultRegister()
         rng = np.random.default_rng(5)
-        apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
-        apply_fault(FaultKind.NEIGHBOR_DOWN, cells, reg, rng)
+        apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, len(cells))
+        apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, len(cells))
         assert reg.count(FaultKind.NEIGHBOR_DOWN) == 2
         assert reg.active_count == 1
-        clear_fault(FaultKind.NEIGHBOR_DOWN, cells, reg)
+        clear_fault(FaultKind.NEIGHBOR_DOWN, reg)
         assert reg.count(FaultKind.NEIGHBOR_DOWN) == 1
         assert reg.active_count == 1
-        clear_fault(FaultKind.NEIGHBOR_DOWN, cells, reg)
+        clear_fault(FaultKind.NEIGHBOR_DOWN, reg)
         assert reg.active_count == 0
-        assert cells == cells_ref
+        assert same_bits(register_cells(reg, healthy=cells), cells_ref)
 
 
 def test_c05_feeder_physics():
@@ -149,10 +151,11 @@ def test_c05_feeder_physics():
     with criterion(5, "feeder physics"):
         cfg = replace(ClusterConfig(), sinr_cap=float("inf"))
         cells, ues = build_cluster(cfg, seed=11)
-        healthy = compute_sinr_all(ues, cells, cfg)
-        apply_fault(FaultKind.FEEDER_FAULT, cells, FaultRegister(),
-                    np.random.default_rng(0))
-        faulted = compute_sinr_all(ues, cells, cfg)
+        healthy = compute_sinr_all(ues, cells, cfg, rx_power_matrix(ues, cells, cfg))
+        reg = FaultRegister()
+        apply_fault(FaultKind.FEEDER_FAULT, reg, np.random.default_rng(0), len(cells))
+        feeder = register_cells(reg, healthy=cells)
+        faulted = compute_sinr_all(ues, feeder, cfg, rx_power_matrix(ues, feeder, cfg))
         on_serving = np.array([ue.serving_cell == 0 for ue in ues])
         assert on_serving.any()
         deltas = faulted[on_serving] - healthy[on_serving]

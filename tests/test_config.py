@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from sonsim.cli import main
 from sonsim.config import (ConfigError, default_config, dump_effective_config,
                            load_config, parse_config)
 
@@ -123,6 +126,34 @@ class TestValues:
     def test_finite_rewards_accepted(self):
         cfg = parse("rewards.cleared = 10\nrewards.worsened = -2.5\n")
         assert (cfg.rewards.cleared, cfg.rewards.worsened) == (10.0, -2.5)
+
+    @pytest.mark.parametrize("line, key", [
+        ("run.seeds = -1", "run.seeds"), ("run.seeds = 0,-2", "run.seeds"),
+        ("run.seeds = ,", "run.seeds"), ("run.seeds = 1,2,1", "run.seeds"),
+        ("run.q = 0", "run.q"), ("run.q = 10,-5", "run.q"), ("run.q = 10,10", "run.q"),
+        ("run.agents = ,", "run.agents"), ("run.agents = dqn,fifo,dqn", "run.agents"),
+    ])
+    def test_bad_run_value_names_the_key(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse(line + "\n")
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("seeds", (0, 0), "run.seeds"), ("seeds", (-1,), "run.seeds"),
+        ("seeds", (), "run.seeds"), ("qs", (0,), "run.q"), ("qs", (5, 5), "run.q"),
+        ("agents", (), "run.agents"), ("agents", ("fifo", "fifo"), "run.agents"),
+    ])
+    def test_bad_run_override_names_the_key(self, field, value, key):
+        with pytest.raises(ConfigError, match=key):
+            replace(default_config(), **{field: value})
+
+    def test_repeated_cli_seed_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--seeds", "0,0", "--episodes", "1", "--out", str(out)]) == 1
+        assert "run.seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_q_list_means_the_cluster_default(self):
+        assert parse("run.q = ,\ncluster.ues_per_cell = 4\n").effective_qs() == (4,)
 
     def test_uncapped_sinr_and_standing_ues_accepted(self):
         cfg = parse("cluster.sinr_cap = inf\ncluster.ue_speed = 0\n")

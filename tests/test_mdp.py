@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_faults import cells_oracle
+from test_faults import FAULT_ARRAYS, cells_oracle, same_bits, snapshot
 from test_radio import per_cell_rx_oracle
 
 from sonsim import mdp, radio, seeding
@@ -107,12 +107,13 @@ class TestEnv:
         env = SonEnv(SMALL, rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         env.reset(0)
         env.register.increment(FaultKind.FEEDER_FAULT)
-        derive_cells(env.cells, env.register)
-        assert env.cells.tx_power_delta[0] == -3.0
+        assert derive_cells(env.cells, [snapshot(env.register)]).tx_power_delta[0, 0] == -3.0
         state, reward, terminal, obs = env.step(MdpAction.RECOVER_POWER)
         assert reward == 5.0
         assert terminal
-        assert env.cells.tx_power_delta[0] == 0.0
+        # the TTI ran under the cleared register
+        assert env.history == [((0, 0, 0, 0), ())]
+        assert derive_cells(env.cells, env.history).tx_power_delta[0, 0] == 0.0
         assert obs["alarm_count"] == 0
 
     def test_no_faults_terminates_first_tti(self):
@@ -189,8 +190,10 @@ class TestEnv:
         while not env.terminal:
             env.step(MdpAction.NO_ACTION)
         assert env.alarm_count > 0
+        assert env.history
         env.reset(1)
         assert env.alarm_count == 0
+        assert env.history == []
         cells = env.cells
         assert cells.is_up.all() and cells.diversity.all()
         assert not cells.tx_power_delta.any() and not cells.azimuth_offset.any()
@@ -199,16 +202,31 @@ class TestEnv:
         (0, 1 / 4, 1 / 4, 1 / 4, 1 / 4),  # a fault every TTI
         (0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1),  # spontaneous clears too
     ])
-    def test_cells_follow_the_register_every_step(self, rates):
-        env = SonEnv(ClusterConfig(ues_per_cell=1), rates=FaultRates(rates), seed=5)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), delta=st.sampled_from([30.0, 7.5, -45.0]),
+           ttis=st.integers(1, 60))
+    def test_cells_follow_the_register_every_step(self, rates, seed, delta, ttis):
+        # row t of the cells derived from the episode's register history is
+        # the register's cells after step t, whatever the actions
+        env = SonEnv(ClusterConfig(ues_per_cell=1), rates=FaultRates(rates),
+                     episode=EpisodeConfig(ttis_per_episode=ttis), seed=seed,
+                     azimuth_delta=delta)
         healthy = copy.deepcopy(env.cells)
-        rng = np.random.default_rng(0)
-        for ep in range(10):
+        actions = np.random.default_rng(seed)
+        for ep in range(4):
             env.reset(ep)
-            assert env.cells == healthy
+            want = []
             while not env.terminal:
-                env.step(MdpAction(int(rng.integers(5))))
-                assert env.cells == cells_oracle(healthy, env.register)
+                env.step(MdpAction(int(actions.integers(5))))
+                want.append(cells_oracle(healthy, env.register, delta))
+                assert same_bits(env.cells, healthy)  # never written
+            assert len(env.history) == env.t == len(want)
+            got = derive_cells(healthy, env.history, delta)
+            for name in FAULT_ARRAYS:
+                rows = getattr(got, name)
+                assert rows.shape == (env.t, len(healthy))
+                for row, w in zip(rows, want):
+                    assert row.tobytes() == getattr(w, name).tobytes()
 
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)
@@ -275,6 +293,7 @@ class TestEpisodeRadio:
         # long episodes span several, the last one partial
         cfg = ClusterConfig(ues_per_cell=q)
         env = SonEnv(cfg, rates=FaultRates(np.array(weights) / sum(weights)), seed=seed)
+        healthy = copy.deepcopy(env.cells)
         n = len(env.ues)
         actions = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
@@ -285,7 +304,7 @@ class TestEpisodeRadio:
                 cells = []
                 while not env.terminal:
                     *_, obs = env.step(MdpAction(int(actions.integers(5))))
-                    cells.append(copy.deepcopy(env.cells))
+                    cells.append(cells_oracle(healthy, env.register))
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
                 want = [np.stack(col) for col in
                         zip(*(tti_radio_oracle(ues, c, cfg, walk) for c in cells))]

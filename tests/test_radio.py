@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_faults import register_cells, same_bits
+
 from sonsim import radio
 from sonsim.faults import FaultKind, FaultRegister, apply_fault
 from sonsim.radio import (CellTable, ClusterConfig, antenna_gain, build_cluster,
@@ -22,21 +24,26 @@ def cost231_oracle(d_km, f_mhz, h_b, h_m):
             + (44.9 - 6.55 * math.log10(h_b)) * math.log10(d_km))
 
 
+def default_path_loss(d_km):
+    # one distance through the array function, at the default link budget
+    return path_loss_cost231(np.array([d_km]), 2100.0, 25.0, 1.5)[0]
+
+
 class TestPathLoss:
     def test_matches_scripted_oracle(self):
-        got = path_loss_cost231(0.1, 2100.0, 25.0, 1.5)
+        got = default_path_loss(0.1)
         assert got == pytest.approx(cost231_oracle(0.1, 2100.0, 25.0, 1.5), abs=1e-12)
         assert got == pytest.approx(103.81121049190811, abs=1e-9)
 
     def test_monotone_in_distance(self):
-        assert path_loss_cost231(0.2, 2100, 25, 1.5) > path_loss_cost231(0.1, 2100, 25, 1.5)
+        assert default_path_loss(0.2) > default_path_loss(0.1)
 
     def test_decade_slope_identity(self):
-        slope = path_loss_cost231(1.0, 2100, 25, 1.5) - path_loss_cost231(0.1, 2100, 25, 1.5)
+        slope = default_path_loss(1.0) - default_path_loss(0.1)
         assert slope == pytest.approx(44.9 - 6.55 * math.log10(25.0), abs=1e-12)
 
     def test_distance_clamped_at_one_metre(self):
-        assert path_loss_cost231(1e-9, 2100, 25, 1.5) == path_loss_cost231(1e-3, 2100, 25, 1.5)
+        assert default_path_loss(1e-9) == default_path_loss(1e-3)
 
     def test_vectorized(self):
         d = np.array([0.1, 0.5, 1.0])
@@ -46,10 +53,17 @@ class TestPathLoss:
 
 
 def mod_wrap_gain(bearing_offset_deg):
-    # the sector pattern with the bearing wrapped by numpy's float mod
+    # the sector pattern with the bearing wrapped by numpy's float mod, on a
+    # 1-d array; it squares with np.square, as the power operator on a numpy
+    # scalar calls libm pow, which can be 1 ulp off
     off = (np.asarray(bearing_offset_deg, dtype=float) + 180.0) % 360.0 - 180.0
-    g = -np.minimum(12.0 * (off / radio.HORIZ_BEAMWIDTH_DEG) ** 2, radio.PATTERN_FLOOR_DB)
-    return g if g.ndim else float(g)
+    return -np.minimum(12.0 * np.square(off / radio.HORIZ_BEAMWIDTH_DEG),
+                       radio.PATTERN_FLOOR_DB)
+
+
+def gain(bearing_offset_deg):
+    # one bearing through the array function
+    return antenna_gain(np.array([bearing_offset_deg]))[0]
 
 
 # wrap edges: signed zeros, +-180, +-540, multiples of 360 and their neighbours
@@ -65,17 +79,17 @@ bearings = st.one_of(
 
 class TestAntennaGain:
     def test_boresight(self):
-        assert antenna_gain(0.0) == 0.0
+        assert gain(0.0) == 0.0
 
     def test_at_beamwidth(self):
-        assert antenna_gain(65.0) == pytest.approx(-12.0, abs=1e-12)
+        assert gain(65.0) == pytest.approx(-12.0, abs=1e-12)
 
     def test_backlobe_floor(self):
-        assert antenna_gain(180.0) == pytest.approx(-20.0, abs=1e-12)
+        assert gain(180.0) == pytest.approx(-20.0, abs=1e-12)
 
     def test_wraps_bearing(self):
-        assert antenna_gain(360.0 + 65.0) == pytest.approx(antenna_gain(65.0), abs=1e-12)
-        assert antenna_gain(-65.0) == pytest.approx(antenna_gain(65.0), abs=1e-12)
+        assert gain(360.0 + 65.0) == pytest.approx(gain(65.0), abs=1e-12)
+        assert gain(-65.0) == pytest.approx(gain(65.0), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(bearings, max_size=40))
@@ -83,10 +97,9 @@ class TestAntennaGain:
         x = np.array(values, dtype=float)
         got = antenna_gain(x)
         assert got.tobytes() == mod_wrap_gain(x).tobytes()
-        for v in values:
-            g = antenna_gain(v)
-            assert type(g) is float
-            assert np.float64(g).tobytes() == np.float64(mod_wrap_gain(v)).tobytes()
+        for v, g in zip(x, got):  # each value alone gives the same bits
+            one = np.array([v])
+            assert antenna_gain(one).tobytes() == g.tobytes() == mod_wrap_gain(one).tobytes()
 
 
 class TestGeometry:
@@ -147,7 +160,7 @@ class TestGeometry:
         cfg = ClusterConfig(ues_per_cell=3)
         cells_a, ues_a = build_cluster(cfg, seed=7)
         cells_b, ues_b = build_cluster(cfg, seed=7)
-        assert cells_a == cells_b
+        assert same_bits(cells_a, cells_b)
         assert ues_a.tobytes() == ues_b.tobytes()
 
     def test_drop_lands_in_dominance_area(self):
@@ -324,20 +337,22 @@ class TestSinr:
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
         ues.position[0] = 100.0, 0.0
-        reassign_serving(ues, cells, cfg)
+        rx_dbm = reassign_serving(ues, cells, cfg)
         d_km = 0.1
-        rx = cfg.bs_tx_power + antenna_gain(0.0) - path_loss_cost231(d_km, cfg.carrier_freq,
-                                                                     cfg.bs_height, cfg.ue_height)
+        rx = cfg.bs_tx_power + gain(0.0) - cost231_oracle(d_km, cfg.carrier_freq,
+                                                          cfg.bs_height, cfg.ue_height)
         noise = cfg.noise_density + 10 * math.log10(cfg.bandwidth)
-        assert compute_sinr_all(ues, cells, cfg)[0] == pytest.approx(rx - noise, abs=1e-9)
+        assert compute_sinr_all(ues, cells, cfg, rx_dbm)[0] == pytest.approx(rx - noise,
+                                                                             abs=1e-9)
 
     def test_feeder_fault_drops_serving_ue_by_3db(self):
         cfg = ClusterConfig(sinr_cap=float("inf"))
         cells, ues = build_cluster(cfg, seed=2)
-        before = compute_sinr_all(ues, cells, cfg)
+        before = compute_sinr_all(ues, cells, cfg, rx_power_matrix(ues, cells, cfg))
         register = FaultRegister()
-        apply_fault(FaultKind.FEEDER_FAULT, cells, register, np.random.default_rng(0))
-        after = compute_sinr_all(ues, cells, cfg)
+        apply_fault(FaultKind.FEEDER_FAULT, register, np.random.default_rng(0), len(cells))
+        faulted = register_cells(register, healthy=cells)
+        after = compute_sinr_all(ues, faulted, cfg, rx_power_matrix(ues, faulted, cfg))
         serving0 = ues.serving_cell == 0
         assert serving0.any()
         np.testing.assert_allclose(after[serving0] - before[serving0], -3.0, atol=1e-9)
@@ -347,28 +362,29 @@ class TestSinr:
     def test_diversity_loss_penalty(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
-        before = compute_sinr_all(ues, cells, cfg)[0]
+        rx_dbm = rx_power_matrix(ues, cells, cfg)
+        before = compute_sinr_all(ues, cells, cfg, rx_dbm)[0]
         cells.diversity[0] = False
-        after = compute_sinr_all(ues, cells, cfg)[0]
+        after = compute_sinr_all(ues, cells, cfg, rx_dbm)[0]
         assert after == pytest.approx(before - cfg.diversity_gain, abs=1e-12)
 
     def test_all_cells_down_is_outage(self):
         cfg = single_cell_config()
         cells, ues = build_cluster(cfg, seed=0)
         cells.is_up[0] = False
-        reassign_serving(ues, cells, cfg)
+        rx_dbm = reassign_serving(ues, cells, cfg)
         assert not cells.is_up[ues.serving_cell[0]]  # served by a down cell
-        assert compute_sinr_all(ues, cells, cfg)[0] == float("-inf")
-        ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg,
-                                                 compute_sinr_all(ues, cells, cfg))
+        sinr = compute_sinr_all(ues, cells, cfg, rx_dbm)
+        assert sinr[0] == float("-inf")
+        ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg, sinr)
         assert ue_mbps[0] == 0.0
 
     def test_cap_applies(self):
         cfg = single_cell_config(sinr_cap=10.0)
         cells, ues = build_cluster(cfg, seed=0)
         ues.position[0] = 1.0, 0.0
-        reassign_serving(ues, cells, cfg)
-        assert compute_sinr_all(ues, cells, cfg)[0] == 10.0
+        rx_dbm = reassign_serving(ues, cells, cfg)
+        assert compute_sinr_all(ues, cells, cfg, rx_dbm)[0] == 10.0
 
 
 def masked_sinr_oracle(serving, cells, cfg, rx_dbm):
@@ -425,10 +441,8 @@ class TestOutageAsDownServingCell:
         cfg = ClusterConfig(sinr_cap=sinr_cap)
         lead = () if ttis is None else (ttis,)
         cells = CellTable(np.zeros((n_cells, 2)), np.arange(n_cells), np.zeros(n_cells))
-        if ttis is not None:
-            cells = cells.record(ttis)
-        cells.is_up[...] = rng.random(lead + (n_cells,)) < p_up
-        cells.diversity[...] = rng.random(lead + (n_cells,)) < 0.7
+        cells.is_up = rng.random(lead + (n_cells,)) < p_up
+        cells.diversity = rng.random(lead + (n_cells,)) < 0.7
         serving = rng.integers(0, n_cells, size=lead + (n_ues,))
         rx_dbm = rng.normal(-90.0, 25.0, size=lead + (n_ues, n_cells)) + offset
         ues = types.SimpleNamespace(serving_cell=serving)
@@ -567,7 +581,7 @@ class TestThroughput:
     def test_cell_sum_invariant(self):
         cfg = ClusterConfig()
         cells, ues = build_cluster(cfg, seed=4)
-        sinr = compute_sinr_all(ues, cells, cfg)
+        sinr = compute_sinr_all(ues, cells, cfg, rx_power_matrix(ues, cells, cfg))
         ue_mbps, cell_mbps = compute_throughputs(ues, cells, cfg, sinr)
         per_cell = np.zeros(len(cells))
         for ue, r in zip(ues, ue_mbps):
