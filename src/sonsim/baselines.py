@@ -79,6 +79,6 @@ class FifoAgent:
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:
         event = obs["fault_event"]
         if event in ALARM_KINDS:
-            self.queue.push(event, obs.get("tti", 0))
+            self.queue.push(event, obs["tti"])
         elif event >= FaultKind.AZIMUTH_RESTORED:
             self.queue.drop_one(paired_alarm(event))

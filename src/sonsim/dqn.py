@@ -39,9 +39,6 @@ class ReplayMemory:
     def __len__(self) -> int:
         return len(self._buf)
 
-    def __getitem__(self, i: int) -> Experience:
-        return self._buf[i]
-
     def sample(self, rng: np.random.Generator, batch_size: int) -> list[Experience]:
         """Uniform sample without replacement; fewer entries than the batch
         size means every entry is used."""

@@ -83,9 +83,6 @@ class FaultRegister:
         self._counts = [0] * (NUM_ALARM_TYPES + 1)  # index by alarm kind 1..4
         self._down_cells: list[int] = []
 
-    def count(self, alarm: int) -> int:
-        return self._counts[int(alarm)]
-
     def is_active(self, alarm: int) -> bool:
         return self._counts[int(alarm)] > 0
 

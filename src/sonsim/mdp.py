@@ -8,9 +8,9 @@ and a snapshot of the register is recorded.  An episode ends when the
 register empties or the TTI budget runs out.  The agents see the register
 alone, so the radio observables (SINR and throughput, which only the
 metrics read) are computed once per episode, at its terminal step: the
-UEs walk every TTI, then handover, SINR and throughput run over blocks of
-TTIs, each block under the cells ``derive_cells`` derives from its
-register snapshots.
+UEs walk every TTI from the drop, then handover, SINR and throughput run
+over blocks of TTIs, each block under the cells ``derive_cells`` derives
+from its register snapshots.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
                      apply_fault, clear_fault, derive_cells, paired_alarm,
                      sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
-                    compute_throughputs, reassign_serving, step_mobility)
+                    compute_throughputs, reassign_serving, rx_power_matrix,
+                    step_mobility)
 
 NUM_STATES = 3
 NUM_ACTIONS = 5
@@ -129,9 +129,10 @@ class SonEnv:
     cluster from the drop and is never written, and the radio derives each
     TTI's cells from the register snapshot ``step`` recorded for it.
     All randomness is keyed off ``seed`` through named substreams; fault,
-    mobility and shadowing streams are re-keyed per episode.  UE positions
-    and headings are not reset: each episode starts where the previous
-    episodes left the UEs, and how far they walked depends on the agent.
+    mobility and shadowing streams are re-keyed per episode.  ``ues`` is the
+    read-only drop: every episode walks the UEs from it on the episode's
+    mobility stream, so every agent walks the same path in an episode, and
+    an agent with a longer episode walks further along it.
     """
 
     def __init__(self, cluster: ClusterConfig,
@@ -149,6 +150,7 @@ class SonEnv:
 
         self.cells, self.ues = build_cluster(
             cluster, seeding.stream(seed, seeding.GEOMETRY))
+        self.shadow: np.ndarray | None = None  # (N, C) dB, drawn per episode
         self.history: list = []  # (counts, down cells) of the register per TTI
         self.register = FaultRegister()
         self.state = MdpState.TRANSIENT
@@ -163,14 +165,13 @@ class SonEnv:
 
     def reset(self, episode_index: int = 0) -> MdpState:
         """Empty the register and its history, redraw shadowing, rewind
-        the TTI clock and return the start state; the terminal ``step``
-        sets the serving cells."""
+        the TTI clock and return the start state."""
         self.register.clear()
         self.history = []
 
         shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
-        self.ues.shadow_map[:] = shadow_rng.normal(0.0, self.config.shadow_sigma,
-                                                   size=(len(self.ues), len(self.cells)))
+        self.shadow = shadow_rng.normal(0.0, self.config.shadow_sigma,
+                                        size=(len(self.ues), len(self.cells)))
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
         self._mobility_rng = seeding.stream(self.seed, seeding.MOBILITY, episode_index)
 
@@ -217,24 +218,24 @@ class SonEnv:
         return self.state, reward, self.terminal, obs
 
     def _episode_radio(self) -> dict:
-        """Walk the UEs through the episode's TTIs, then run handover, SINR
-        and throughput over blocks of at most RADIO_BLOCK_ROWS UE-rows, each
-        TTI under the cells of its register snapshot; the UE table ends at
-        the last TTI."""
-        ttis, n = self.t, len(self.ues)
-        track = step_mobility(self.ues, self.config, self._mobility_rng, ttis)
-        serving = np.empty((ttis, n), dtype=self.ues.serving_cell.dtype)
+        """Walk the UEs from the drop through the episode's TTIs, then run
+        handover, SINR and throughput over blocks of at most RADIO_BLOCK_ROWS
+        UE-rows, each TTI under the cells of its register snapshot."""
+        ttis, n, n_cells = self.t, len(self.ues), len(self.cells)
+        # the outputs outlive the call, so they are allocated before the
+        # walk, whose freed buffer would otherwise fragment the heap under
+        # them (6% more peak RSS on the fault-storm workload)
         sinr_db, ue_mbps = np.empty((ttis, n)), np.empty((ttis, n))
-        cell_mbps = np.empty((ttis, len(self.cells)))
+        cell_mbps = np.empty((ttis, n_cells))
+        track = step_mobility(self.ues.position, self.ues.heading, self.config,
+                              self._mobility_rng, ttis)
         block = max(1, RADIO_BLOCK_ROWS // n)
         for a in range(0, ttis, block):
             rows = slice(a, min(a + block, ttis))
-            ues = SimpleNamespace(position=track[rows], serving_cell=serving[rows],
-                                  shadow_map=self.ues.shadow_map)
             cells = derive_cells(self.cells, self.history[rows], self.azimuth_delta)
-            rx = reassign_serving(ues, cells, self.config)
-            sinr_db[rows] = compute_sinr_all(ues, cells, self.config, rx)
+            rx = rx_power_matrix(track[rows], self.shadow, cells, self.config)
+            serving = reassign_serving(rx, cells)
+            sinr_db[rows] = compute_sinr_all(serving, rx, cells, self.config)
             ue_mbps[rows], cell_mbps[rows] = compute_throughputs(
-                ues, cells, self.config, sinr_db[rows])
-        self.ues.serving_cell[:] = serving[-1]
+                serving, sinr_db[rows], n_cells, self.config)
         return {"sinr_db": sinr_db, "ue_mbps": ue_mbps, "cell_mbps": cell_mbps}

@@ -9,20 +9,20 @@ tilt is folded into a constant boresight offset (2-D simulation).
 The cells are one :class:`CellTable` of arrays indexed by cell id; the
 healthy table comes from the drop, and ``faults.derive_cells`` derives the
 faulted ones from the alarm register, which is the only fault state.  The
-UEs are one ``np.recarray`` table whose row index is the UE id, with the
-fields ``position`` (2,) metres, ``heading`` radians, ``serving_cell`` and
-``shadow_map`` (num_cells,) dB.  Every radio function works on columns.
+drop's UEs are one read-only ``np.recarray`` table whose row index is the
+UE id, with the fields ``position`` (2,) metres and ``heading`` radians.
+Every radio function takes the arrays it reads and returns what it
+computes; none writes the table.
 
 Outage is a down serving cell: it gives its UEs no signal, so ``-inf``
 SINR and 0 Mbps.  Handover serves every UE from its strongest up cell and
 faults never take the managed cell down, so a run never has one.
 
 The link budget, handover, SINR and throughput functions also take a
-leading TTI axis: ``ues`` may be any object with the table's columns whose
-``position`` (T, N, 2) and ``serving_cell`` (T, N) hold T TTIs, and the
-:class:`CellTable` from ``derive_cells`` holds the fault arrays of T TTIs
-as (T, C); the results then carry the same leading axis.  One TTI is the
-case without it.
+leading TTI axis: positions (T, N, 2) and serving cells (T, N) of T TTIs,
+with the :class:`CellTable` from ``derive_cells`` holding the fault
+arrays of T TTIs as (T, C); the results then carry the same leading axis.
+One TTI is the case without it.
 """
 
 from __future__ import annotations
@@ -216,27 +216,25 @@ def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig) -> np.n
     return rx
 
 
-def rx_power_matrix(ues: np.recarray, cells: CellTable,
+def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
                     config: ClusterConfig) -> np.ndarray:
-    """Received power in dBm from every cell at every UE, shape (..., N, C).
+    """Received power in dBm from every cell at every UE, shape (..., N, C),
+    at the UE positions ``position`` (..., N, 2) under the per-link
+    shadowing ``shadow`` (N, C) dB.
 
     Down cells are still evaluated; callers mask them via ``is_up``.
     """
-    rx = _rx_dbm(ues.position, cells, config)
-    rx += ues.shadow_map
+    rx = _rx_dbm(position, cells, config)
+    rx += shadow
     return rx
 
 
-def reassign_serving(ues: np.recarray, cells: CellTable,
-                     config: ClusterConfig) -> np.ndarray:
-    """Apply the handover rule at every TTI: serve every UE from its
-    strongest up cell (ties: lowest cell id).  When every cell is down that
-    is cell 0, which is down, so the UE is in outage.  Returns the (..., N,
-    C) received powers."""
-    rx_dbm = rx_power_matrix(ues, cells, config)
-    ues.serving_cell[:] = np.where(cells.is_up[..., None, :], rx_dbm,
-                                   -np.inf).argmax(axis=-1)
-    return rx_dbm
+def reassign_serving(rx_dbm: np.ndarray, cells: CellTable) -> np.ndarray:
+    """Apply the handover rule to the received powers ``rx_dbm`` (..., N,
+    C): serve every UE from its strongest up cell (ties: lowest cell id).
+    When every cell is down that is cell 0, which is down, so the UE is in
+    outage.  Returns the serving cell ids, shape (..., N)."""
+    return np.where(cells.is_up[..., None, :], rx_dbm, -np.inf).argmax(axis=-1)
 
 
 def _drop_owners(u, start, cells, config) -> np.ndarray:
@@ -255,8 +253,9 @@ def _drop_owners(u, start, cells, config) -> np.ndarray:
 def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
     """Build cells and the UE table: drop ``ues_per_cell`` UEs uniformly in
     each cell's dominance area (strongest unshadowed server wins), in cell
-    order, then draw per-link shadowing and attach each UE to its strongest
-    shadowed up cell.
+    order.  The table holds each UE's ``position`` (2,) metres and
+    ``heading`` radians and is read-only: it is the drop every episode
+    starts from.
 
     ``seed`` is an int or a numpy Generator, consumed exactly as one-at-a-time
     rejection sampling would (two draws per attempt, one for the heading).
@@ -268,8 +267,7 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
     u = rng.random(DROP_DRAWS_PER_UE * len(cells) * config.ues_per_cell + 2)
     owner = _drop_owners(u, 0, cells, config)
     ues = np.recarray(len(cells) * config.ues_per_cell,
-                      dtype=[("position", float, (2,)), ("heading", float),
-                             ("serving_cell", int), ("shadow_map", float, (len(cells),))])
+                      dtype=[("position", float, (2,)), ("heading", float)])
     position, heading = ues.position, ues.heading
     pos = 0  # stream offset of the next attempt
     for i in range(len(ues)):
@@ -290,23 +288,20 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
         pos = j + 3
     rng.bit_generator.state = start  # leave the stream where one-at-a-time
     rng.random(pos)                  # sampling would have left it
-
-    ues.shadow_map[:] = rng.normal(0.0, config.shadow_sigma, size=(len(ues), len(cells)))
-    reassign_serving(ues, cells, config)
+    ues.flags.writeable = False
     return cells, ues
 
 
-def compute_sinr_all(ues: np.recarray, cells: CellTable,
-                     config: ClusterConfig, rx_dbm: np.ndarray) -> np.ndarray:
-    """Downlink SINR in dB per UE, shape (..., N), from the received powers
-    ``rx_dbm`` (..., N, C) that ``reassign_serving`` returns.
+def compute_sinr_all(serving: np.ndarray, rx_dbm: np.ndarray, cells: CellTable,
+                     config: ClusterConfig) -> np.ndarray:
+    """Downlink SINR in dB per UE, shape (..., N), from the serving cells
+    ``serving`` (..., N) and the received powers ``rx_dbm`` (..., N, C).
 
     Serving power over the sum of the other up cells plus thermal noise, in
     the linear domain; a flat penalty applies when the serving cell lost
     transmit diversity; the result is capped at ``sinr_cap``.  A down
     serving cell gives no signal, so a UE on one (outage) gets ``-inf``.
     """
-    serving = ues.serving_cell
     lin = np.divide(rx_dbm, 10.0)  # C-ordered like rx_dbm: each row sums as alone
     np.power(10.0, lin, out=lin)
     lin *= cells.is_up[..., None, :]
@@ -321,20 +316,20 @@ def compute_sinr_all(ues: np.recarray, cells: CellTable,
     return np.minimum(sinr, config.sinr_cap)
 
 
-def step_mobility(ues: np.recarray, config: ClusterConfig,
+def step_mobility(position: np.ndarray, heading: np.ndarray, config: ClusterConfig,
                   rng: np.random.Generator, ttis: int = 1) -> np.ndarray:
-    """Advance every UE ``ttis`` 1 ms TTIs of a perturbed random walk,
-    reflecting at the cluster boundary; the table ends at the last TTI.
+    """Walk every UE ``ttis`` 1 ms TTIs of a perturbed random walk from
+    ``position`` (N, 2) and ``heading`` (N,), reflecting at the cluster
+    boundary; the inputs are not written.
 
     The turns are one (ttis, N) draw, the values ``ttis`` draws of N would
-    give.  Returns the positions after each TTI, shape (ttis, N, 2); the
-    handover rule is ``reassign_serving``'s.
+    give.  Returns the positions after each TTI, shape (ttis, N, 2).
     """
     step_m = config.ue_speed / 3.6 * (1.0 / 1000.0)
-    turns = rng.normal(0.0, TURN_SIGMA_RAD, size=(ttis, len(ues)))
+    turns = rng.normal(0.0, TURN_SIGMA_RAD, size=(ttis, len(position)))
     radius = config.bounding_radius
-    track = np.empty((ttis, len(ues), 2))
-    position, heading = ues.position.copy(), ues.heading.copy()
+    track = np.empty((ttis, len(position), 2))
+    position, heading = position.copy(), heading.copy()
     for turn, now in zip(turns, track):
         heading += turn
         np.remainder(heading, 2.0 * math.pi, out=heading)
@@ -346,21 +341,18 @@ def step_mobility(ues: np.recarray, config: ClusterConfig,
             position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
             heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
         now[:] = position
-    ues.position[:], ues.heading[:] = position, heading
     return track
 
 
-def compute_throughputs(ues: np.recarray, cells: CellTable,
-                        config: ClusterConfig,
-                        sinr_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shannon-rate throughputs under an equal share of the cell bandwidth.
+def compute_throughputs(serving: np.ndarray, sinr_db: np.ndarray, n_cells: int,
+                        config: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Shannon-rate throughputs of the UEs on cells ``serving`` (..., N) at
+    ``sinr_db`` (..., N), under an equal share of the cell bandwidth.
 
     Each UE gets bandwidth / (UEs attached to its cell at that TTI); a UE
     in outage (``-inf`` SINR) rates 0.  Returns (per-UE Mbps (..., N),
-    per-cell Mbps (..., C)).
+    per-cell Mbps (..., C)) over the ``n_cells`` cells.
     """
-    n_cells = len(cells)
-    serving = ues.serving_cell
     lead = serving.shape[:-1]
     # one bincount key per (TTI, cell); each key sums its UEs in id order
     ttis = np.arange(math.prod(lead)).reshape(lead + (1,))

@@ -20,11 +20,12 @@ from sonsim.config import default_config
 from sonsim.dqn import ExplorationSchedule, decay_epsilon
 from sonsim.experiment import run_experiment, run_single
 from sonsim.faults import FaultKind, FaultRegister, apply_fault, clear_fault
-from sonsim.mdp import (EpisodeConfig, MdpAction, RewardSchedule, alarm_reward)
+from sonsim.mdp import (EpisodeConfig, MdpAction, RewardSchedule, SonEnv,
+                        alarm_reward)
 from sonsim.metrics import empirical_cdf, percentile, summarize_run
 from sonsim.nn import backward, forward, init_params
 from sonsim.radio import (ClusterConfig, build_cluster, compute_sinr_all,
-                          rx_power_matrix)
+                          reassign_serving, rx_power_matrix)
 
 AGENTS = ("random", "fifo", "dqn")
 
@@ -132,10 +133,10 @@ def test_c04_fault_roundtrip():
         rng = np.random.default_rng(5)
         apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, len(cells))
         apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, len(cells))
-        assert reg.count(FaultKind.NEIGHBOR_DOWN) == 2
+        assert reg.counts[FaultKind.NEIGHBOR_DOWN - 1] == 2
         assert reg.active_count == 1
         clear_fault(FaultKind.NEIGHBOR_DOWN, reg)
-        assert reg.count(FaultKind.NEIGHBOR_DOWN) == 1
+        assert reg.counts[FaultKind.NEIGHBOR_DOWN - 1] == 1
         assert reg.active_count == 1
         clear_fault(FaultKind.NEIGHBOR_DOWN, reg)
         assert reg.active_count == 0
@@ -150,13 +151,18 @@ def test_c05_feeder_physics():
     """
     with criterion(5, "feeder physics"):
         cfg = replace(ClusterConfig(), sinr_cap=float("inf"))
-        cells, ues = build_cluster(cfg, seed=11)
-        healthy = compute_sinr_all(ues, cells, cfg, rx_power_matrix(ues, cells, cfg))
+        env = SonEnv(cfg, seed=11)
+        env.reset(0)
+        cells, position = env.cells, env.ues.position
+        rx_dbm = rx_power_matrix(position, env.shadow, cells, cfg)
+        serving = reassign_serving(rx_dbm, cells)
+        healthy = compute_sinr_all(serving, rx_dbm, cells, cfg)
         reg = FaultRegister()
         apply_fault(FaultKind.FEEDER_FAULT, reg, np.random.default_rng(0), len(cells))
         feeder = register_cells(reg, healthy=cells)
-        faulted = compute_sinr_all(ues, feeder, cfg, rx_power_matrix(ues, feeder, cfg))
-        on_serving = np.array([ue.serving_cell == 0 for ue in ues])
+        faulted = compute_sinr_all(
+            serving, rx_power_matrix(position, env.shadow, feeder, cfg), feeder, cfg)
+        on_serving = serving == 0
         assert on_serving.any()
         deltas = faulted[on_serving] - healthy[on_serving]
         assert np.all(np.abs(deltas + 3.0) < 1e-9)

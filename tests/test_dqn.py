@@ -113,7 +113,9 @@ class TestReplayMemory:
         for e in exps:
             mem.push(e)
         assert len(mem) == 2
-        assert mem[0].reward == 1.0 and mem[1].reward == 2.0
+        # a memory no larger than the batch samples every entry, in order
+        batch = mem.sample(np.random.default_rng(0), 2)
+        assert batch[0].reward == 1.0 and batch[1].reward == 2.0
 
     def test_small_memory_returns_everything(self):
         mem = ReplayMemory(capacity=10)

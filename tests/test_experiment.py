@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import pytest
 
+from sonsim import mdp
 from sonsim.cli import main
 from sonsim.config import default_config, parse_config
 from sonsim.experiment import run_experiment, run_single
 from sonsim.mdp import EpisodeConfig
 from sonsim.nn import load_params
-from sonsim.radio import ClusterConfig
+from sonsim.radio import ClusterConfig, step_mobility
 
 
 def tiny_config(**kw):
@@ -44,6 +45,26 @@ class TestRunSingle:
     def test_unknown_agent_rejected(self):
         with pytest.raises(ValueError):
             run_single("psychic", 2, 0, tiny_config())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_agent_walks_the_same_path(self, monkeypatch, seed):
+        # each episode walks the UEs from the drop on that episode's
+        # mobility stream, so of two agents' tracks in an episode the
+        # shorter is a prefix of the longer, bit for bit
+        cfg = default_config()
+        tracks = {}
+        for agent in ("random", "dqn"):
+            def record(*args, walked=tracks.setdefault(agent, []), **kwargs):
+                walked.append(step_mobility(*args, **kwargs))
+                return walked[-1]
+            monkeypatch.setattr(mdp, "step_mobility", record)
+            run_single(agent, 1, seed, cfg)
+        pairs = list(zip(tracks["random"], tracks["dqn"]))
+        assert len(pairs) == cfg.episode.num_episodes == len(tracks["dqn"])
+        assert any(len(a) != len(b) for a, b in pairs)  # the episodes differ
+        for a, b in pairs:
+            short, long = sorted((a, b), key=len)
+            assert short.tobytes() == long[:len(short)].tobytes()
 
 
 class TestRunExperiment:

@@ -132,7 +132,7 @@ class TestApplyClear:
         down = np.flatnonzero(~register_cells(reg).is_up).tolist()
         assert len(down) == 2
         assert 0 not in down  # managed cell never downed
-        assert reg.count(FaultKind.NEIGHBOR_DOWN) == 2
+        assert reg.counts[FaultKind.NEIGHBOR_DOWN - 1] == 2
         assert reg.active_count == 1  # one alarm type set
 
     def test_repeat_feeder_counts_without_compounding(self):
@@ -141,7 +141,7 @@ class TestApplyClear:
         apply_fault(FaultKind.FEEDER_FAULT, reg, rng, NUM_CELLS)
         apply_fault(FaultKind.FEEDER_FAULT, reg, rng, NUM_CELLS)
         assert register_cells(reg).tx_power_delta[0] == -3.0
-        assert reg.count(FaultKind.FEEDER_FAULT) == 2
+        assert reg.counts[FaultKind.FEEDER_FAULT - 1] == 2
 
     def test_azimuth_drift_accumulates(self):
         reg = FaultRegister()
@@ -167,7 +167,7 @@ class TestApplyClear:
         first_down = int(np.flatnonzero(~register_cells(reg).is_up)[0])
         apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, NUM_CELLS)
         clear_fault(FaultKind.NEIGHBOR_DOWN, reg)
-        assert reg.count(FaultKind.NEIGHBOR_DOWN) == 1
+        assert reg.counts[FaultKind.NEIGHBOR_DOWN - 1] == 1
         assert reg.is_active(FaultKind.NEIGHBOR_DOWN)
         # oldest outage restored first, the second stays dark
         cells = register_cells(reg)
@@ -213,7 +213,7 @@ class TestApplyClear:
         state = rng.bit_generator.state
         assert not apply_fault(FaultKind.NEIGHBOR_DOWN, reg, rng, NUM_CELLS)
         assert rng.bit_generator.state == state  # no draw
-        assert reg.count(FaultKind.NEIGHBOR_DOWN) == NUM_CELLS - 1
+        assert reg.counts[FaultKind.NEIGHBOR_DOWN - 1] == NUM_CELLS - 1
         assert register_cells(reg).is_up.tolist() == [True] + [False] * (NUM_CELLS - 1)
 
 
@@ -243,7 +243,7 @@ def test_register_invariants_under_random_ops(ops, delta):
             pending[kind] = max(pending[kind] - 1, 0)
         assert reg.counts == tuple(pending.values())
         assert reg.active_count == sum(1 for c in reg.counts if c > 0)
-        assert len(reg.down_cells) == reg.count(FaultKind.NEIGHBOR_DOWN)
+        assert len(reg.down_cells) == reg.counts[FaultKind.NEIGHBOR_DOWN - 1]
         assert len(set(reg.down_cells)) == len(reg.down_cells)
         assert 0 not in reg.down_cells
         assert same_bits(register_cells(reg, delta), cells_oracle(BUILT_CELLS, reg, delta))

@@ -231,22 +231,23 @@ class TestEnv:
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)
         env.reset(0)
-        first = env.ues[0].shadow_map.copy()
+        first = env.shadow.copy()
+        assert first.shape == (len(env.ues), len(env.cells))
         env.reset(1)
-        assert not np.array_equal(env.ues[0].shadow_map, first)
+        assert not np.array_equal(env.shadow[0], first[0])
         env.reset(0)
-        assert np.array_equal(env.ues[0].shadow_map, first)
+        assert env.shadow.tobytes() == first.tobytes()
 
 
-def tti_radio_oracle(ues, cells, cfg, rng):
+def tti_radio_oracle(position, heading, shadow, cells, cfg, rng):
     # one TTI of the radio path as every step used to run it, in the order
     # step_mobility -> reassign_serving -> compute_sinr_all ->
     # compute_throughputs: walk, hand over on the shadowed link budget,
-    # SINR, equal-share throughput; moves the table, returns the observables
+    # SINR, equal-share throughput; moves position (N, 2) and heading (N,)
+    # in place, returns the observables
     step_m = cfg.ue_speed / 3.6 * (1.0 / 1000.0)
-    turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=len(ues))
+    turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=len(position))
     radius = cfg.bounding_radius
-    position, heading = ues.position, ues.heading
     heading[:] = (heading + turns) % (2.0 * math.pi)
     position[:, 0] += step_m * np.cos(heading)
     position[:, 1] += step_m * np.sin(heading)
@@ -255,11 +256,10 @@ def tti_radio_oracle(ues, cells, cfg, rng):
     position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
     heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
 
-    rx = per_cell_rx_oracle(position, cells, cfg) + ues.shadow_map
+    rx = per_cell_rx_oracle(position, cells, cfg) + shadow
     up = cells.is_up
-    ues.serving_cell[:] = (np.where(up, rx, -np.inf).argmax(axis=1) if up.any()
-                           else -1)
-    serving = ues.serving_cell
+    serving = (np.where(up, rx, -np.inf).argmax(axis=1) if up.any()
+               else np.full(len(position), -1))
 
     lin = np.power(10.0, rx / 10.0) * up
     noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
@@ -294,23 +294,26 @@ class TestEpisodeRadio:
         cfg = ClusterConfig(ues_per_cell=q)
         env = SonEnv(cfg, rates=FaultRates(np.array(weights) / sum(weights)), seed=seed)
         healthy = copy.deepcopy(env.cells)
+        drop = env.ues.copy()
         n = len(env.ues)
         actions = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows % n)
             for ep in range(3):
                 env.reset(ep)
-                ues = env.ues.copy()
+                # every episode walks from the drop
+                position, heading = drop.position.copy(), drop.heading.copy()
                 cells = []
                 while not env.terminal:
                     *_, obs = env.step(MdpAction(int(actions.integers(5))))
                     cells.append(cells_oracle(healthy, env.register))
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
                 want = [np.stack(col) for col in
-                        zip(*(tti_radio_oracle(ues, c, cfg, walk) for c in cells))]
+                        zip(*(tti_radio_oracle(position, heading, env.shadow, c, cfg, walk)
+                              for c in cells))]
                 got = obs["sinr_db"], obs["ue_mbps"], obs["cell_mbps"]
                 assert np.isfinite(obs["sinr_db"]).all()  # no UE is ever in outage
                 for g, w in zip(got, want):
                     assert g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
-                assert env.ues.tobytes() == ues.tobytes()
+                assert env.ues.tobytes() == drop.tobytes()  # never written
