@@ -97,7 +97,7 @@ def _parse_number(text: str) -> float:
 
 def _parse_int(text: str) -> int:
     value = _parse_number(text)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
 
@@ -133,7 +133,7 @@ def parse_config(lines, source: str = "<config>") -> ExperimentConfig:
         try:
             _assign(key, value, sections, values, top)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
 
     run = {"run.agents": "agents", "run.seeds": "seeds", "run.q": "qs",
            "run.output_dir": "output_dir"}
@@ -172,7 +172,7 @@ def _assign(key: str, value: str, sections, values, top) -> None:
     elif key == "run.output_dir":
         top[key] = value
     else:
-        raise ConfigError(f"unknown key {key!r}")
+        raise ConfigError("unknown key")
 
 
 def _dump_section(section: str, values) -> list[str]:

@@ -1,5 +1,6 @@
 """Experiment orchestration over the (agent, UEs-per-cell, seed) grid,
-with deterministic outputs.
+with deterministic outputs.  Each (q, seed) builds one drop and runs all
+its agents on it in lockstep.
 
 Every run writes into a staging directory first and is moved into place
 only on success, so a failed experiment leaves no partial results.  All
@@ -24,7 +25,7 @@ from .metrics import (EpisodeTrace, summarize_run, write_cdf_csv,
                       write_episodes_csv, write_summary_csv, write_trace_csv,
                       ue_average_sinrs)
 from .nn import init_params, save_params
-from .runner import EpisodeResult, run_episode
+from .runner import EpisodeResult, run_episodes
 
 
 @dataclass
@@ -60,23 +61,32 @@ def build_agent(name: str, cfg: ExperimentConfig, seed: int):
     raise ValueError(f"unknown agent {name!r}")
 
 
-def run_single(agent_name: str, q: int, seed: int,
-               cfg: ExperimentConfig) -> SeedRunResult:
-    """Build the cluster for this seed, run every episode, keep the traces."""
+def run_seed(agent_names, q: int, seed: int,
+             cfg: ExperimentConfig) -> list[SeedRunResult]:
+    """Build the cluster for this (q, seed) once and run every agent of
+    ``agent_names`` on it, episode by episode in lockstep, sharing each
+    episode's walk and link budget (``runner.run_episodes``); one result
+    per agent, in order."""
     cluster = replace(cfg.cluster, ues_per_cell=q)
     env = SonEnv(cluster, cfg.rates, cfg.rewards, cfg.episode,
                  seed=seed, azimuth_delta=cfg.azimuth_delta)
-    agent = build_agent(agent_name, cfg, seed)
+    agents = [build_agent(name, cfg, seed) for name in agent_names]
+    pairs = [(env if i == 0 else env.replica(), agent) for i, agent in enumerate(agents)]
+    episodes = [run_episodes(pairs, ep) for ep in range(cfg.episode.num_episodes)]
+    results = []
+    for name, agent, runs in zip(agent_names, agents, zip(*episodes)):
+        summaries, traces = zip(*runs)
+        results.append(SeedRunResult(
+            agent=name, q=q, seed=seed, traces=list(traces), episodes=list(summaries),
+            dqn_params=agent.params if name == "dqn" else None))
+    return results
 
-    traces: list[EpisodeTrace] = []
-    episodes: list[EpisodeResult] = []
-    for ep in range(cfg.episode.num_episodes):
-        result, trace = run_episode(env, agent, ep)
-        traces.append(trace)
-        episodes.append(result)
-    return SeedRunResult(agent=agent_name, q=q, seed=seed, traces=traces,
-                         episodes=episodes,
-                         dqn_params=agent.params if agent_name == "dqn" else None)
+
+def run_single(agent_name: str, q: int, seed: int,
+               cfg: ExperimentConfig) -> SeedRunResult:
+    """Build the cluster for this seed, run every episode, keep the traces:
+    ``run_seed`` with one agent."""
+    return run_seed((agent_name,), q, seed, cfg)[0]
 
 
 def _write_cell_outputs(out: Path, agent: str, results: list[SeedRunResult]) -> None:
@@ -112,13 +122,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         for q in qs:
             cell_dir = stage if len(qs) == 1 else stage / f"q{q}"
             cell_dir.mkdir(parents=True, exist_ok=True)
+            results = {agent: [] for agent in cfg.agents}
+            for seed in cfg.seeds:
+                for r in run_seed(cfg.agents, q, seed, cfg):
+                    results[r.agent].append(r)
             for agent in cfg.agents:
-                results = []
-                for seed in cfg.seeds:
-                    results.append(run_single(agent, q, seed, cfg))
-                    manifest_runs.append(f"run: agent={agent} q={q} seed={seed}")
-                _write_cell_outputs(cell_dir, agent, results)
-                pooled = [tr for r in results for tr in r.traces]
+                manifest_runs += [f"run: agent={agent} q={q} seed={seed}"
+                                  for seed in cfg.seeds]
+                _write_cell_outputs(cell_dir, agent, results[agent])
+                pooled = [tr for r in results.pop(agent) for tr in r.traces]
                 summary_rows.append(
                     (agent, q, summarize_run(pooled, cfg.episode.ttis_per_episode)))
 

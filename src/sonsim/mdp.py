@@ -7,14 +7,17 @@ instance, the reward compares the register population before and after,
 and a snapshot of the register is recorded.  An episode ends when the
 register empties or the TTI budget runs out.  The agents see the register
 alone, so the radio observables (SINR and throughput, which only the
-metrics read) are computed once per episode, at its terminal step: the
-UEs walk every TTI from the drop, then handover, SINR and throughput run
-over blocks of TTIs, each block under the cells ``derive_cells`` derives
-from its register snapshots.
+metrics read) are computed after the episode, by ``episode_radio``, for
+every env of one drop at once: the UEs walk from the drop once, as far as
+the longest episode, and each block of TTIs runs the healthy link budget
+once; every distinct register history then recomputes only the managed
+cell's column, which its faults move, and runs handover, SINR and
+throughput under the cells ``derive_cells`` derives from its snapshots.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -22,12 +25,12 @@ from enum import IntEnum
 import numpy as np
 
 from . import seeding
-from .faults import (ALARM_KINDS, FaultKind, FaultRates, FaultRegister,
-                     apply_fault, clear_fault, derive_cells, paired_alarm,
-                     sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
+from .faults import (ALARM_KINDS, MANAGED_CELL, FaultKind, FaultRates,
+                     FaultRegister, apply_fault, clear_fault, derive_cells,
+                     paired_alarm, sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
 from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
                     compute_throughputs, reassign_serving, rx_power_matrix,
-                    step_mobility)
+                    site_links, step_mobility)
 
 NUM_STATES = 3
 NUM_ACTIONS = 5
@@ -132,7 +135,8 @@ class SonEnv:
     mobility and shadowing streams are re-keyed per episode.  ``ues`` is the
     read-only drop: every episode walks the UEs from it on the episode's
     mobility stream, so every agent walks the same path in an episode, and
-    an agent with a longer episode walks further along it.
+    an agent with a longer episode walks further along it.  ``replica``
+    gives another agent an env on the same drop.
     """
 
     def __init__(self, cluster: ClusterConfig,
@@ -150,6 +154,7 @@ class SonEnv:
 
         self.cells, self.ues = build_cluster(
             cluster, seeding.stream(seed, seeding.GEOMETRY))
+        self.episode_index = 0
         self.shadow: np.ndarray | None = None  # (N, C) dB, drawn per episode
         self.history: list = []  # (counts, down cells) of the register per TTI
         self.register = FaultRegister()
@@ -157,23 +162,36 @@ class SonEnv:
         self.t = 0
         self.terminal = True  # needs reset() before stepping
         self._fault_rng: np.random.Generator | None = None
-        self._mobility_rng: np.random.Generator | None = None
 
     @property
     def alarm_count(self) -> int:
         return self.register.active_count
 
-    def reset(self, episode_index: int = 0) -> MdpState:
-        """Empty the register and its history, redraw shadowing, rewind
-        the TTI clock and return the start state."""
+    def replica(self) -> SonEnv:
+        """A new env on this one's drop (the same cells, UEs and seed) with
+        a register of its own; it needs reset() before stepping."""
+        twin = copy.copy(self)
+        twin.register = FaultRegister()
+        twin.history = []
+        twin.terminal = True
+        return twin
+
+    def reset(self, episode_index: int = 0,
+              shadow: np.ndarray | None = None) -> MdpState:
+        """Empty the register and its history, rewind the TTI clock and
+        return the start state.  The episode's shadowing is drawn from its
+        stream, unless ``shadow`` passes the draw another env of this drop
+        made for the same episode."""
         self.register.clear()
         self.history = []
 
-        shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
-        self.shadow = shadow_rng.normal(0.0, self.config.shadow_sigma,
-                                        size=(len(self.ues), len(self.cells)))
+        self.episode_index = episode_index
+        if shadow is None:
+            shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
+            shadow = shadow_rng.normal(0.0, self.config.shadow_sigma,
+                                       size=(len(self.ues), len(self.cells)))
+        self.shadow = shadow
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
-        self._mobility_rng = seeding.stream(self.seed, seeding.MOBILITY, episode_index)
 
         self.state = MdpState.TRANSIENT
         self.t = 0
@@ -185,9 +203,8 @@ class SonEnv:
         reward, terminal, observables).
 
         The observables are the TTI (1-based), the fault event and the alarm
-        count.  On the terminal TTI they also hold the whole episode's radio
-        observables, one row per TTI: ``sinr_db`` and ``ue_mbps`` (T, N) and
-        ``cell_mbps`` (T, C).
+        count; the episode's radio observables come from ``episode_radio``
+        once it has ended.
         """
         if self.terminal:
             raise RuntimeError("episode is finished; call reset() first")
@@ -211,31 +228,62 @@ class SonEnv:
         self.t += 1
         self.terminal = (cur_count == 0
                          or self.t >= self.episode_config.ttis_per_episode)
+        return self.state, reward, self.terminal, {
+            "tti": self.t, "fault_event": event, "alarm_count": cur_count}
 
-        obs = {"tti": self.t, "fault_event": event, "alarm_count": cur_count}
-        if self.terminal:
-            obs.update(self._episode_radio())
-        return self.state, reward, self.terminal, obs
 
-    def _episode_radio(self) -> dict:
-        """Walk the UEs from the drop through the episode's TTIs, then run
-        handover, SINR and throughput over blocks of at most RADIO_BLOCK_ROWS
-        UE-rows, each TTI under the cells of its register snapshot."""
-        ttis, n, n_cells = self.t, len(self.ues), len(self.cells)
-        # the outputs outlive the call, so they are allocated before the
-        # walk, whose freed buffer would otherwise fragment the heap under
-        # them (6% more peak RSS on the fault-storm workload)
-        sinr_db, ue_mbps = np.empty((ttis, n)), np.empty((ttis, n))
-        cell_mbps = np.empty((ttis, n_cells))
-        track = step_mobility(self.ues.position, self.ues.heading, self.config,
-                              self._mobility_rng, ttis)
-        block = max(1, RADIO_BLOCK_ROWS // n)
-        for a in range(0, ttis, block):
-            rows = slice(a, min(a + block, ttis))
-            cells = derive_cells(self.cells, self.history[rows], self.azimuth_delta)
-            rx = rx_power_matrix(track[rows], self.shadow, cells, self.config)
-            serving = reassign_serving(rx, cells)
-            sinr_db[rows] = compute_sinr_all(serving, rx, cells, self.config)
+def episode_radio(envs: list[SonEnv]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The radio observables of the episode each env of ``envs`` has just
+    finished: per env, ``sinr_db`` and ``ue_mbps`` (T, N) and ``cell_mbps``
+    (T, C), one row per TTI of its episode.
+
+    The envs share one drop and one episode: replicas, reset to the same
+    episode index with one shadowing draw.  The UEs walk from the drop once,
+    as far as the longest episode.  Blocks of at most RADIO_BLOCK_ROWS
+    UE-rows run the healthy link budget once; each distinct register
+    history then recomputes the managed cell's column, the only one its
+    faults move, where they do, and runs handover, SINR and throughput
+    under the cells of its snapshots.  Envs with equal histories get the
+    same read-only arrays.
+    """
+    first = envs[0]
+    for env in envs:
+        if not (env.ues is first.ues and env.shadow is first.shadow
+                and env.episode_index == first.episode_index and env.history):
+            raise ValueError("episode_radio takes finished envs of one drop and episode")
+    cells, config, n = first.cells, first.config, len(first.ues)
+    # the outputs outlive the call, so they are allocated before the walk,
+    # whose freed buffer would otherwise fragment the heap under them (6%
+    # more peak RSS on the fault-storm workload)
+    out = {history: (np.empty((len(history), n)), np.empty((len(history), n)),
+                     np.empty((len(history), len(cells))))
+           for history in dict.fromkeys(tuple(env.history) for env in envs)}
+    ttis = max(len(history) for history in out)
+    walk = seeding.stream(first.seed, seeding.MOBILITY, first.episode_index)
+    track = step_mobility(first.ues.position, first.ues.heading, config, walk, ttis)
+    block = max(1, RADIO_BLOCK_ROWS // n)
+    for a in range(0, ttis, block):
+        position = track[a:a + block]
+        links = site_links(position, cells.sites, config)
+        healthy = rx_power_matrix(position, first.shadow, cells, config, links)
+        for history, (sinr_db, ue_mbps, cell_mbps) in out.items():
+            if a >= len(history):
+                continue
+            rows = slice(a, min(a + block, len(history)))
+            k = rows.stop - a
+            faulted = derive_cells(cells, history[rows], first.azimuth_delta)
+            rx = healthy[:k]
+            if (faulted.azimuth_offset[:, MANAGED_CELL].any()
+                    or faulted.tx_power_delta[:, MANAGED_CELL].any()):
+                rx = rx.copy()
+                rx[..., MANAGED_CELL] = rx_power_matrix(
+                    position[:k], first.shadow, faulted, config,
+                    (links[0][:k], links[1][:k]), [MANAGED_CELL])[..., 0]
+            serving = reassign_serving(rx, faulted)
+            sinr_db[rows] = compute_sinr_all(serving, rx, faulted, config)
             ue_mbps[rows], cell_mbps[rows] = compute_throughputs(
-                serving, sinr_db[rows], n_cells, self.config)
-        return {"sinr_db": sinr_db, "ue_mbps": ue_mbps, "cell_mbps": cell_mbps}
+                serving, sinr_db[rows], len(cells), config)
+    for arrays in out.values():
+        for array in arrays:
+            array.flags.writeable = False
+    return [out[tuple(env.history)] for env in envs]

@@ -191,41 +191,57 @@ def _make_cells(config: ClusterConfig) -> CellTable:
                      azimuth=np.tile(np.arange(k) * (360.0 / k), config.num_sites))
 
 
-def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig) -> np.ndarray:
-    """Unshadowed received power in dBm from every cell at every point of
-    ``points`` (..., M, 2), a new C-ordered array of shape (..., M, C);
-    fault arrays (..., C) apply per leading index.  Geometry and path loss
-    are computed once per site and shared by its sectors."""
-    sites, site = cells.sites, cells.site
+def site_links(points: np.ndarray, sites: np.ndarray,
+               config: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bearing in degrees and path loss in dB from every site of ``sites``
+    (S, 2) to every point of ``points`` (..., M, 2), each a new (..., M, S)
+    array: the part of the link budget no fault touches, shared by the
+    sectors of a site."""
     dx = points[..., None, 0] - sites[:, 0]
     dy = points[..., None, 1] - sites[:, 1]
     dist_km = np.hypot(dx, dy)
     dist_km /= 1000.0
     bearing = np.degrees(np.arctan2(dy, dx))
-    pl = path_loss_cost231(dist_km, config.carrier_freq,
-                           config.bs_height, config.ue_height)
+    return bearing, path_loss_cost231(dist_km, config.carrier_freq,
+                                      config.bs_height, config.ue_height)
+
+
+def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig,
+            links=None, columns=slice(None)) -> np.ndarray:
+    """Unshadowed received power in dBm from the cells ``columns`` (all by
+    default) at every point of ``points`` (..., M, 2), a new C-ordered array
+    of shape (..., M, len(columns)); fault arrays (..., C) apply per leading
+    index.  ``links`` is ``site_links(points, cells.sites, config)`` when
+    the caller already has it."""
+    bearing, pl = links if links is not None else site_links(points, cells.sites, config)
+    site = cells.site[columns]
 
     # (P + delta) + gain - pl, in place in one buffer, which take (unlike a
     # fancy gather) allocates C-ordered whatever the leading axes
     rx = bearing.take(site, axis=-1)
-    rx -= (cells.azimuth + cells.azimuth_offset)[..., None, :]
+    rx -= (cells.azimuth + cells.azimuth_offset)[..., None, columns]
     antenna_gain(rx, out=rx)
     rx -= config.tilt_offset_db
-    rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, :]
+    rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, columns]
     rx -= pl.take(site, axis=-1)
     return rx
 
 
 def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
-                    config: ClusterConfig) -> np.ndarray:
+                    config: ClusterConfig, links=None,
+                    columns=slice(None)) -> np.ndarray:
     """Received power in dBm from every cell at every UE, shape (..., N, C),
     at the UE positions ``position`` (..., N, 2) under the per-link
     shadowing ``shadow`` (N, C) dB.
 
-    Down cells are still evaluated; callers mask them via ``is_up``.
+    ``links`` is ``site_links(position, cells.sites, config)`` when the
+    caller already has it; ``columns`` (a slice or a list of cell ids)
+    keeps only those cells, with the same bits as their columns of the
+    full matrix.  Down cells are still evaluated; callers mask them via
+    ``is_up``.
     """
-    rx = _rx_dbm(position, cells, config)
-    rx += shadow
+    rx = _rx_dbm(position, cells, config, links, columns)
+    rx += shadow[..., columns]
     return rx
 
 

@@ -66,6 +66,23 @@ class TestValues:
         with pytest.raises(ConfigError):
             parse("cluster.ues_per_cell = 2.5\n")
 
+    @pytest.mark.parametrize("line", [
+        "episode.num_episodes = inf", "run.seeds = 1e400", "run.q = 10,-inf",
+        "ml.batch_size = 1e400/1e400", "cluster.ues_per_cell = nan",
+    ])
+    def test_non_finite_count_names_line_and_key(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^f\.cfg:2: {key}: expected an integer"):
+            parse_config(["# counts\n", line + "\n"], source="f.cfg")
+
+    def test_non_finite_count_exits_with_the_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("run.agents = fifo\nepisode.num_episodes = inf\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: episode.num_episodes: expected an integer" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_agent_rejected(self):
         with pytest.raises(ConfigError):
             parse("run.agents = dqn,psychic\n")

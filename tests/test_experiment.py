@@ -1,12 +1,16 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonsim import mdp
 from sonsim.cli import main
-from sonsim.config import default_config, parse_config
-from sonsim.experiment import run_experiment, run_single
+from sonsim.config import KNOWN_AGENTS, default_config, parse_config
+from sonsim.experiment import run_experiment, run_seed, run_single
+from sonsim.faults import FaultRates
 from sonsim.mdp import EpisodeConfig
 from sonsim.nn import load_params
 from sonsim.radio import ClusterConfig, step_mobility
@@ -65,6 +69,71 @@ class TestRunSingle:
         for a, b in pairs:
             short, long = sorted((a, b), key=len)
             assert short.tobytes() == long[:len(short)].tobytes()
+
+
+def assert_same_run(got, want):
+    # every trace column, every episode summary and the weights, bit for bit
+    assert (got.agent, got.q, got.seed) == (want.agent, want.q, want.seed)
+    assert got.episodes == want.episodes
+    assert len(got.traces) == len(want.traces)
+    for a, b in zip(got.traces, want.traces):
+        assert a.episode == b.episode
+        for f in fields(a)[1:]:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.shape == y.shape and x.dtype == y.dtype, f.name
+            assert x.tobytes() == y.tobytes(), f.name
+    if want.dqn_params is None:
+        assert got.dqn_params is None
+    else:
+        assert [p.tobytes() for p in got.dqn_params] == [p.tobytes() for p in want.dqn_params]
+
+
+class TestLockstep:
+    def test_one_drop_per_q_seed_and_one_walk_per_episode(self, tmp_path, monkeypatch):
+        calls = dict.fromkeys(("build_cluster", "step_mobility"), 0)
+        for name in calls:
+            def counted(*args, name=name, original=getattr(mdp, name), **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(mdp, name, counted)
+        cfg = replace(tiny_config(), qs=(1, 2))
+        assert len(cfg.agents) == 3 and cfg.seeds == (0, 1)
+        run_experiment(cfg, tmp_path / "res")
+        assert calls == {"build_cluster": 4, "step_mobility": 4 * cfg.episode.num_episodes}
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
+           agents=st.lists(st.sampled_from(KNOWN_AGENTS), min_size=1, max_size=3,
+                           unique=True),
+           q=st.integers(1, 3), ttis=st.integers(1, 20), seed=st.integers(0, 1000),
+           ttis_per_block=st.integers(1, 8))
+    def test_shared_pass_equals_solo_runs(self, weights, agents, q, ttis, seed,
+                                          ttis_per_block):
+        # events 5..8 are the spontaneous clears, after which random and fifo
+        # can hold different registers; small blocks split long episodes
+        cfg = replace(tiny_config(),
+                      rates=FaultRates(np.array(weights) / sum(weights)),
+                      episode=EpisodeConfig(ttis_per_episode=ttis, num_episodes=3))
+        n = q * cfg.cluster.num_cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n)
+            shared = run_seed(agents, q, seed, cfg)
+            assert [r.agent for r in shared] == agents
+            for got in shared:
+                assert_same_run(got, run_single(got.agent, q, seed, cfg))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_and_fifo_share_one_pass_at_default_rates(self, seed):
+        # with no spontaneous clears their registers match every TTI, so
+        # their traces hold the same read-only radio arrays
+        cfg = replace(tiny_config(), episode=EpisodeConfig(num_episodes=6))
+        rand, fifo, dqn = run_seed(("random", "fifo", "dqn"), 2, seed, cfg)
+        assert_same_run(replace(fifo, agent="random"), rand)
+        for a, b in zip(rand.traces, fifo.traces, strict=True):
+            for name in ("sinr_db", "rate_mbps", "cell_mbps"):
+                assert getattr(a, name) is getattr(b, name)
+                assert not getattr(a, name).flags.writeable
+        assert_same_run(dqn, run_single("dqn", 2, seed, cfg))
 
 
 class TestRunExperiment:

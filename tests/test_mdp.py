@@ -173,11 +173,12 @@ class TestEnv:
                 k = 0
                 while not env.terminal:
                     action = MdpAction((k + ep) % 5)
-                    state, r, term, obs = env.step(action)
+                    state, r, term, _ = env.step(action)
                     out.append((int(state), r, term))
                     k += 1
                 # the episode's observables, one row per TTI
-                out.append((obs["sinr_db"].tobytes(), obs["ue_mbps"].tobytes()))
+                sinr_db, ue_mbps, _ = mdp.episode_radio([env])[0]
+                out.append((sinr_db.tobytes(), ue_mbps.tobytes()))
             return out
 
         a, b = run(11), run(11)
@@ -227,6 +228,38 @@ class TestEnv:
                 assert rows.shape == (env.t, len(healthy))
                 for row, w in zip(rows, want):
                     assert row.tobytes() == getattr(w, name).tobytes()
+
+    def test_replica_shares_the_drop_and_not_the_register(self):
+        env = SonEnv(SMALL, rates=FaultRates((0, 1.0, 0, 0, 0)), seed=2)
+        twin = env.replica()
+        assert twin.cells is env.cells and twin.ues is env.ues
+        env.reset(0)
+        env.step(MdpAction.NO_ACTION)
+        assert twin.terminal and twin.history == [] and twin.alarm_count == 0
+        twin.reset(0, env.shadow)
+        assert twin.shadow is env.shadow
+        twin.step(MdpAction.RESET_AZIMUTH)
+        assert env.history == [((1, 0, 0, 0), ())]
+        assert twin.history == [((0, 0, 0, 0), ())]
+
+    def test_episode_radio_takes_finished_envs_of_one_drop_and_episode(self):
+        def finished(env, ep, shadow=None):
+            env.reset(ep, shadow)
+            while not env.terminal:
+                env.step(MdpAction.NO_ACTION)
+            return env
+
+        env = finished(SonEnv(SMALL, seed=3), 0)
+        with pytest.raises(ValueError):  # another drop, if an equal one
+            mdp.episode_radio([env, finished(SonEnv(SMALL, seed=3), 0)])
+        with pytest.raises(ValueError):  # another episode's shadowing
+            mdp.episode_radio([env, finished(env.replica(), 0)])
+        with pytest.raises(ValueError):  # another episode
+            mdp.episode_radio([env, finished(env.replica(), 1, env.shadow)])
+        with pytest.raises(ValueError):  # not run yet
+            mdp.episode_radio([env, env.replica()])
+        twin = finished(env.replica(), 0, env.shadow)
+        assert all(a is b for a, b in zip(*mdp.episode_radio([env, twin])))
 
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)
@@ -305,14 +338,14 @@ class TestEpisodeRadio:
                 position, heading = drop.position.copy(), drop.heading.copy()
                 cells = []
                 while not env.terminal:
-                    *_, obs = env.step(MdpAction(int(actions.integers(5))))
+                    env.step(MdpAction(int(actions.integers(5))))
                     cells.append(cells_oracle(healthy, env.register))
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
                 want = [np.stack(col) for col in
                         zip(*(tti_radio_oracle(position, heading, env.shadow, c, cfg, walk)
                               for c in cells))]
-                got = obs["sinr_db"], obs["ue_mbps"], obs["cell_mbps"]
-                assert np.isfinite(obs["sinr_db"]).all()  # no UE is ever in outage
+                got = mdp.episode_radio([env])[0]
+                assert np.isfinite(got[0]).all()  # no UE is ever in outage
                 for g, w in zip(got, want):
                     assert g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
