@@ -11,14 +11,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .faults import DEFAULT_AZIMUTH_DELTA_DEG, FaultRates
-from .mdp import EpisodeConfig, RewardSchedule
+from .mdp import ConfigError, EpisodeConfig, RewardSchedule
 from .radio import ClusterConfig
 
 KNOWN_AGENTS = ("random", "fifo", "dqn")
-
-
-class ConfigError(ValueError):
-    """Malformed configuration file or value."""
 
 
 @dataclass

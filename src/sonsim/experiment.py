@@ -16,6 +16,8 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import seeding
 from .baselines import FifoAgent, RandomAgent
 from .config import ExperimentConfig, dump_effective_config
@@ -37,7 +39,8 @@ class SeedRunResult:
     seed: int
     traces: list[EpisodeTrace]
     episodes: list[EpisodeResult]
-    dqn_params: list | None = None
+    dqn_params: np.ndarray | None = None    # the dqn agent's flat parameter vector
+    dqn_layer_sizes: tuple = ()
 
 
 def build_agent(name: str, cfg: ExperimentConfig, seed: int):
@@ -76,9 +79,11 @@ def run_seed(agent_names, q: int, seed: int,
     results = []
     for name, agent, runs in zip(agent_names, agents, zip(*episodes)):
         summaries, traces = zip(*runs)
-        results.append(SeedRunResult(
-            agent=name, q=q, seed=seed, traces=list(traces), episodes=list(summaries),
-            dqn_params=agent.params if name == "dqn" else None))
+        result = SeedRunResult(agent=name, q=q, seed=seed, traces=list(traces),
+                               episodes=list(summaries))
+        if name == "dqn":
+            result.dqn_params, result.dqn_layer_sizes = agent.flat, agent.layer_sizes
+        results.append(result)
     return results
 
 
@@ -99,7 +104,8 @@ def _write_cell_outputs(out: Path, agent: str, results: list[SeedRunResult]) -> 
     write_trace_csv(out / f"traces_{agent}.csv", all_traces)
     for r in results:
         if r.dqn_params is not None:
-            save_params(r.dqn_params, out / f"weights_dqn_seed{r.seed}.txt")
+            save_params(r.dqn_params, r.dqn_layer_sizes,
+                        out / f"weights_dqn_seed{r.seed}.txt")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:

@@ -63,6 +63,10 @@ ACTION_CLEARS = {
 CLEAR_ACTION_FOR = {alarm: action for action, alarm in ACTION_CLEARS.items()}
 
 
+class ConfigError(ValueError):
+    """Malformed configuration file or value."""
+
+
 @dataclass
 class RewardSchedule:
     """Reward per alarm-count transition; the all-clear case dominates."""
@@ -86,11 +90,11 @@ class EpisodeConfig:
 
     def __post_init__(self):
         if self.ttis_per_episode < 1:
-            raise ValueError("ttis_per_episode must be at least 1")
+            raise ConfigError("episode.ttis_per_episode must be at least 1")
         if self.num_episodes < 1:
-            raise ValueError("num_episodes must be at least 1")
+            raise ConfigError("episode.num_episodes must be at least 1")
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
+            raise ConfigError("episode.gamma must be in (0, 1)")
 
 
 def alarm_reward(prev_count: int, cur_count: int,

@@ -4,7 +4,9 @@ optimizer.
 
 The network is a stack of affine layers with ReLU between them and a linear
 output head, so negative value targets stay representable.  Parameters are
-a flat list [W0, b0, W1, b1, ...] with W of shape (fan_in, fan_out).
+a list [W0, b0, W1, b1, ...] with W of shape (fan_in, fan_out); a learner
+keeps them as views into one contiguous vector (``flatten`` and
+``layer_views``), so that the optimizer updates them all in one pass.
 """
 
 from __future__ import annotations
@@ -33,6 +35,26 @@ def layer_sizes_of(params: list[np.ndarray]) -> tuple[int, ...]:
     return (params[0].shape[0],) + tuple(w.shape[1] for w in params[0::2])
 
 
+def flatten(arrays) -> np.ndarray:
+    """The arrays' values, each row-major, in one contiguous vector."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def layer_views(flat: np.ndarray, layer_sizes) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] as views into ``flat``, laid out as
+    :func:`flatten` lays out the list."""
+    views: list[np.ndarray] = []
+    pos = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        views.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        views.append(flat[pos:pos + fan_out])
+        pos += fan_out
+    if pos != flat.size:
+        raise ValueError(f"{flat.size} values do not fill layers {tuple(layer_sizes)}")
+    return views
+
+
 def _activations(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     """Every layer's output, the input first, for one input (in,) or a
     batch (B, in).  Each row goes through its own vector-matrix product, so
@@ -45,22 +67,28 @@ def _activations(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(params: list[np.ndarray], x) -> np.ndarray:
+def forward(params: list[np.ndarray], x, all_layers: bool = False):
     """Evaluate the network on one input (in,) or a batch (B, in); returns
-    the value vector for all actions, one row per batch row."""
-    return _activations(params, np.asarray(x, dtype=float))[-1]
+    the value vector for all actions, one row per batch row.  With
+    ``all_layers`` it returns every layer's output, the input first, which
+    :func:`backward` can take as ``acts``."""
+    acts = _activations(params, np.asarray(x, dtype=float))
+    return acts if all_layers else acts[-1]
 
 
-def backward(params: list[np.ndarray], x, action_index,
-             target) -> list[np.ndarray]:
+def backward(params: list[np.ndarray], x, action_index, target,
+             acts: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Exact gradients of (target - q[action_index])^2 w.r.t. every
     parameter; the loss is masked to the taken action's output unit.
 
     ``x`` is one input (in,) or a batch (B, in) with an action index and a
     target per row.  A batch returns the per-row gradients summed in row
-    order, bit-identical to a running sum of single-row calls.
+    order, bit-identical to a running sum of single-row calls.  ``acts``,
+    the batch's layer outputs as ``forward(params, x, all_layers=True)``
+    gives them, saves the forward pass.
     """
-    acts = _activations(params, np.atleast_2d(np.asarray(x, dtype=float)))
+    if acts is None:
+        acts = _activations(params, np.atleast_2d(np.asarray(x, dtype=float)))
     q = acts[-1]
     rows = np.arange(len(q))
     delta = np.zeros_like(q)
@@ -84,67 +112,58 @@ def backward(params: list[np.ndarray], x, action_index,
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates, one value per parameter, plus the
+    step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray],
+    def for_params(cls, params: np.ndarray,
                    learning_rate: float = 1e-3) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
                    learning_rate=learning_rate)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected adaptive-moments update.
+def adam_step(params: np.ndarray, grads: np.ndarray,
+              state: AdamState) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected adaptive-moments update of a flat parameter
+    vector, elementwise, so each value gets the same bits as it would alone.
 
-    Returns fresh parameter arrays (inputs are never mutated), so a held
-    reference to the old list remains a valid pre-update snapshot.
+    The moments are updated in place: two fresh vectors a step fragmented
+    the heap enough to raise a run's peak memory.  Returns a fresh parameter
+    vector (the input is never mutated), so a held reference to the old one
+    remains a valid pre-update snapshot.
     """
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_params: list[np.ndarray] = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        new_params.append(p - state.learning_rate * m_hat
-                          / (np.sqrt(v_hat) + ADAM_EPSILON))
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    m_hat = state.m / (1.0 - b1 ** t)
+    v_hat = state.v / (1.0 - b2 ** t)
     state.step_count = t
-    return new_params, state
+    return params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), state
 
 
-def save_params(params: list[np.ndarray], path) -> None:
-    """Write parameters as flat text: one value per line, row-major, with a
+def save_params(params: np.ndarray, layer_sizes, path) -> None:
+    """Write a flat parameter vector as text, one value per line, with a
     header recording the layer sizes."""
-    sizes = layer_sizes_of(params)
-    flat = np.concatenate([p.ravel() for p in params])
-    np.savetxt(path, flat, header="layers " + " ".join(str(s) for s in sizes))
+    np.savetxt(path, params, header="layers " + " ".join(str(s) for s in layer_sizes))
 
 
 def load_params(path) -> list[np.ndarray]:
-    """Inverse of :func:`save_params`."""
+    """Inverse of :func:`save_params`, as per-layer views of the vector."""
     with open(path) as fh:
         header = fh.readline().strip()
     tokens = header.lstrip("#").split()
     if not tokens or tokens[0] != "layers":
         raise ValueError(f"{path}: missing layer-size header")
     sizes = tuple(int(t) for t in tokens[1:])
-    flat = np.loadtxt(path)
-    params: list[np.ndarray] = []
-    pos = 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        n = fan_in * fan_out
-        params.append(flat[pos:pos + n].reshape(fan_in, fan_out))
-        pos += n
-        params.append(flat[pos:pos + fan_out].copy())
-        pos += fan_out
-    if pos != flat.size:
-        raise ValueError(f"{path}: parameter count does not match header")
-    return params
+    try:
+        return layer_views(np.loadtxt(path), sizes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: parameter count does not match header") from exc

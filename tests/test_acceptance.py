@@ -18,7 +18,7 @@ from test_faults import register_cells, same_bits
 
 from sonsim.config import default_config
 from sonsim.dqn import ExplorationSchedule, decay_epsilon
-from sonsim.experiment import run_experiment, run_single
+from sonsim.experiment import run_experiment, run_seed, run_single
 from sonsim.faults import FaultKind, FaultRegister, apply_fault, clear_fault
 from sonsim.mdp import (EpisodeConfig, MdpAction, RewardSchedule, SonEnv,
                         alarm_reward)
@@ -44,15 +44,12 @@ def criterion(num, name):
 def ordering_data():
     """Per-seed run summaries for every (agent, q) cell, 20 paired seeds."""
     cfg = default_config()
-    data = {}
+    data = {(agent, q): [] for q in (10, 50) for agent in AGENTS}
     for q in (10, 50):
-        for agent in AGENTS:
-            summaries = []
-            for seed in range(20):
-                r = run_single(agent, q, seed, cfg)
-                summaries.append(
+        for seed in range(20):
+            for r in run_seed(AGENTS, q, seed, cfg):
+                data[r.agent, q].append(
                     summarize_run(r.traces, cfg.episode.ttis_per_episode))
-            data[agent, q] = summaries
     return data
 
 

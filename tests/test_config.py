@@ -5,6 +5,7 @@ import pytest
 from sonsim.cli import main
 from sonsim.config import (ConfigError, default_config, dump_effective_config,
                            load_config, parse_config)
+from sonsim.mdp import EpisodeConfig
 
 
 def parse(text):
@@ -139,6 +140,21 @@ class TestValues:
     def test_non_finite_reward_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"rewards.{key}"):
             parse(f"rewards.{key} = {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "1.5"), ("gamma", "0"), ("gamma", "nan"),
+        ("num_episodes", "0"), ("ttis_per_episode", "-2"),
+    ])
+    def test_bad_episode_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^f\.cfg: episode\.{key} must"):
+            parse_config([f"episode.{key} = {value}\n"], source="f.cfg")
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 1.0), ("num_episodes", 0), ("ttis_per_episode", 0),
+    ])
+    def test_episode_config_raises_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"episode.{key}"):
+            EpisodeConfig(**{key: value})
 
     def test_finite_rewards_accepted(self):
         cfg = parse("rewards.cleared = 10\nrewards.worsened = -2.5\n")

@@ -1,15 +1,23 @@
+import copy
+import tracemalloc
+from collections import deque
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sonsim.config import default_config
-from sonsim.dqn import (DqnAgent, Experience, ExplorationSchedule,
-                        ReplayMemory, compute_targets, decay_epsilon,
-                        select_action)
-from sonsim.experiment import build_agent
+from sonsim.dqn import (DqnAgent, ExplorationSchedule, ReplayMemory,
+                        compute_targets, decay_epsilon, select_action)
+from sonsim.experiment import build_agent, run_single
 from sonsim.faults import FaultRates
-from sonsim.mdp import MdpAction, MdpState, SonEnv
-from sonsim.nn import AdamState, adam_step, init_params
+from sonsim.mdp import (NUM_ACTIONS, EpisodeConfig, MdpAction, MdpState, SonEnv,
+                        encode_state)
+from sonsim.nn import (AdamState, adam_step, flatten, forward, init_params,
+                       layer_sizes_of, layer_views)
 from sonsim.radio import ClusterConfig
 from sonsim.runner import run_episode
 
@@ -46,23 +54,29 @@ class TestDecay:
         assert decay_epsilon(s).epsilon == 0.01
 
 
+def greedy_values(params, state):
+    return forward(params, encode_state(state))
+
+
 class TestSelectAction:
     def test_greedy_argmax(self):
         params = params_with_q([0.0, 3.0, 1.0, 1.0, 0.0])
         sched = ExplorationSchedule(epsilon=0.0)
-        a = select_action(MdpState.INCREASED, params, sched, np.random.default_rng(0))
+        a = select_action(greedy_values(params, MdpState.INCREASED), sched,
+                          np.random.default_rng(0))
         assert a == MdpAction.RESTORE_NEIGHBOR
 
     def test_greedy_tie_breaks_lowest_index(self):
         params = params_with_q([0.7, 0.7, 0.7, 0.7, 0.7])
         sched = ExplorationSchedule(epsilon=0.0)
-        a = select_action(MdpState.DECREASED, params, sched, np.random.default_rng(0))
+        a = select_action(greedy_values(params, MdpState.DECREASED), sched,
+                          np.random.default_rng(0))
         assert a == MdpAction.NO_ACTION
 
     def test_greedy_is_pure_function_of_state_and_weights(self):
         params = params_with_q([0.1, -0.4, 2.0, 0.3, 0.0])
         sched = ExplorationSchedule(epsilon=0.0)
-        actions = {select_action(MdpState.TRANSIENT, params, sched,
+        actions = {select_action(greedy_values(params, MdpState.TRANSIENT), sched,
                                  np.random.default_rng(seed))
                    for seed in range(50)}
         assert actions == {MdpAction.ENABLE_DIVERSITY}
@@ -71,72 +85,139 @@ class TestSelectAction:
         params = params_with_q([9.0, 0.0, 0.0, 0.0, 0.0])
         sched = ExplorationSchedule(epsilon=1.0)
         rng = np.random.default_rng(7)
-        draws = [int(select_action(MdpState.TRANSIENT, params, sched, rng))
+        draws = [int(select_action(greedy_values(params, MdpState.TRANSIENT), sched, rng))
                  for _ in range(10_000)]
         counts = np.bincount(draws, minlength=5)
         assert stats.chisquare(counts).pvalue > 0.01
 
 
+def one_target(params, reward, next_state, terminal, gamma):
+    q = forward(params, np.eye(3))
+    return compute_targets(q, np.array([reward]), np.array([int(next_state)]),
+                           np.array([terminal]), gamma)[0]
+
+
 class TestComputeTarget:
     def test_terminal_returns_raw_reward(self):
-        exp = Experience(MdpState.INCREASED, MdpAction.RECOVER_POWER, 5.0,
-                         MdpState.DECREASED, True)
-        assert compute_targets([exp], params_with_q(np.ones(5)), 0.95)[0] == 5.0
+        assert one_target(params_with_q(np.ones(5)), 5.0, MdpState.DECREASED,
+                          True, 0.95) == 5.0
 
     def test_bootstrap_arithmetic(self):
         params = params_with_q([0.0, 2.0, 1.0, 0.0, 0.0])
-        exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, 1.0,
-                         MdpState.INCREASED, False)
-        assert compute_targets([exp], params, 0.95)[0] == pytest.approx(2.9, abs=1e-12)
+        assert one_target(params, 1.0, MdpState.INCREASED, False,
+                          0.95) == pytest.approx(2.9, abs=1e-12)
 
     def test_zero_discount_reduces_to_reward(self):
         params = params_with_q([4.0, 4.0, 4.0, 4.0, 4.0])
-        exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, -1.0,
-                         MdpState.DECREASED, False)
-        assert compute_targets([exp], params, 0.0)[0] == -1.0
+        assert one_target(params, -1.0, MdpState.DECREASED, False, 0.0) == -1.0
 
     def test_snapshot_unaffected_by_later_update(self):
-        params = params_with_q([0.0, 2.0, 1.0, 0.0, 0.0])
-        exp = Experience(MdpState.INCREASED, MdpAction.NO_ACTION, 1.0,
-                         MdpState.INCREASED, False)
-        y_before = compute_targets([exp], params, 0.95)[0]
-        grads = [np.ones_like(p) for p in params]
-        adam_step(params, grads, AdamState.for_params(params, 0.5))
-        assert compute_targets([exp], params, 0.95)[0] == y_before
+        flat = flatten(params_with_q([0.0, 2.0, 1.0, 0.0, 0.0]))
+        params = layer_views(flat, (3, 4, 5))
+        y_before = one_target(params, 1.0, MdpState.INCREASED, False, 0.95)
+        adam_step(flat, np.ones_like(flat), AdamState.for_params(flat, 0.5))
+        assert one_target(params, 1.0, MdpState.INCREASED, False, 0.95) == y_before
+
+
+def push_rewards(mem, rewards):
+    for r in rewards:
+        mem.push(MdpState.TRANSIENT, MdpAction.NO_ACTION, float(r),
+                 MdpState.TRANSIENT, False)
+
+
+@dataclass
+class Experience:
+    state: MdpState
+    action: MdpAction
+    reward: float
+    next_state: MdpState
+    next_is_terminal: bool
+
+
+class DequeMemory:
+    """Transcription of the replay memory as a bounded deque of experience
+    records, sampled one index at a time."""
+
+    def __init__(self, capacity):
+        self._buf = deque(maxlen=capacity)
+
+    def push(self, *transition):
+        self._buf.append(Experience(*transition))
+
+    def sample(self, rng, batch_size):
+        n = len(self._buf)
+        if n <= batch_size:
+            return list(self._buf)
+        idx = rng.choice(n, size=batch_size, replace=False)
+        return [self._buf[int(i)] for i in idx]
 
 
 class TestReplayMemory:
     def test_eviction_order(self):
         mem = ReplayMemory(capacity=2)
-        exps = [Experience(MdpState.TRANSIENT, MdpAction.NO_ACTION, float(i),
-                           MdpState.TRANSIENT, False) for i in range(3)]
-        for e in exps:
-            mem.push(e)
+        push_rewards(mem, range(3))
         assert len(mem) == 2
         # a memory no larger than the batch samples every entry, in order
-        batch = mem.sample(np.random.default_rng(0), 2)
-        assert batch[0].reward == 1.0 and batch[1].reward == 2.0
+        rewards = mem.sample(np.random.default_rng(0), 2)[2]
+        assert rewards[0] == 1.0 and rewards[1] == 2.0
 
     def test_small_memory_returns_everything(self):
         mem = ReplayMemory(capacity=10)
-        for i in range(3):
-            mem.push(Experience(MdpState.TRANSIENT, MdpAction.NO_ACTION,
-                                float(i), MdpState.TRANSIENT, False))
+        push_rewards(mem, range(3))
         batch = mem.sample(np.random.default_rng(0), batch_size=8)
-        assert len(batch) == 3
+        assert all(len(column) == 3 for column in batch)
 
     def test_sample_without_replacement(self):
         mem = ReplayMemory(capacity=100)
-        for i in range(50):
-            mem.push(Experience(MdpState.TRANSIENT, MdpAction.NO_ACTION,
-                                float(i), MdpState.TRANSIENT, False))
-        batch = mem.sample(np.random.default_rng(1), batch_size=20)
-        rewards = [e.reward for e in batch]
+        push_rewards(mem, range(50))
+        rewards = list(mem.sample(np.random.default_rng(1), batch_size=20)[2])
         assert len(rewards) == len(set(rewards)) == 20
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ReplayMemory(capacity=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 50), batch_size=st.integers(1, 40),
+           pushes=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+    @example(capacity=7, batch_size=3, pushes=40, seed=1)    # sampled across the wrap
+    @example(capacity=5, batch_size=8, pushes=13, seed=2)    # all of a wrapped ring
+    def test_samples_as_the_deque_did(self, capacity, batch_size, pushes, seed):
+        # the same experiences in the same order, and the generator left in
+        # the same state, before and after the ring wraps around
+        transitions = np.random.default_rng(seed)
+        ring, oracle = ReplayMemory(capacity), DequeMemory(capacity)
+        ring_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(pushes):
+            t = (MdpState(int(transitions.integers(3))), MdpAction(int(transitions.integers(5))),
+                 float(transitions.normal()), MdpState(int(transitions.integers(3))),
+                 bool(transitions.random() < 0.5))
+            ring.push(*t)
+            oracle.push(*t)
+            got = ring.sample(ring_rng, batch_size)
+            want = oracle.sample(oracle_rng, batch_size)
+            assert len(ring) == len(oracle._buf)
+            assert list(zip(*(column.tolist() for column in got))) == \
+                [(e.state, e.action, e.reward, e.next_state, e.next_is_terminal)
+                 for e in want]
+            assert ring_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_huge_capacity_allocates_only_what_is_pushed(self):
+        # the ring grows with its contents, so a dqn run with a capacity far
+        # beyond any run's transitions completes and peaks no higher than
+        # one with the default capacity
+        cfg = default_config()
+        cfg = replace(cfg, episode=EpisodeConfig(num_episodes=4))
+        peaks = {}
+        for capacity in (cfg.ml.replay_capacity, 10 ** 12):
+            run_cfg = replace(cfg, ml=replace(cfg.ml, replay_capacity=capacity))
+            tracemalloc.start()
+            try:
+                run_single("dqn", 1, 0, run_cfg)
+                peaks[capacity] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10 ** 12] <= peaks[cfg.ml.replay_capacity] + 64 * 1024
 
 
 class TestTrainEpisode:
@@ -219,12 +300,12 @@ class PerSampleLearner:
 
     def __init__(self, params, gamma, rng, batch_size, capacity):
         self.params = params
-        self.opt_state = AdamState.for_params(params)
-        self.memory = ReplayMemory(capacity)
+        self.opt_state = AdamState.for_params(flatten(params))
+        self.memory = DequeMemory(capacity)
         self.gamma, self.rng, self.batch_size = gamma, rng, batch_size
 
     def observe(self, state, action, reward, next_state, terminal):
-        self.memory.push(Experience(state, action, reward, next_state, terminal))
+        self.memory.push(state, action, reward, next_state, terminal)
         batch = self.memory.sample(self.rng, self.batch_size)
         targets = []
         for e in batch:
@@ -238,7 +319,9 @@ class PerSampleLearner:
             g = per_sample_backward(self.params, np.eye(3)[int(e.state)], int(e.action), y)
             grads = g if grads is None else [a + b for a, b in zip(grads, g)]
         grads = [g / len(batch) for g in grads]
-        self.params, self.opt_state = adam_step(self.params, grads, self.opt_state)
+        flat, self.opt_state = adam_step(flatten(self.params), flatten(grads),
+                                         self.opt_state)
+        self.params = layer_views(flat, layer_sizes_of(self.params))
 
 
 class TestBatchedUpdate:
@@ -262,3 +345,36 @@ class TestBatchedUpdate:
                           (agent.opt_state.v, oracle.opt_state.v)]:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert agent.opt_state.step_count == oracle.opt_state.step_count == 400
+
+
+def per_call_select(state, params, epsilon, rng):
+    """Transcription of action selection with a forward pass per call."""
+    if rng.random() < epsilon:
+        return MdpAction(int(rng.integers(NUM_ACTIONS)))
+    return MdpAction(int(np.argmax(forward(params, encode_state(state)))))
+
+
+class TestStatePass:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_act_sees_every_update(self, epsilon):
+        # after each observe, act uses the updated parameters, and it draws
+        # from the agent's generator as a per-call forward pass did: one
+        # uniform, then an action index only when it explores
+        params = init_params((3, 24, 24, 5), np.random.default_rng(3))
+        agent = DqnAgent(params, 0.95, np.random.default_rng(4),
+                         schedule=ExplorationSchedule(epsilon, 1.0, 0.0),
+                         memory=ReplayMemory(50), batch_size=4, learning_rate=0.05)
+        transitions = np.random.default_rng(5)
+        greedy = set()
+        for _ in range(300):
+            state = MdpState(int(transitions.integers(3)))
+            reference = copy.deepcopy(agent.rng)
+            want = per_call_select(state, agent.params, epsilon, reference)
+            action = agent.act(state, None)
+            assert action == want
+            assert agent.rng.bit_generator.state == reference.bit_generator.state
+            agent.observe(state, action, float(transitions.choice([-1.0, 0.0])),
+                          MdpState(int(transitions.integers(3))),
+                          bool(transitions.random() < 0.2), None)
+            greedy.add(tuple(np.argmax(forward(agent.params, np.eye(3)), axis=1)))
+        assert len(greedy) > 1    # the updates did move the greedy actions

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim.nn import (AdamState, adam_step, backward, forward, init_params,
-                       layer_sizes_of, load_params, save_params)
+from sonsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState,
+                       adam_step, backward, flatten, forward, init_params,
+                       layer_sizes_of, layer_views, load_params, save_params)
 
 
 def forward_oracle(params, x):
@@ -166,22 +167,35 @@ class TestBatch:
         assert all(same_bits(u, v) for u, v in zip(batch, running))
 
 
+def per_layer_adam(params, grads, m, v, t, lr):
+    """Transcription of the update as a loop over the parameter arrays."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    new_params = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * g * g
+        m_hat = m[i] / (1.0 - b1 ** t)
+        v_hat = v[i] / (1.0 - b2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
+    return new_params
+
+
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):
-        params = [np.array([1.0, -2.0]), np.array([0.5])]
+        params = np.array([1.0, -2.0, 0.5])
         state = AdamState.for_params(params)
-        new, state = adam_step(params, [np.zeros(2), np.zeros(1)], state)
-        assert np.array_equal(new[0], params[0])
-        assert np.array_equal(new[1], params[1])
+        new, state = adam_step(params, np.zeros(3), state)
+        assert np.array_equal(new[:2], params[:2])
+        assert np.array_equal(new[2:], params[2:])
 
     def test_single_step_closed_form(self):
         # one step against unit gradient: bias-corrected moments are exactly
         # one, so the step is lr / (1 + eps)
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, learning_rate=1e-3)
-        new, state = adam_step(params, [np.array([1.0])], state)
+        new, state = adam_step(params, np.array([1.0]), state)
         expected = -1e-3 * 1.0 / (np.sqrt(1.0) + 1e-8)
-        assert new[0][0] == pytest.approx(expected, abs=1e-18)
+        assert new[0] == pytest.approx(expected, abs=1e-18)
 
     def test_two_step_closed_form_oracle(self):
         # closed-form simulation of two updates with constant unit gradient
@@ -192,43 +206,61 @@ class TestAdam:
             v = b2 * v + (1 - b2) * 1.0
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, learning_rate=lr)
-        p1, state = adam_step(params, [np.array([1.0])], state)
-        p2, state = adam_step(p1, [np.array([1.0])], state)
-        assert p2[0][0] == pytest.approx(w, abs=1e-15)
+        p1, state = adam_step(params, np.array([1.0]), state)
+        p2, state = adam_step(p1, np.array([1.0]), state)
+        assert p2[0] == pytest.approx(w, abs=1e-15)
         # bias correction makes a constant-gradient step constant, and
         # second-moment growth means it can never grow
-        step1 = p1[0][0] - 0.0
-        step2 = p2[0][0] - p1[0][0]
+        step1 = p1[0] - 0.0
+        step2 = p2[0] - p1[0]
         assert abs(step2) <= abs(step1) * (1 + 1e-12)
 
     def test_effective_step_shrinks_when_gradients_grow(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, learning_rate=1e-3)
-        p1, state = adam_step(params, [np.array([1.0])], state)
-        p2, state = adam_step(p1, [np.array([4.0])], state)
+        p1, state = adam_step(params, np.array([1.0]), state)
+        p2, state = adam_step(p1, np.array([4.0]), state)
         # per unit of gradient the move shrank: second moment grew faster
-        step1 = abs(p1[0][0] - 0.0) / 1.0
-        step2 = abs(p2[0][0] - p1[0][0]) / 4.0
+        step1 = abs(p1[0] - 0.0) / 1.0
+        step2 = abs(p2[0] - p1[0]) / 4.0
         assert step2 < step1
 
     def test_inputs_never_mutated(self):
         rng = np.random.default_rng(5)
-        params = init_params(rng=rng)
-        before = [p.copy() for p in params]
-        grads = [np.ones_like(p) for p in params]
+        params = flatten(init_params(rng=rng))
+        before = params.copy()
+        grads = np.ones_like(params)
         adam_step(params, grads, AdamState.for_params(params))
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
+        assert np.array_equal(params, before)
+
+    def test_matches_per_layer_update_bit_for_bit(self):
+        # the flat vector's elementwise update gives each value the bits the
+        # per-array loop gives it, step after step
+        rng = np.random.default_rng(8)
+        params = init_params((3, 24, 24, 5), rng)
+        flat = flatten(params)
+        state = AdamState.for_params(flat, learning_rate=1e-2)
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        for t in range(1, 21):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                     for p in params]
+            params = per_layer_adam(params, grads, m, v, t, 1e-2)
+            flat, state = adam_step(flat, flatten(grads), state)
+            for got, want in [(flat, params), (state.m, m), (state.v, v)]:
+                assert got.tobytes() == flatten(want).tobytes()
 
     def test_training_decreases_loss_on_fixed_batch(self):
         rng = np.random.default_rng(6)
         params = init_params(rng=rng)
+        sizes = layer_sizes_of(params)
         targets = rng.normal(scale=2.0, size=(3, 5))
         batch = [(np.eye(3)[s], a, targets[s, a])
                  for s in range(3) for a in range(5)]
-        state = AdamState.for_params(params, learning_rate=1e-3)
+        flat = flatten(params)
+        state = AdamState.for_params(flat, learning_rate=1e-3)
 
         def total_loss(ps):
             return sum((y - forward(ps, x)[a]) ** 2 for x, a, y in batch)
@@ -240,7 +272,8 @@ class TestAdam:
                 g = backward(params, x, a, y)
                 grads = g if grads is None else [u + v for u, v in zip(grads, g)]
             grads = [g / len(batch) for g in grads]
-            params, state = adam_step(params, grads, state)
+            flat, state = adam_step(flat, flatten(grads), state)
+            params = layer_views(flat, sizes)
             losses.append(total_loss(params))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -261,9 +294,25 @@ class TestInitAndPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         params = init_params((3, 24, 24, 5), np.random.default_rng(9))
         path = tmp_path / "weights.txt"
-        save_params(params, path)
+        save_params(flatten(params), layer_sizes_of(params), path)
         loaded = load_params(path)
         assert len(loaded) == len(params)
         for a, b in zip(params, loaded):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-16)
+
+    def test_layer_views_share_the_vector(self):
+        params = init_params((3, 4, 2), np.random.default_rng(1))
+        flat = flatten(params)
+        views = layer_views(flat, (3, 4, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(views, params))
+        flat[:] = 0.0
+        assert all(np.all(v == 0.0) for v in views)
+        with pytest.raises(ValueError):
+            layer_views(flat[:-1], (3, 4, 2))
+
+    def test_load_rejects_a_short_file(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        save_params(np.zeros(10), (3, 4, 2), path)
+        with pytest.raises(ValueError, match="does not match header"):
+            load_params(path)
