@@ -22,7 +22,7 @@ from . import seeding
 from .baselines import FifoAgent, RandomAgent
 from .config import ExperimentConfig, dump_effective_config
 from .dqn import DqnAgent, ExplorationSchedule, ReplayMemory
-from .mdp import NUM_ACTIONS, NUM_STATES, SonEnv
+from .mdp import NUM_ACTIONS, NUM_STATES, SonEnv, drop_radio
 from .metrics import (EpisodeTrace, summarize_run, write_cdf_csv,
                       write_episodes_csv, write_summary_csv, write_trace_csv,
                       ue_average_sinrs)
@@ -67,18 +67,20 @@ def build_agent(name: str, cfg: ExperimentConfig, seed: int):
 def run_seed(agent_names, q: int, seed: int,
              cfg: ExperimentConfig) -> list[SeedRunResult]:
     """Build the cluster for this (q, seed) once and run every agent of
-    ``agent_names`` on it, episode by episode in lockstep, sharing each
-    episode's walk and link budget (``runner.run_episodes``); one result
-    per agent, in order."""
+    ``agent_names`` on it: the control loops episode by episode in lockstep
+    (``runner.run_episodes``), then one radio pass over all the episodes'
+    register histories (``mdp.drop_radio``); one result per agent, in
+    order."""
     cluster = replace(cfg.cluster, ues_per_cell=q)
     env = SonEnv(cluster, cfg.rates, cfg.rewards, cfg.episode,
                  seed=seed, azimuth_delta=cfg.azimuth_delta)
     agents = [build_agent(name, cfg, seed) for name in agent_names]
     pairs = [(env if i == 0 else env.replica(), agent) for i, agent in enumerate(agents)]
     episodes = [run_episodes(pairs, ep) for ep in range(cfg.episode.num_episodes)]
+    drop_radio(env, [(history, trace) for runs in episodes for _, trace, history in runs])
     results = []
     for name, agent, runs in zip(agent_names, agents, zip(*episodes)):
-        summaries, traces = zip(*runs)
+        summaries, traces, _ = zip(*runs)
         result = SeedRunResult(agent=name, q=q, seed=seed, traces=list(traces),
                                episodes=list(summaries))
         if name == "dqn":

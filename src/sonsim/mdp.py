@@ -7,12 +7,13 @@ instance, the reward compares the register population before and after,
 and a snapshot of the register is recorded.  An episode ends when the
 register empties or the TTI budget runs out.  The agents see the register
 alone, so the radio observables (SINR and throughput, which only the
-metrics read) are computed after the episode, by ``episode_radio``, for
-every env of one drop at once: the UEs walk from the drop once, as far as
-the longest episode, and each block of TTIs runs the healthy link budget
-once; every distinct register history then recomputes only the managed
-cell's column, which its faults move, and runs handover, SINR and
-throughput under the cells ``derive_cells`` derives from its snapshots.
+metrics read) are computed after the control loops, by ``drop_radio``, for
+every episode of one drop at once: the UEs of consecutive short episodes
+walk from the drop side by side, and each block of walk rows runs the
+healthy link budget once; the rows of every distinct register history
+then recompute only the managed cell's column, which their faults move,
+and run handover, SINR and throughput together under the cells
+``derive_cells`` derives from their snapshots.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from . import seeding
 from .faults import (ALARM_KINDS, MANAGED_CELL, FaultKind, FaultRates,
                      FaultRegister, apply_fault, clear_fault, derive_cells,
                      paired_alarm, sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
-from .radio import (ClusterConfig, build_cluster, compute_sinr_all,
-                    compute_throughputs, reassign_serving, rx_power_matrix,
-                    site_links, step_mobility)
+from .radio import (TURN_SIGMA_RAD, ClusterConfig, build_cluster,
+                    compute_sinr_all, compute_throughputs, reassign_serving,
+                    rx_power_matrix, site_links, step_mobility)
 
 NUM_STATES = 3
 NUM_ACTIONS = 5
@@ -140,7 +141,8 @@ class SonEnv:
     read-only drop: every episode walks the UEs from it on the episode's
     mobility stream, so every agent walks the same path in an episode, and
     an agent with a longer episode walks further along it.  ``replica``
-    gives another agent an env on the same drop.
+    gives another agent an env on the same drop.  The shadowing is drawn
+    only when the radio reads it (``episode_shadow``).
     """
 
     def __init__(self, cluster: ClusterConfig,
@@ -159,7 +161,6 @@ class SonEnv:
         self.cells, self.ues = build_cluster(
             cluster, seeding.stream(seed, seeding.GEOMETRY))
         self.episode_index = 0
-        self.shadow: np.ndarray | None = None  # (N, C) dB, drawn per episode
         self.history: list = []  # (counts, down cells) of the register per TTI
         self.register = FaultRegister()
         self.state = MdpState.TRANSIENT
@@ -180,23 +181,25 @@ class SonEnv:
         twin.terminal = True
         return twin
 
-    def reset(self, episode_index: int = 0,
-              shadow: np.ndarray | None = None) -> MdpState:
+    def episode_shadow(self, episode_index: int) -> np.ndarray:
+        """The per-link shadowing (N, C) dB of episode ``episode_index``,
+        drawn afresh from its stream."""
+        rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
+        return rng.normal(0.0, self.config.shadow_sigma,
+                          size=(len(self.ues), len(self.cells)))
+
+    @property
+    def shadow(self) -> np.ndarray:
+        """The current episode's shadowing, drawn when read."""
+        return self.episode_shadow(self.episode_index)
+
+    def reset(self, episode_index: int = 0) -> MdpState:
         """Empty the register and its history, rewind the TTI clock and
-        return the start state.  The episode's shadowing is drawn from its
-        stream, unless ``shadow`` passes the draw another env of this drop
-        made for the same episode."""
+        return the start state of episode ``episode_index``."""
         self.register.clear()
         self.history = []
-
         self.episode_index = episode_index
-        if shadow is None:
-            shadow_rng = seeding.stream(self.seed, seeding.SHADOW, episode_index)
-            shadow = shadow_rng.normal(0.0, self.config.shadow_sigma,
-                                       size=(len(self.ues), len(self.cells)))
-        self.shadow = shadow
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
-
         self.state = MdpState.TRANSIENT
         self.t = 0
         self.terminal = False
@@ -207,7 +210,7 @@ class SonEnv:
         reward, terminal, observables).
 
         The observables are the TTI (1-based), the fault event and the alarm
-        count; the episode's radio observables come from ``episode_radio``
+        count; the episode's radio observables come from ``drop_radio``
         once it has ended.
         """
         if self.terminal:
@@ -236,58 +239,122 @@ class SonEnv:
             "tti": self.t, "fault_event": event, "alarm_count": cur_count}
 
 
-def episode_radio(envs: list[SonEnv]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The radio observables of the episode each env of ``envs`` has just
-    finished: per env, ``sinr_db`` and ``ue_mbps`` (T, N) and ``cell_mbps``
-    (T, C), one row per TTI of its episode.
+def drop_radio(env: SonEnv, runs) -> None:
+    """Fill the radio columns of every finished episode of ``runs``, pairs
+    of (register history, trace) on the drop of ``env``: each trace's
+    ``sinr_db`` and ``rate_mbps`` (T, N) and ``cell_mbps`` (T, C), one row
+    per TTI of its history.
 
-    The envs share one drop and one episode: replicas, reset to the same
-    episode index with one shadowing draw.  The UEs walk from the drop once,
-    as far as the longest episode.  Blocks of at most RADIO_BLOCK_ROWS
-    UE-rows run the healthy link budget once; each distinct register
-    history then recomputes the managed cell's column, the only one its
-    faults move, where they do, and runs handover, SINR and throughput
-    under the cells of its snapshots.  Envs with equal histories get the
-    same read-only arrays.
+    Each episode's UEs walk from the drop as far as its longest history.
+    Consecutive episodes whose walks fit in RADIO_BLOCK_ROWS UE-rows walk
+    side by side; a longer one walks alone and is cut into blocks.  Each
+    block runs the healthy link budget once, every row under its own
+    episode's shadowing.  The rows of every distinct history of a block
+    then go through ``derive_cells``, the managed cell's column (the only
+    one faults move, recomputed where they do), handover, SINR and
+    throughput in chunks of at most RADIO_BLOCK_ROWS UE-rows.  Traces of
+    one episode with equal histories get the same read-only arrays.
     """
-    first = envs[0]
-    for env in envs:
-        if not (env.ues is first.ues and env.shadow is first.shadow
-                and env.episode_index == first.episode_index and env.history):
-            raise ValueError("episode_radio takes finished envs of one drop and episode")
-    cells, config, n = first.cells, first.config, len(first.ues)
-    # the outputs outlive the call, so they are allocated before the walk,
-    # whose freed buffer would otherwise fragment the heap under them (6%
-    # more peak RSS on the fault-storm workload)
-    out = {history: (np.empty((len(history), n)), np.empty((len(history), n)),
-                     np.empty((len(history), len(cells))))
-           for history in dict.fromkeys(tuple(env.history) for env in envs)}
-    ttis = max(len(history) for history in out)
-    walk = seeding.stream(first.seed, seeding.MOBILITY, first.episode_index)
-    track = step_mobility(first.ues.position, first.ues.heading, config, walk, ttis)
+    cells, n = env.cells, len(env.ues)
+    # per episode, its distinct histories with their outputs, allocated
+    # before any walk: they outlive the call, and the freed walk buffers
+    # would otherwise fragment the heap under them (6% more peak RSS on the
+    # fault-storm workload)
+    episodes: dict[int, dict[tuple, tuple]] = {}
+    for history, trace in runs:
+        if not history or len(history) != len(trace.tti):
+            raise ValueError("drop_radio takes each trace with its finished episode's history")
+        outs = episodes.setdefault(trace.episode, {})
+        history = tuple(history)
+        if history not in outs:
+            t = len(history)
+            outs[history] = (np.empty((t, n)), np.empty((t, n)), np.empty((t, len(cells))))
+        trace.sinr_db, trace.rate_mbps, trace.cell_mbps = outs[history]
     block = max(1, RADIO_BLOCK_ROWS // n)
-    for a in range(0, ttis, block):
+    group, rows = [], 0
+    for episode, outs in episodes.items():
+        ttis = max(map(len, outs))
+        if group and rows + ttis > block:
+            _group_radio(env, group, block)
+            group, rows = [], 0
+        group.append((episode, ttis, outs))
+        rows += ttis
+    if group:
+        _group_radio(env, group, block)
+    for outs in episodes.values():
+        for arrays in outs.values():
+            for array in arrays:
+                array.flags.writeable = False
+
+
+def _group_radio(env: SonEnv, group, block: int) -> None:
+    """The radio of ``group``, consecutive (episode, walk TTIs, {history:
+    outputs}) of ``drop_radio``, in walk blocks of ``block`` rows."""
+    cells, config, ues = env.cells, env.config, env.ues
+    ttis = np.array([t for _, t, _ in group])
+    draws = [seeding.stream(env.seed, seeding.MOBILITY, episode).normal(
+        0.0, TURN_SIGMA_RAD, size=(t, len(ues))) for episode, t, _ in group]
+    shadows = [env.episode_shadow(episode) for episode, _, _ in group]
+    if len(group) == 1:  # alone: no padded turns and no copy of the walk
+        track = step_mobility(ues.position, ues.heading, draws[0], config)
+    else:
+        turns = np.zeros((ttis.max(), len(group), len(ues)))
+        for j, draw in enumerate(draws):
+            turns[:len(draw), j] = draw
+        track = step_mobility(ues.position, ues.heading, turns, config)
+        # the walk rows, episode after episode
+        track = track.swapaxes(0, 1)[np.arange(len(turns)) < ttis[:, None]]
+    owner = np.repeat(np.arange(len(group)), ttis)
+    starts = np.cumsum(ttis) - ttis
+    for a in range(0, len(track), block):
         position = track[a:a + block]
+        b = a + len(position)
+        # one episode's rows broadcast its (N, C) draw; several take a row each
+        first, last = owner[a], owner[b - 1]
+        shadow = shadows[first] if first == last else np.stack(shadows)[owner[a:b]]
         links = site_links(position, cells.sites, config)
-        healthy = rx_power_matrix(position, first.shadow, cells, config, links)
-        for history, (sinr_db, ue_mbps, cell_mbps) in out.items():
-            if a >= len(history):
-                continue
-            rows = slice(a, min(a + block, len(history)))
-            k = rows.stop - a
-            faulted = derive_cells(cells, history[rows], first.azimuth_delta)
-            rx = healthy[:k]
+        healthy = rx_power_matrix(position, shadow, cells, config, links)
+        # (history, outputs, first output row, first block row, rows) per
+        # history of the block's episodes
+        segments = []
+        for start, (_, _, outs) in zip(starts[first:last + 1], group[first:last + 1]):
+            for history, arrays in outs.items():
+                lo, hi = max(a, start), min(b, start + len(history))
+                if lo < hi:
+                    segments.append((history, arrays, lo - start, lo - a, hi - lo))
+        for chunk in _chunks(segments, block):
+            at = np.concatenate([np.arange(row, row + k) for _, _, _, row, k in chunk])
+            faulted = derive_cells(cells, [snap for history, _, i, _, k in chunk
+                                           for snap in history[i:i + k]],
+                                   env.azimuth_delta)
+            rx = healthy[at]
             if (faulted.azimuth_offset[:, MANAGED_CELL].any()
                     or faulted.tx_power_delta[:, MANAGED_CELL].any()):
-                rx = rx.copy()
                 rx[..., MANAGED_CELL] = rx_power_matrix(
-                    position[:k], first.shadow, faulted, config,
-                    (links[0][:k], links[1][:k]), [MANAGED_CELL])[..., 0]
+                    position[at], shadow if shadow.ndim == 2 else shadow[at],
+                    faulted, config, (links[0][at], links[1][at]), [MANAGED_CELL])[..., 0]
             serving = reassign_serving(rx, faulted)
-            sinr_db[rows] = compute_sinr_all(serving, rx, faulted, config)
-            ue_mbps[rows], cell_mbps[rows] = compute_throughputs(
-                serving, sinr_db[rows], len(cells), config)
-    for arrays in out.values():
-        for array in arrays:
-            array.flags.writeable = False
-    return [out[tuple(env.history)] for env in envs]
+            sinr_db = compute_sinr_all(serving, rx, faulted, config)
+            ue_mbps, cell_mbps = compute_throughputs(serving, sinr_db, len(cells), config)
+            k = 0
+            for _, arrays, i, _, rows in chunk:
+                for out, value in zip(arrays, (sinr_db, ue_mbps, cell_mbps)):
+                    out[i:i + rows] = value[k:k + rows]
+                k += rows
+
+
+def _chunks(segments, size: int):
+    """Cut ``segments`` (history, outputs, first output row, first block
+    row, rows) into lists of at most ``size`` rows, splitting a segment
+    where a list fills."""
+    chunk, room = [], size
+    for history, arrays, i, row, rows in segments:
+        while rows:
+            k = min(rows, room)
+            chunk.append((history, arrays, i, row, k))
+            i, row, rows, room = i + k, row + k, rows - k, room - k
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk

@@ -28,9 +28,9 @@ class EpisodeTrace:
     action: np.ndarray       # (T,)
     reward: np.ndarray       # (T,)
     alarm_count: np.ndarray  # (T,) register population after the TTI
-    sinr_db: np.ndarray      # (T, N)
-    rate_mbps: np.ndarray    # (T, N)
-    cell_mbps: np.ndarray    # (T, C)
+    sinr_db: np.ndarray | None = None    # (T, N), from the radio pass
+    rate_mbps: np.ndarray | None = None  # (T, N)
+    cell_mbps: np.ndarray | None = None  # (T, C)
 
     def __post_init__(self):
         if len(self.tti) and np.any(np.diff(self.tti) <= 0):
@@ -144,8 +144,9 @@ def write_cdf_csv(path, samples) -> None:
     significant digits, at least 8, that keep them strictly increasing."""
     steps = empirical_cdf(samples)
     v, p = steps[:, 0], steps[:, 1]
-    # neighbours print alike at 8+ digits only when closer than a relative ~1e-7
-    near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    # neighbours print alike at 8+ digits only when closer than a relative
+    # ~1e-7; the gap is taken between halves, which cannot overflow
+    near = np.flatnonzero(np.diff(v / 2) <= 1e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
     digits = 8  # 17 always suffices
     while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
               for i in near):

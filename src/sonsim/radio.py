@@ -332,26 +332,28 @@ def compute_sinr_all(serving: np.ndarray, rx_dbm: np.ndarray, cells: CellTable,
     return np.minimum(sinr, config.sinr_cap)
 
 
-def step_mobility(position: np.ndarray, heading: np.ndarray, config: ClusterConfig,
-                  rng: np.random.Generator, ttis: int = 1) -> np.ndarray:
-    """Walk every UE ``ttis`` 1 ms TTIs of a perturbed random walk from
-    ``position`` (N, 2) and ``heading`` (N,), reflecting at the cluster
-    boundary; the inputs are not written.
+def step_mobility(position: np.ndarray, heading: np.ndarray, turns: np.ndarray,
+                  config: ClusterConfig) -> np.ndarray:
+    """Walk every UE one 1 ms TTI per row of ``turns`` (T, ..., N) of a
+    perturbed random walk from ``position`` (N, 2) and ``heading`` (N,),
+    reflecting at the cluster boundary; the inputs are not written.
 
-    The turns are one (ttis, N) draw, the values ``ttis`` draws of N would
-    give.  Returns the positions after each TTI, shape (ttis, N, 2).
+    Each row turns the headings by its angles in radians.  Leading axes of
+    ``turns`` after the first walk that many copies of the UEs side by
+    side, say one per episode, each under its own turns.  Returns the
+    positions after each TTI, shape (T, ..., N, 2).
     """
     step_m = config.ue_speed / 3.6 * (1.0 / 1000.0)
-    turns = rng.normal(0.0, TURN_SIGMA_RAD, size=(ttis, len(position)))
     radius = config.bounding_radius
-    track = np.empty((ttis, len(position), 2))
-    position, heading = position.copy(), heading.copy()
+    track = np.empty(turns.shape + (2,))
+    position = np.broadcast_to(position, track.shape[1:]).copy()
+    heading = np.broadcast_to(heading, turns.shape[1:]).copy()
     for turn, now in zip(turns, track):
         heading += turn
         np.remainder(heading, 2.0 * math.pi, out=heading)
-        position[:, 0] += step_m * np.cos(heading)
-        position[:, 1] += step_m * np.sin(heading)
-        rr = np.hypot(position[:, 0], position[:, 1])
+        position[..., 0] += step_m * np.cos(heading)
+        position[..., 1] += step_m * np.sin(heading)
+        rr = np.hypot(position[..., 0], position[..., 1])
         out = rr > radius
         if out.any():  # fold the overshoot back inside and turn around
             position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import episode_radio
+from .mdp import drop_radio
 from .metrics import EpisodeTrace
 
 
@@ -17,20 +17,17 @@ class EpisodeResult:
     cleared: bool
 
 
-def run_episodes(pairs, episode_index: int = 0) -> list[tuple[EpisodeResult, EpisodeTrace]]:
-    """Run one episode of every (env, agent) pair of ``pairs``, whose envs
-    share one drop (``SonEnv.replica``), and return a summary plus the
-    per-TTI trace of each.
+def run_episodes(pairs, episode_index: int = 0) -> list[tuple[EpisodeResult, EpisodeTrace, list]]:
+    """Run the control loop of one episode of every (env, agent) pair of
+    ``pairs``, whose envs share one drop (``SonEnv.replica``), and return a
+    summary, the per-TTI trace and the register history of each.
 
-    Every env is reset to the episode under one shadowing draw and its
-    agent runs the control loop to termination; then one shared pass
-    computes the radio columns of all the traces (``mdp.episode_radio``).
+    The traces' radio columns stay None until ``mdp.drop_radio`` fills
+    them from the histories.
     """
-    shadow = None
-    logs = []
+    out = []
     for env, agent in pairs:
-        state = env.reset(episode_index, shadow)
-        shadow = env.shadow
+        state = env.reset(episode_index)
         agent.begin_episode()
         total = 0.0
         rows = []
@@ -43,29 +40,23 @@ def run_episodes(pairs, episode_index: int = 0) -> list[tuple[EpisodeResult, Epi
             state = next_state
             if terminal:
                 break
-        logs.append((total, rows))
-
-    out = []
-    radio = episode_radio([env for env, _ in pairs])
-    for (env, _), (total, rows), (sinr_db, ue_mbps, cell_mbps) in zip(pairs, logs, radio):
-        result = EpisodeResult(total_reward=total, ttis=env.t,
-                               cleared=env.alarm_count == 0)
         states, actions, rewards, alarms = zip(*rows)
-        out.append((result, EpisodeTrace(
-            episode=episode_index,
-            tti=np.arange(1, env.t + 1),
-            state=np.array(states, dtype=int),
-            action=np.array(actions, dtype=int),
-            reward=np.array(rewards, dtype=float),
-            alarm_count=np.array(alarms, dtype=int),
-            sinr_db=sinr_db,
-            rate_mbps=ue_mbps,
-            cell_mbps=cell_mbps,
-        )))
+        out.append((EpisodeResult(total_reward=total, ttis=env.t,
+                                  cleared=env.alarm_count == 0),
+                    EpisodeTrace(episode=episode_index,
+                                 tti=np.arange(1, env.t + 1),
+                                 state=np.array(states, dtype=int),
+                                 action=np.array(actions, dtype=int),
+                                 reward=np.array(rewards, dtype=float),
+                                 alarm_count=np.array(alarms, dtype=int)),
+                    env.history))
     return out
 
 
 def run_episode(env, agent, episode_index: int = 0) -> tuple[EpisodeResult, EpisodeTrace]:
     """Reset the environment, run one episode to termination, and return a
-    summary plus the per-TTI trace: ``run_episodes`` with one pair."""
-    return run_episodes([(env, agent)], episode_index)[0]
+    summary plus the per-TTI trace, radio columns included:
+    ``run_episodes`` and ``mdp.drop_radio`` with one pair."""
+    result, trace, history = run_episodes([(env, agent)], episode_index)[0]
+    drop_radio(env, [(history, trace)])
+    return result, trace

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim import mdp
+from sonsim import mdp, seeding
 from sonsim.cli import main
 from sonsim.config import KNOWN_AGENTS, default_config, parse_config
 from sonsim.experiment import run_experiment, run_seed, run_single
@@ -58,13 +59,19 @@ class TestRunSingle:
         cfg = default_config()
         tracks = {}
         for agent in ("random", "dqn"):
-            def record(*args, walked=tracks.setdefault(agent, []), **kwargs):
-                walked.append(step_mobility(*args, **kwargs))
-                return walked[-1]
+            walks = []
+            def record(*args, **kwargs):
+                walks.append(step_mobility(*args, **kwargs))
+                return walks[-1]
             monkeypatch.setattr(mdp, "step_mobility", record)
-            run_single(agent, 1, seed, cfg)
+            traces = run_single(agent, 1, seed, cfg).traces
+            # a walk's episodes side by side (or one alone), in order; each
+            # walked as far as the agent's episode ran
+            walked = [episode for walk in walks
+                      for episode in ([walk] if walk.ndim == 3 else walk.swapaxes(0, 1))]
+            assert len(walked) == len(traces) == cfg.episode.num_episodes
+            tracks[agent] = [w[:len(tr.tti)] for w, tr in zip(walked, traces)]
         pairs = list(zip(tracks["random"], tracks["dqn"]))
-        assert len(pairs) == cfg.episode.num_episodes == len(tracks["dqn"])
         assert any(len(a) != len(b) for a, b in pairs)  # the episodes differ
         for a, b in pairs:
             short, long = sorted((a, b), key=len)
@@ -90,16 +97,50 @@ def assert_same_run(got, want):
 
 class TestLockstep:
     def test_one_drop_per_q_seed_and_one_walk_per_episode(self, tmp_path, monkeypatch):
-        calls = dict.fromkeys(("build_cluster", "step_mobility"), 0)
-        for name in calls:
-            def counted(*args, name=name, original=getattr(mdp, name), **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(mdp, name, counted)
+        drops, walks = [], []
+        def drop(*args, original=mdp.build_cluster, **kwargs):
+            drops.append(args[0].ues_per_cell)
+            return original(*args, **kwargs)
+        def stream(seed, channel, *extra, original=seeding.stream):
+            if channel == seeding.MOBILITY:
+                walks.append((seed, *extra))
+            return original(seed, channel, *extra)
+        monkeypatch.setattr(mdp, "build_cluster", drop)
+        monkeypatch.setattr(seeding, "stream", stream)
         cfg = replace(tiny_config(), qs=(1, 2))
         assert len(cfg.agents) == 3 and cfg.seeds == (0, 1)
         run_experiment(cfg, tmp_path / "res")
-        assert calls == {"build_cluster": 4, "step_mobility": 4 * cfg.episode.num_episodes}
+        assert drops == [1, 1, 2, 2]
+        # one draw of turns per (q, seed, episode), whatever the agents
+        episodes = range(cfg.episode.num_episodes)
+        assert sorted(walks) == sorted([(seed, ep) for seed in cfg.seeds
+                                        for ep in episodes] * 2)
+
+    @pytest.mark.parametrize("q, rates, episodes", [
+        (1, FaultRates(), 50),  # blocks span episodes
+        (10, FaultRates((0, 1 / 4, 1 / 4, 1 / 4, 1 / 4)), 8),  # blocks cut episodes
+    ])
+    def test_radio_calls_stay_within_the_block(self, monkeypatch, q, rates, episodes):
+        # the pass's (rows, N, C) temporaries are bounded by its block of
+        # UE-rows, whatever the episodes and histories it packs together,
+        # and so are the walks of the episodes it packs
+        sizes, walks = [], []
+        for name in ("reassign_serving", "compute_sinr_all"):
+            def counted(serving_or_rx, *args, original=getattr(mdp, name), **kwargs):
+                sizes.append(math.prod(serving_or_rx.shape[:2]))
+                return original(serving_or_rx, *args, **kwargs)
+            monkeypatch.setattr(mdp, name, counted)
+        def walk(position, heading, turns, config, original=mdp.step_mobility):
+            walks.append(turns)
+            return original(position, heading, turns, config)
+        monkeypatch.setattr(mdp, "step_mobility", walk)
+        cfg = replace(default_config(), rates=rates, episode=EpisodeConfig(num_episodes=episodes))
+        run_seed(KNOWN_AGENTS, q, 0, cfg)
+        n = q * cfg.cluster.num_cells
+        assert sizes and max(sizes) <= mdp.RADIO_BLOCK_ROWS
+        assert max(sizes) > mdp.RADIO_BLOCK_ROWS - n  # the chunks fill up
+        for turns in walks:  # an episode's rows turn, the padding after it not
+            assert turns.ndim == 2 or turns.any(axis=-1).sum() * n <= mdp.RADIO_BLOCK_ROWS
 
     @settings(max_examples=40, deadline=None)
     @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),

@@ -1,5 +1,7 @@
 import copy
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from test_faults import FAULT_ARRAYS, cells_oracle, same_bits, snapshot
 from test_radio import per_cell_rx_oracle
 
 from sonsim import mdp, radio, seeding
+from sonsim.config import KNOWN_AGENTS, default_config
+from sonsim.experiment import build_agent
 from sonsim.faults import FaultKind, FaultRates, derive_cells
 from sonsim.mdp import (ACTION_CLEARS, CLEAR_ACTION_FOR, EpisodeConfig,
                         MdpAction, MdpState, RewardSchedule, SonEnv,
                         alarm_reward, encode_state, transition)
 from sonsim.radio import ClusterConfig
+from sonsim.runner import run_episodes
 
 
 def reward_oracle(prev, cur, r=(-1.0, 0.0, 1.0, 5.0)):
@@ -31,6 +36,13 @@ def reward_oracle(prev, cur, r=(-1.0, 0.0, 1.0, 5.0)):
 
 
 SMALL = ClusterConfig(num_sites=1, sectors_per_site=3, ues_per_cell=2)
+
+
+def radio_of(env, history, episode):
+    # the radio columns drop_radio fills for one episode's history
+    trace = SimpleNamespace(episode=episode, tti=np.arange(len(history)))
+    mdp.drop_radio(env, [(history, trace)])
+    return trace.sinr_db, trace.rate_mbps, trace.cell_mbps
 
 
 class TestReward:
@@ -177,7 +189,7 @@ class TestEnv:
                     out.append((int(state), r, term))
                     k += 1
                 # the episode's observables, one row per TTI
-                sinr_db, ue_mbps, _ = mdp.episode_radio([env])[0]
+                sinr_db, ue_mbps, _ = radio_of(env, env.history, ep)
                 out.append((sinr_db.tobytes(), ue_mbps.tobytes()))
             return out
 
@@ -236,30 +248,29 @@ class TestEnv:
         env.reset(0)
         env.step(MdpAction.NO_ACTION)
         assert twin.terminal and twin.history == [] and twin.alarm_count == 0
-        twin.reset(0, env.shadow)
-        assert twin.shadow is env.shadow
+        twin.reset(0)
+        assert twin.shadow.tobytes() == env.shadow.tobytes()
         twin.step(MdpAction.RESET_AZIMUTH)
         assert env.history == [((1, 0, 0, 0), ())]
         assert twin.history == [((0, 0, 0, 0), ())]
 
-    def test_episode_radio_takes_finished_envs_of_one_drop_and_episode(self):
-        def finished(env, ep, shadow=None):
-            env.reset(ep, shadow)
-            while not env.terminal:
-                env.step(MdpAction.NO_ACTION)
-            return env
-
-        env = finished(SonEnv(SMALL, seed=3), 0)
-        with pytest.raises(ValueError):  # another drop, if an equal one
-            mdp.episode_radio([env, finished(SonEnv(SMALL, seed=3), 0)])
-        with pytest.raises(ValueError):  # another episode's shadowing
-            mdp.episode_radio([env, finished(env.replica(), 0)])
-        with pytest.raises(ValueError):  # another episode
-            mdp.episode_radio([env, finished(env.replica(), 1, env.shadow)])
+    def test_drop_radio_takes_each_trace_with_its_history(self):
+        env = SonEnv(SMALL, rates=FaultRates((0, 1.0, 0, 0, 0)), seed=3)
+        env.reset(0)
+        env.step(MdpAction.NO_ACTION)
+        history = env.history
         with pytest.raises(ValueError):  # not run yet
-            mdp.episode_radio([env, env.replica()])
-        twin = finished(env.replica(), 0, env.shadow)
-        assert all(a is b for a, b in zip(*mdp.episode_radio([env, twin])))
+            radio_of(env, [], 0)
+        with pytest.raises(ValueError):  # another episode's length
+            mdp.drop_radio(env, [(history, SimpleNamespace(episode=0, tti=np.arange(2)))])
+        # equal histories of one episode share read-only arrays, and the
+        # same history in another episode walks and shadows another way
+        a, b, c = (SimpleNamespace(episode=ep, tti=np.arange(1)) for ep in (0, 0, 1))
+        mdp.drop_radio(env, [(history, a), (list(history), b), (history, c)])
+        for name in ("sinr_db", "rate_mbps", "cell_mbps"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+        assert a.sinr_db.tobytes() != c.sinr_db.tobytes()
 
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)
@@ -268,8 +279,11 @@ class TestEnv:
         assert first.shape == (len(env.ues), len(env.cells))
         env.reset(1)
         assert not np.array_equal(env.shadow[0], first[0])
+        assert env.shadow.tobytes() == env.episode_shadow(1).tobytes()
         env.reset(0)
         assert env.shadow.tobytes() == first.tobytes()
+        want = seeding.stream(4, seeding.SHADOW, 0).normal(0.0, SMALL.shadow_sigma, first.shape)
+        assert first.tobytes() == want.tobytes()
 
 
 def tti_radio_oracle(position, heading, shadow, cells, cfg, rng):
@@ -315,38 +329,53 @@ def tti_radio_oracle(position, heading, shadow, cells, cfg, rng):
     return sinr, rate / 1e6, cell / 1e6
 
 
-class TestEpisodeRadio:
-    @settings(max_examples=40, deadline=None)
+class TestDropRadio:
+    @pytest.mark.parametrize("ttis_per_block, spare_rows", [(1, 0), (2, 1), (7, 0)])
+    @settings(max_examples=25, deadline=None)
     @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
-           q=st.sampled_from([1, 10]), seed=st.integers(0, 10_000),
-           ttis_per_block=st.integers(1, 7), spare_rows=st.integers(0, 20))
-    def test_matches_per_tti_path_bit_for_bit(self, weights, q, seed,
-                                              ttis_per_block, spare_rows):
-        # events 5..8 are the spontaneous clears; blocks of a few TTIs make
-        # long episodes span several, the last one partial
-        cfg = ClusterConfig(ues_per_cell=q)
-        env = SonEnv(cfg, rates=FaultRates(np.array(weights) / sum(weights)), seed=seed)
+           agents=st.lists(st.sampled_from(KNOWN_AGENTS), min_size=1, max_size=3,
+                           unique=True),
+           q=st.sampled_from([1, 3]), ttis=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_matches_per_tti_path_bit_for_bit(self, ttis_per_block, spare_rows,
+                                              weights, agents, q, ttis, seed):
+        # events 5..8 are the spontaneous clears, after which random and fifo
+        # can hold different registers.  Blocks of one TTI split every longer
+        # episode, blocks of seven span short ones, and with several
+        # histories a chunk of history-rows ends inside a walk block
+        cfg = replace(default_config(), cluster=ClusterConfig(ues_per_cell=q),
+                      rates=FaultRates(np.array(weights) / sum(weights)),
+                      episode=EpisodeConfig(ttis_per_episode=ttis, num_episodes=4))
+        env = SonEnv(cfg.cluster, cfg.rates, cfg.rewards, cfg.episode, seed=seed)
         healthy = copy.deepcopy(env.cells)
         drop = env.ues.copy()
         n = len(env.ues)
-        actions = np.random.default_rng(seed)
+        pairs = [(env if i == 0 else env.replica(), build_agent(name, cfg, seed))
+                 for i, name in enumerate(agents)]
+        cells = {}  # (env, episode) -> the register's cells after every step
+        for e, _ in pairs:
+            def step(action, e=e, step=e.step):
+                out = step(action)
+                cells.setdefault((id(e), e.episode_index), []).append(
+                    cells_oracle(healthy, e.register))
+                return out
+            e.step = step
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows % n)
-            for ep in range(3):
-                env.reset(ep)
-                # every episode walks from the drop
+            mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows)
+            episodes = [run_episodes(pairs, ep) for ep in range(4)]
+            mdp.drop_radio(env, [(history, trace) for runs in episodes
+                                 for _, trace, history in runs])
+        for ep, runs in enumerate(episodes):
+            shadow = seeding.stream(seed, seeding.SHADOW, ep).normal(
+                0.0, cfg.cluster.shadow_sigma, (n, len(healthy)))
+            for (e, _), (_, trace, _) in zip(pairs, runs):
+                # every episode walks from the drop, one TTI at a time
                 position, heading = drop.position.copy(), drop.heading.copy()
-                cells = []
-                while not env.terminal:
-                    env.step(MdpAction(int(actions.integers(5))))
-                    cells.append(cells_oracle(healthy, env.register))
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
                 want = [np.stack(col) for col in
-                        zip(*(tti_radio_oracle(position, heading, env.shadow, c, cfg, walk)
-                              for c in cells))]
-                got = mdp.episode_radio([env])[0]
-                assert np.isfinite(got[0]).all()  # no UE is ever in outage
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape
-                    assert g.tobytes() == w.tobytes()
-                assert env.ues.tobytes() == drop.tobytes()  # never written
+                        zip(*(tti_radio_oracle(position, heading, shadow, c, cfg.cluster, walk)
+                              for c in cells[id(e), ep]))]
+                assert np.isfinite(trace.sinr_db).all()  # no UE is ever in outage
+                for name, w in zip(("sinr_db", "rate_mbps", "cell_mbps"), want):
+                    got = getattr(trace, name)
+                    assert got.shape == w.shape and got.tobytes() == w.tobytes(), name
+        assert env.ues.tobytes() == drop.tobytes()  # never written

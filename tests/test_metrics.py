@@ -277,10 +277,10 @@ def _fmt_oracle(x):
 def cdf_csv_oracle(path, samples):
     steps = empirical_cdf(samples)
     v, p = steps[:, 0], steps[:, 1]
-    near = np.flatnonzero(np.diff(v) <= 2e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    # the fewest digits, at least 8, that print every neighbour pair increasing
     digits = 8
-    while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
-              for i in near):
+    while any(float("%.*g" % (digits, a)) >= float("%.*g" % (digits, b))
+              for a, b in zip(v[:-1], v[1:])):
         digits += 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -384,6 +384,13 @@ class TestWriterBytes:
         samples = samples + [float(np.nextafter(x, 0.0)) for x in samples[:neighbours]]
         assert_same_bytes(tmp_path_factory.mktemp("cdf"), write_cdf_csv,
                           cdf_csv_oracle, samples)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cdf_spanning_the_float_range(self, tmp_path):
+        # the gap between the two values overflows a float
+        path = tmp_path / "cdf.csv"
+        write_cdf_csv(path, [1.7e308, -1.7e308])
+        assert path.read_bytes() == b"value,probability\r\n-1.7e+308,0.5\r\n1.7e+308,1\r\n"
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(small_int, st.builds(EpisodeResult, any_float, small_int,

@@ -472,13 +472,19 @@ class TestOutageAsDownServingCell:
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def walk(position, heading, cfg, rng, ttis=1):
+    # ttis TTIs of the walk under one (ttis, N) draw of turns from rng
+    turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=(ttis, len(position)))
+    return step_mobility(position, heading, turns, cfg)
+
+
 class TestMobility:
     def test_displacement_magnitude(self):
         cfg = ClusterConfig(ues_per_cell=1)
         cells, ues = build_cluster(cfg, seed=5)
         position = np.array([[10.0, 10.0]])  # far from the boundary
         heading = ues.heading[:1]
-        track = step_mobility(position, heading, cfg, np.random.default_rng(0))
+        track = walk(position, heading, cfg, np.random.default_rng(0))
         assert track.shape == (1, 1, 2)
         moved = math.hypot(*(track[0, 0] - position[0]))
         assert moved == pytest.approx(3.0 / 3.6 * 1e-3, rel=1e-12)
@@ -487,13 +493,13 @@ class TestMobility:
     def test_zero_speed_keeps_positions(self):
         cfg = ClusterConfig(ues_per_cell=2, ue_speed=0.0)
         cells, ues = build_cluster(cfg, seed=5)
-        track = step_mobility(ues.position, ues.heading, cfg, np.random.default_rng(0), 5)
+        track = walk(ues.position, ues.heading, cfg, np.random.default_rng(0), 5)
         assert np.array_equal(track, np.broadcast_to(ues.position, track.shape))
 
     def test_reflection_keeps_ues_inside(self):
         cfg = ClusterConfig(ues_per_cell=2, ue_speed=5000.0)  # huge steps
         cells, ues = build_cluster(cfg, seed=5)
-        track = step_mobility(ues.position, ues.heading, cfg, np.random.default_rng(1), 200)
+        track = walk(ues.position, ues.heading, cfg, np.random.default_rng(1), 200)
         assert np.all(np.hypot(track[..., 0], track[..., 1]) <= cfg.bounding_radius + 1e-6)
 
     def test_handover_tracks_best_up_cell(self):
@@ -501,7 +507,7 @@ class TestMobility:
         cells, ues, shadow = drop_with_shadowing(cfg, seed=8)
         rng = np.random.default_rng(2)
         cells.is_up[[4, 11]] = False
-        position = step_mobility(ues.position, ues.heading, cfg, rng)[0]
+        position = walk(ues.position, ues.heading, cfg, rng)[0]
         serving = reassign_serving(rx_power_matrix(position, shadow, cells, cfg), cells)
         rx = per_cell_rx_oracle(position, cells, cfg) + shadow
         up = cells.is_up
@@ -558,8 +564,8 @@ class TestArrayWalk:
         # two episodes of 20 and 7 TTIs, each walked from the same start
         for episode, ttis in enumerate((20, 7)):
             key = seed + 100 * (episode + 1)
-            walk, turns = np.random.default_rng(key), np.random.default_rng(key)
-            track = step_mobility(ues.position, ues.heading, cfg, walk, ttis)
+            track = walk(ues.position, ues.heading, cfg, np.random.default_rng(key), ttis)
+            turns = np.random.default_rng(key)
             assert track.shape == (ttis, len(ues), 2)
             assert ues.tobytes() == start  # the walk never writes its inputs
             positions, headings, reflected = ues.position.copy(), ues.heading.copy(), 0
@@ -574,6 +580,23 @@ class TestArrayWalk:
             for now, cell in zip(track, serving):
                 rx = per_cell_rx_oracle(now, cells, cfg) + shadow
                 assert cell.tolist() == rx.argmax(axis=1).tolist()
+
+    @pytest.mark.parametrize("speed", [3.0, 300_000.0])
+    def test_side_by_side_equals_alone(self, speed):
+        # episodes of 20, 1 and 7 TTIs walked side by side under zero-padded
+        # turns: each one's rows are its walk alone, bit for bit
+        cfg = ClusterConfig(ues_per_cell=2, ue_speed=speed)
+        cells, ues = build_cluster(cfg, seed=3)
+        draws = [np.random.default_rng(k).normal(0.0, radio.TURN_SIGMA_RAD, (t, len(ues)))
+                 for k, t in enumerate((20, 1, 7))]
+        turns = np.zeros((20, len(draws), len(ues)))
+        for j, draw in enumerate(draws):
+            turns[:len(draw), j] = draw
+        track = step_mobility(ues.position, ues.heading, turns, cfg)
+        assert track.shape == (20, len(draws), len(ues), 2)
+        for j, draw in enumerate(draws):
+            alone = step_mobility(ues.position, ues.heading, draw, cfg)
+            assert track[:len(draw), j].tobytes() == alone.tobytes()
 
 
 class TestThroughput:
