@@ -10,6 +10,9 @@ from .config import (ConfigError, KNOWN_AGENTS, default_config,
                      dump_effective_config, load_config)
 from .experiment import run_experiment
 
+# the largest N of ``--seeds N``, checked before the seed tuple is built
+MAX_SEED_COUNT = 1_000_000
+
 
 def _parse_seeds(text: str) -> tuple:
     """A single integer N means seeds 0..N-1; a comma list is taken as-is."""
@@ -24,8 +27,8 @@ def _parse_seeds(text: str) -> tuple:
             raise ConfigError(f"--seeds: {p!r} is not an integer") from exc
     if len(values) == 1 and "," not in text:
         n = values[0]
-        if n < 1:
-            raise ConfigError("--seeds count must be at least 1")
+        if not 1 <= n <= MAX_SEED_COUNT:
+            raise ConfigError(f"--seeds count must be in 1..{MAX_SEED_COUNT:,}")
         return tuple(range(n))
     return tuple(values)
 

@@ -92,6 +92,8 @@ def _parse_number(text: str) -> float:
 
 
 def _parse_int(text: str) -> int:
+    if text.strip().isdecimal():  # exact, also past a float's 53-bit mantissa
+        return int(text)
     value = _parse_number(text)
     if not math.isfinite(value) or value != int(value):
         raise ValueError(f"expected an integer, got {text!r}")

@@ -289,72 +289,56 @@ def drop_radio(env: SonEnv, runs) -> None:
 
 def _group_radio(env: SonEnv, group, block: int) -> None:
     """The radio of ``group``, consecutive (episode, walk TTIs, {history:
-    outputs}) of ``drop_radio``, in walk blocks of ``block`` rows."""
+    outputs}) of ``drop_radio``, in walk blocks of ``block`` rows: several
+    episodes fit in one block, and one episode alone may take several."""
     cells, config, ues = env.cells, env.config, env.ues
     ttis = np.array([t for _, t, _ in group])
     draws = [seeding.stream(env.seed, seeding.MOBILITY, episode).normal(
         0.0, TURN_SIGMA_RAD, size=(t, len(ues))) for episode, t, _ in group]
     shadows = [env.episode_shadow(episode) for episode, _, _ in group]
-    if len(group) == 1:  # alone: no padded turns and no copy of the walk
+    if len(group) == 1:  # alone: no padded turns and no copy of the walk,
         track = step_mobility(ues.position, ues.heading, draws[0], config)
+        shadow = shadows[0]  # and its (N, C) draw broadcasts over the rows
     else:
         turns = np.zeros((ttis.max(), len(group), len(ues)))
         for j, draw in enumerate(draws):
             turns[:len(draw), j] = draw
         track = step_mobility(ues.position, ues.heading, turns, config)
-        # the walk rows, episode after episode
+        # the walk rows, episode after episode, each with its shadowing
         track = track.swapaxes(0, 1)[np.arange(len(turns)) < ttis[:, None]]
-    owner = np.repeat(np.arange(len(group)), ttis)
+        shadow = np.stack(shadows)[np.repeat(np.arange(len(group)), ttis)]
     starts = np.cumsum(ttis) - ttis
     for a in range(0, len(track), block):
         position = track[a:a + block]
         b = a + len(position)
-        # one episode's rows broadcast its (N, C) draw; several take a row each
-        first, last = owner[a], owner[b - 1]
-        shadow = shadows[first] if first == last else np.stack(shadows)[owner[a:b]]
         links = site_links(position, cells.sites, config)
         healthy = rx_power_matrix(position, shadow, cells, config, links)
-        # (history, outputs, first output row, first block row, rows) per
-        # history of the block's episodes
-        segments = []
-        for start, (_, _, outs) in zip(starts[first:last + 1], group[first:last + 1]):
+        # (outputs, first output row, rows, first gathered row) per history
+        # of the block's episodes, its block rows and snapshots gathered
+        segments, at, snaps = [], [], []
+        for start, (_, _, outs) in zip(starts, group):
             for history, arrays in outs.items():
                 lo, hi = max(a, start), min(b, start + len(history))
                 if lo < hi:
-                    segments.append((history, arrays, lo - start, lo - a, hi - lo))
-        for chunk in _chunks(segments, block):
-            at = np.concatenate([np.arange(row, row + k) for _, _, _, row, k in chunk])
-            faulted = derive_cells(cells, [snap for history, _, i, _, k in chunk
-                                           for snap in history[i:i + k]],
-                                   env.azimuth_delta)
-            rx = healthy[at]
+                    segments.append((arrays, lo - start, hi - lo, len(snaps)))
+                    at.append(np.arange(lo - a, hi - a))
+                    snaps += history[lo - start:hi - start]
+        at = np.concatenate(at)
+        results = (np.empty((len(at), len(ues))), np.empty((len(at), len(ues))),
+                   np.empty((len(at), len(cells))))
+        for c in range(0, len(at), block):  # bounds the (rows, N, C) temporaries
+            rows = at[c:c + block]
+            faulted = derive_cells(cells, snaps[c:c + block], env.azimuth_delta)
+            rx = healthy[rows]
             if (faulted.azimuth_offset[:, MANAGED_CELL].any()
                     or faulted.tx_power_delta[:, MANAGED_CELL].any()):
                 rx[..., MANAGED_CELL] = rx_power_matrix(
-                    position[at], shadow if shadow.ndim == 2 else shadow[at],
-                    faulted, config, (links[0][at], links[1][at]), [MANAGED_CELL])[..., 0]
+                    position[rows], shadow if shadow.ndim == 2 else shadow[rows],
+                    faulted, config, (links[0][rows], links[1][rows]), [MANAGED_CELL])[..., 0]
             serving = reassign_serving(rx, faulted)
-            sinr_db = compute_sinr_all(serving, rx, faulted, config)
-            ue_mbps, cell_mbps = compute_throughputs(serving, sinr_db, len(cells), config)
-            k = 0
-            for _, arrays, i, _, rows in chunk:
-                for out, value in zip(arrays, (sinr_db, ue_mbps, cell_mbps)):
-                    out[i:i + rows] = value[k:k + rows]
-                k += rows
-
-
-def _chunks(segments, size: int):
-    """Cut ``segments`` (history, outputs, first output row, first block
-    row, rows) into lists of at most ``size`` rows, splitting a segment
-    where a list fills."""
-    chunk, room = [], size
-    for history, arrays, i, row, rows in segments:
-        while rows:
-            k = min(rows, room)
-            chunk.append((history, arrays, i, row, k))
-            i, row, rows, room = i + k, row + k, rows - k, room - k
-            if not room:
-                yield chunk
-                chunk, room = [], size
-    if chunk:
-        yield chunk
+            sinr_db = results[0][c:c + block] = compute_sinr_all(serving, rx, faulted, config)
+            results[1][c:c + block], results[2][c:c + block] = compute_throughputs(
+                serving, sinr_db, len(cells), config)
+        for arrays, i, n, k in segments:
+            for out, value in zip(arrays, results):
+                out[i:i + n] = value[k:k + n]

@@ -70,9 +70,9 @@ class ClusterConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if math.isnan(value):
+            if value != value:  # NaN; math.isnan overflows on a huge int
                 raise ValueError(f"{f.name} must not be NaN")
-            if math.isinf(value) and not (f.name == "sinr_cap" and value > 0):
+            if abs(value) == math.inf and not (f.name == "sinr_cap" and value > 0):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("inter_site_distance", "carrier_freq", "bandwidth",
                      "bs_height", "ue_height"):
@@ -206,33 +206,13 @@ def site_links(points: np.ndarray, sites: np.ndarray,
                                       config.bs_height, config.ue_height)
 
 
-def _rx_dbm(points: np.ndarray, cells: CellTable, config: ClusterConfig,
-            links=None, columns=slice(None)) -> np.ndarray:
-    """Unshadowed received power in dBm from the cells ``columns`` (all by
-    default) at every point of ``points`` (..., M, 2), a new C-ordered array
-    of shape (..., M, len(columns)); fault arrays (..., C) apply per leading
-    index.  ``links`` is ``site_links(points, cells.sites, config)`` when
-    the caller already has it."""
-    bearing, pl = links if links is not None else site_links(points, cells.sites, config)
-    site = cells.site[columns]
-
-    # (P + delta) + gain - pl, in place in one buffer, which take (unlike a
-    # fancy gather) allocates C-ordered whatever the leading axes
-    rx = bearing.take(site, axis=-1)
-    rx -= (cells.azimuth + cells.azimuth_offset)[..., None, columns]
-    antenna_gain(rx, out=rx)
-    rx -= config.tilt_offset_db
-    rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, columns]
-    rx -= pl.take(site, axis=-1)
-    return rx
-
-
 def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
                     config: ClusterConfig, links=None,
                     columns=slice(None)) -> np.ndarray:
-    """Received power in dBm from every cell at every UE, shape (..., N, C),
-    at the UE positions ``position`` (..., N, 2) under the per-link
-    shadowing ``shadow`` (N, C) dB.
+    """Received power in dBm from every cell at every UE, a new C-ordered
+    array of shape (..., N, C), at the UE positions ``position`` (..., N, 2)
+    under the per-link shadowing ``shadow`` (N, C) dB; fault arrays (..., C)
+    apply per leading index.
 
     ``links`` is ``site_links(position, cells.sites, config)`` when the
     caller already has it; ``columns`` (a slice or a list of cell ids)
@@ -240,7 +220,17 @@ def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
     full matrix.  Down cells are still evaluated; callers mask them via
     ``is_up``.
     """
-    rx = _rx_dbm(position, cells, config, links, columns)
+    bearing, pl = links if links is not None else site_links(position, cells.sites, config)
+    site = cells.site[columns]
+
+    # (P + delta) + gain - pl + shadow, in place in one buffer, which take
+    # (unlike a fancy gather) allocates C-ordered whatever the leading axes
+    rx = bearing.take(site, axis=-1)
+    rx -= (cells.azimuth + cells.azimuth_offset)[..., None, columns]
+    antenna_gain(rx, out=rx)
+    rx -= config.tilt_offset_db
+    rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, columns]
+    rx -= pl.take(site, axis=-1)
     rx += shadow[..., columns]
     return rx
 
@@ -262,7 +252,8 @@ def _drop_owners(u, start, cells, config) -> np.ndarray:
         r = config.bounding_radius * np.sqrt(u[a:b])
         theta = 2.0 * math.pi * u[a + 1:b + 1]
         points = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        out.append(_rx_dbm(points, cells, config).argmax(axis=1))
+        # a zero shadow adds +0.0, which moves no finite power
+        out.append(rx_power_matrix(points, np.zeros(len(cells)), cells, config).argmax(axis=1))
     return np.concatenate(out)
 
 
@@ -273,13 +264,13 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
     ``heading`` radians and is read-only: it is the drop every episode
     starts from.
 
-    ``seed`` is an int or a numpy Generator, consumed exactly as one-at-a-time
-    rejection sampling would (two draws per attempt, one for the heading).
+    ``seed`` is an int or a numpy Generator.  The UEs are those one-at-a-time
+    rejection sampling would place (two draws per attempt, one for the
+    heading); the generator is left past the draws read ahead in blocks.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cells = _make_cells(config)
 
-    start = rng.bit_generator.state
     u = rng.random(DROP_DRAWS_PER_UE * len(cells) * config.ues_per_cell + 2)
     owner = _drop_owners(u, 0, cells, config)
     ues = np.recarray(len(cells) * config.ues_per_cell,
@@ -302,8 +293,6 @@ def build_cluster(config: ClusterConfig, seed) -> tuple[CellTable, np.recarray]:
         position[i] = r * math.cos(theta), r * math.sin(theta)
         heading[i] = 2.0 * math.pi * float(u[j + 2])
         pos = j + 3
-    rng.bit_generator.state = start  # leave the stream where one-at-a-time
-    rng.random(pos)                  # sampling would have left it
     ues.flags.writeable = False
     return cells, ues
 

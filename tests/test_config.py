@@ -1,11 +1,18 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sonsim.cli import main
-from sonsim.config import (ConfigError, default_config, dump_effective_config,
-                           load_config, parse_config)
-from sonsim.mdp import EpisodeConfig
+from sonsim.cli import MAX_SEED_COUNT, main
+from sonsim.config import (KNOWN_AGENTS, ConfigError, ExperimentConfig, MlConfig,
+                           default_config, dump_effective_config, load_config,
+                           parse_config)
+from sonsim.faults import FaultRates
+from sonsim.mdp import EpisodeConfig, RewardSchedule
+from sonsim.radio import ClusterConfig
 
 
 def parse(text):
@@ -221,3 +228,92 @@ class TestDump:
         text = dump_effective_config(default_config())
         again = parse(text)
         assert dump_effective_config(again) == text
+
+
+def finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+positive = finite(0.0, exclude_min=True)
+counts = st.integers(1, 2**63)  # past a float's 53 bits of mantissa
+
+
+@st.composite
+def configs(draw):
+    weights = draw(st.lists(finite(0.0, 1.0), min_size=5, max_size=5)
+                   | st.lists(finite(0.0, 1.0), min_size=9, max_size=9))
+    weights[0] += 1e-3  # the probabilities must sum to 1
+    return ExperimentConfig(
+        cluster=ClusterConfig(
+            inter_site_distance=draw(positive), num_sites=draw(st.integers(1, 7)),
+            sectors_per_site=draw(counts), carrier_freq=draw(positive),
+            bandwidth=draw(positive), bs_tx_power=draw(finite()),
+            bs_height=draw(positive), ue_height=draw(positive),
+            electrical_tilt=draw(finite()), shadow_sigma=draw(finite(0.0)),
+            noise_density=draw(finite()), ues_per_cell=draw(counts),
+            ue_speed=draw(finite(0.0)),
+            sinr_cap=draw(finite() | st.just(float("inf"))),
+            diversity_gain=draw(finite())),
+        rates=FaultRates(tuple(w / sum(weights) for w in weights)),
+        rewards=RewardSchedule(*(draw(finite()) for _ in range(4))),
+        episode=EpisodeConfig(draw(counts), draw(counts),
+                              draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        ml=MlConfig(draw(counts), draw(positive), draw(counts), draw(counts),
+                    draw(finite(0.0, 1.0)),
+                    draw(finite(0.0, 1.0, exclude_min=True)), draw(finite(0.0, 1.0))),
+        azimuth_delta=draw(finite()),
+        agents=tuple(draw(st.lists(st.sampled_from(KNOWN_AGENTS), min_size=1,
+                                   unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, unique=True))),
+        qs=tuple(draw(st.lists(counts, unique=True))),
+        # the file format has no escape for "#", line ends or edge blanks
+        output_dir=draw(st.text("abcXYZ019._-/", max_size=20)))
+
+
+class TestDumpProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_dump_round_trips_any_valid_config(self, cfg):
+        text = dump_effective_config(cfg)
+        again = parse(text)
+        assert again == replace(cfg, qs=cfg.effective_qs())
+        assert dump_effective_config(again) == text
+
+
+# CLI values: small numbers, numbers past an index-sized integer, and text
+# with no decimal digit (so never a number), joined by commas.  No count
+# between 2,000 and 2**63 is drawn, so no example allocates per seed, even
+# where the seed count is unbounded.
+cli_numbers = (st.integers(-5, 2000) | st.integers(2**63, 10**400)
+               | st.integers(-10**400, -5))
+cli_values = st.lists(cli_numbers.map(str)
+                      | st.text(st.characters(exclude_categories=("Nd",)), max_size=8),
+                      min_size=1, max_size=4).map(",".join)
+
+
+class TestCliProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        "--seeds": cli_values, "--episodes": cli_values, "--ues-per-cell": cli_values}))
+    def test_overrides_exit_with_a_diagnostic(self, options):
+        argv = [f"{name}={value}" for name, value in options.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv + ["--dump-effective-config"])
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2
+                assert "usage: sonsim" in err.getvalue()
+                return
+        if code == 0:
+            assert out.getvalue().startswith("# effective configuration")
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("sonsim: error: ")
+
+    @pytest.mark.parametrize("count", ["99999999999999999999999", str(MAX_SEED_COUNT + 1)])
+    def test_seed_count_past_the_bound_is_rejected(self, count, capsys):
+        assert main(["--seeds", count, "--dump-effective-config"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"sonsim: error: --seeds count must be in 1..{MAX_SEED_COUNT:,}\n"
+        assert captured.out == ""
