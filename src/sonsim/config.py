@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from .faults import DEFAULT_AZIMUTH_DELTA_DEG, FaultRates
 from .mdp import ConfigError, EpisodeConfig, RewardSchedule
-from .radio import ClusterConfig
+from .radio import MAX_UES_PER_CELL, ClusterConfig
 
 KNOWN_AGENTS = ("random", "fifo", "dqn")
 
@@ -72,8 +72,13 @@ class ExperimentConfig:
             raise ConfigError("run.agents must name at least one agent")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("run.seeds must name at least one seed, each at least 0")
-        if self.qs and min(self.qs) < 1:
-            raise ConfigError("run.q must be at least 1")
+        if self.qs and not 1 <= min(self.qs) <= max(self.qs) <= MAX_UES_PER_CELL:
+            raise ConfigError(f"run.q must be in 1..{MAX_UES_PER_CELL:,}")
+        # the file format cuts a value at "#", a line end or edge blanks
+        out = self.output_dir
+        if not out or "#" in out or out.splitlines() != [out] or out != out.strip():
+            raise ConfigError("run.output_dir must be non-empty, with no '#', line end "
+                              f"or leading or trailing blank, got {out!r}")
 
     def effective_qs(self) -> tuple:
         return tuple(self.qs) if self.qs else (self.cluster.ues_per_cell,)

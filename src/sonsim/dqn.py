@@ -7,6 +7,11 @@ three per parameter version gives everything a TTI needs: the action's
 values, every target's next-state maximum and, row by row, the activations
 of the backward pass.  The network is row-independent, so this is
 bit-identical to evaluating each row on its own.
+
+Learners that take their TTIs in lockstep train as one ``LearnerStack``:
+their parameters and optimizer moments are rows of (A, P) arrays, and
+each tick one state pass, one target computation, one backward pass and
+one Adam step serve them all.  A lone learner is a stack of one.
 """
 
 from __future__ import annotations
@@ -96,15 +101,116 @@ def compute_targets(q: np.ndarray, reward, next_state, terminal,
     """Bootstrap targets, one per transition: the raw reward on terminal
     transitions, otherwise reward + gamma * max value of the next state.
     ``q`` holds every state's values (one row each) under the snapshot
-    parameters from before this TTI's update."""
+    parameters from before this TTI's update, and ``next_state`` indexes
+    its rows."""
     return np.where(terminal, reward, reward + gamma * q.max(axis=1)[next_state])
 
 
-class DqnAgent:
-    """Owns the network parameters, optimizer state, replay memory and
-    exploration schedule for one training run.
+class LearnerStack:
+    """Learners with one network shape and one set of hyperparameters,
+    trained side by side.  Several learners' parameters and Adam moments
+    are rows of (A, P) arrays and ``params`` per-layer views with a
+    leading learner axis; a lone learner's are its own (P,) vector and
+    layers, with no learner axis.  A learner's ``index`` into the stack's
+    arrays is (i,) for row i, or () when alone; ``memories`` and ``rngs``
+    hold each learner's replay memory and generator, in row order.
 
-    ``flat`` is the parameter vector and ``params`` its per-layer views.
+    Every learner stores one transition per TTI, so all hold the same
+    number, sample batches of one size and share one Adam step count.  Once
+    each has stored this TTI's (``observed``), one update serves all: each
+    learner samples its own memory with its own generator, in row order,
+    and the targets, backward pass and Adam step run over the learner
+    axis.  Every operation is elementwise or row by row across learners,
+    so each row gets the bits it gets alone.
+    """
+
+    def __init__(self, learners, flat: np.ndarray, opt_state: AdamState,
+                 layer_sizes, gamma: float, batch_size: int):
+        self.flat = flat
+        self.params = layer_views(flat, layer_sizes)
+        self.opt_state = opt_state
+        self.layer_sizes = tuple(layer_sizes)
+        self.gamma = gamma
+        self.batch_size = batch_size
+        self.memories = [learner.memory for learner in learners]
+        self.rngs = [learner.rng for learner in learners]
+        self._acts = None     # every state's layer outputs under params
+        self._waiting = len(learners)  # learners yet to store this TTI's
+        # each learner's first row in the state pass taken as (A * 3, ·) rows
+        self._first_row = NUM_STATES * np.arange(len(learners))[:, None]
+        for row, learner in enumerate(learners):
+            learner.stack, learner.index = self, (row,) if flat.ndim == 2 else ()
+
+    @classmethod
+    def of(cls, learners) -> None:
+        """Put ``learners``, taken between TTIs, in one stack with copies of
+        their rows; they must be alike in shape, hyperparameters, stored
+        transitions and steps (as learners of one configuration that have
+        run the same number of TTIs are).  A learner alone stays put."""
+        stacks = [learner.stack for learner in learners]
+        if len(learners) == 1 and len(stacks[0].memories) == 1:
+            return
+        key = [(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
+                s.opt_state.learning_rate, len(learner.memory))
+               for s, learner in zip(stacks, learners)]
+        if any(k != key[0] for k in key):
+            raise ValueError("learners of one stack must be alike")
+        if any(s._waiting != len(s.memories) for s in stacks):
+            raise ValueError("learners change stacks only between TTIs")
+
+        def rows(arrays):
+            return np.stack(arrays) if len(arrays) > 1 else arrays[0].copy()
+
+        state = stacks[0].opt_state
+        opt_state = AdamState(rows([s.opt_state.m[l.index] for s, l in zip(stacks, learners)]),
+                              rows([s.opt_state.v[l.index] for s, l in zip(stacks, learners)]),
+                              state.step_count, state.learning_rate)
+        cls(learners, rows([learner.flat for learner in learners]), opt_state,
+            stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size)
+
+    def state_pass(self) -> list[np.ndarray]:
+        """Every layer's output for all three states, (A, 3, ·) past the
+        input, one forward pass per parameter version."""
+        if self._acts is None:
+            self._acts = forward(self.params, ALL_STATES, all_layers=True)
+        return self._acts
+
+    def observed(self) -> None:
+        """Count a learner's stored transition; the last of a TTI updates."""
+        self._waiting -= 1
+        if not self._waiting:
+            self._waiting = len(self.memories)
+            self._update()
+
+    def _update(self) -> None:
+        """One optimizer step per learner on a replay batch of its own, the
+        whole stack's batches in one backward pass over rows of the state
+        pass.  Targets are computed before the update, from the parameters
+        as they stood at the start of this TTI."""
+        batches = [memory.sample(rng, self.batch_size)
+                   for memory, rng in zip(self.memories, self.rngs)]
+        acts = self.state_pass()[1:]
+        if len(batches) == 1:
+            states, actions, rewards, next_states, terminals = batches[0]
+            rows, next_rows = states, next_states
+        else:  # the state pass as rows of every (learner, state) pair
+            states, actions, rewards, next_states, terminals = map(np.stack, zip(*batches))
+            rows, next_rows = states + self._first_row, next_states + self._first_row
+            acts = [a.reshape(-1, a.shape[-1]) for a in acts]
+        targets = compute_targets(acts[-1], rewards, next_rows, terminals, self.gamma)
+        acts = [ALL_STATES[states]] + [a[rows] for a in acts]
+        grads = backward(self.params, acts[0], actions, targets, acts=acts)
+        grads = np.concatenate([g.reshape(*states.shape[:-1], -1) for g in grads], axis=-1)
+        self.flat, self.opt_state = adam_step(self.flat, grads / states.shape[-1],
+                                              self.opt_state)
+        self.params = layer_views(self.flat, self.layer_sizes)
+        self._acts = None
+
+
+class DqnAgent:
+    """One training run's learner: its generator, exploration schedule and
+    replay memory, and its ``index`` into ``stack``, which holds its network
+    parameters and optimizer state (``flat``, ``params``, ``opt_state``).
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,
@@ -112,43 +218,40 @@ class DqnAgent:
                  memory: ReplayMemory | None = None,
                  batch_size: int = 1,
                  learning_rate: float = 1e-3):
-        self.layer_sizes = layer_sizes_of(params)
-        self.flat = flatten(params)
-        self.params = layer_views(self.flat, self.layer_sizes)
-        self.opt_state = AdamState.for_params(self.flat, learning_rate)
         self.memory = memory if memory is not None else ReplayMemory()
         self.schedule = schedule if schedule is not None else ExplorationSchedule()
-        self.gamma = gamma
-        self.batch_size = batch_size
         self.rng = rng
-        self._acts = None     # every state's layer outputs under params
+        flat = flatten(params)
+        LearnerStack([self], flat, AdamState.for_params(flat, learning_rate),
+                     layer_sizes_of(params), gamma, batch_size)
 
-    def _state_pass(self) -> list[np.ndarray]:
-        """Every layer's output for all three states, one forward pass per
-        parameter version."""
-        if self._acts is None:
-            self._acts = forward(self.params, ALL_STATES, all_layers=True)
-        return self._acts
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return self.stack.layer_sizes
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.stack.flat[self.index]
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        return layer_views(self.flat, self.layer_sizes)
+
+    @property
+    def opt_state(self) -> AdamState:
+        state = self.stack.opt_state
+        return AdamState(state.m[self.index], state.v[self.index], state.step_count,
+                         state.learning_rate)
 
     def begin_episode(self) -> None:
         self.schedule = decay_epsilon(self.schedule)
 
     def act(self, state: MdpState, env) -> MdpAction:
-        return select_action(self._state_pass()[-1][state], self.schedule, self.rng)
+        return select_action(self.stack.state_pass()[-1][self.index + (state,)],
+                             self.schedule, self.rng)
 
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:
-        """Store the transition, then one optimizer step on a replay batch,
-        the whole batch in one backward pass over rows of the state pass.
-        Targets are computed before the update, from the parameters as they
-        stood at the start of this TTI."""
+        """Store the transition; the stack updates once every learner in it
+        has stored this TTI's (``LearnerStack.observed``)."""
         self.memory.push(state, action, reward, next_state, terminal)
-        states, actions, rewards, next_states, terminals = \
-            self.memory.sample(self.rng, self.batch_size)
-        acts = self._state_pass()
-        targets = compute_targets(acts[-1], rewards, next_states, terminals, self.gamma)
-        rows = [a[states] for a in acts]
-        grads = backward(self.params, rows[0], actions, targets, acts=rows)
-        self.flat, self.opt_state = adam_step(self.flat, flatten(grads) / len(states),
-                                              self.opt_state)
-        self.params = layer_views(self.flat, self.layer_sizes)
-        self._acts = None
+        self.stack.observed()

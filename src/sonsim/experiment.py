@@ -1,6 +1,6 @@
 """Experiment orchestration over the (agent, UEs-per-cell, seed) grid,
-with deterministic outputs.  Each (q, seed) builds one drop and runs all
-its agents on it in lockstep.
+with deterministic outputs.  Each (q, seed) builds one drop, and every
+(seed, agent) pair of a q runs its control loop in lockstep ticks.
 
 Every run writes into a staging directory first and is moved into place
 only on success, so a failed experiment leaves no partial results.  All
@@ -27,7 +27,7 @@ from .metrics import (EpisodeTrace, summarize_run, write_cdf_csv,
                       write_episodes_csv, write_summary_csv, write_trace_csv,
                       ue_average_sinrs)
 from .nn import init_params, save_params
-from .runner import EpisodeResult, run_episodes
+from .runner import EpisodeResult, run_lockstep
 
 
 @dataclass
@@ -64,29 +64,39 @@ def build_agent(name: str, cfg: ExperimentConfig, seed: int):
     raise ValueError(f"unknown agent {name!r}")
 
 
+def run_seeds(agent_names, q: int, seeds, cfg: ExperimentConfig) -> list[list[SeedRunResult]]:
+    """Build the cluster of every (q, seed) of ``seeds`` once and run every
+    agent of ``agent_names`` on it: the control loops of all (seed, agent)
+    pairs in lockstep ticks (``runner.run_lockstep``), then each seed's
+    radio pass over all its episodes' register histories
+    (``mdp.drop_radio``); per seed, one result per agent, in order."""
+    cluster = replace(cfg.cluster, ues_per_cell=q)
+    envs = [SonEnv(cluster, cfg.rates, cfg.rewards, cfg.episode,
+                   seed=seed, azimuth_delta=cfg.azimuth_delta) for seed in seeds]
+    agents = [[build_agent(name, cfg, seed) for name in agent_names] for seed in seeds]
+    runs = run_lockstep([(env if i == 0 else env.replica(), agent)
+                         for env, row in zip(envs, agents) for i, agent in enumerate(row)],
+                        range(cfg.episode.num_episodes))
+    results = []
+    for s, (seed, env, row) in enumerate(zip(seeds, envs, agents)):
+        seed_runs = runs[s * len(row):(s + 1) * len(row)]
+        drop_radio(env, [(history, trace) for episode in zip(*seed_runs)
+                         for _, trace, history in episode])
+        results.append([])
+        for name, agent, agent_runs in zip(agent_names, row, seed_runs):
+            summaries, traces, _ = zip(*agent_runs)
+            result = SeedRunResult(agent=name, q=q, seed=seed, traces=list(traces),
+                                   episodes=list(summaries))
+            if name == "dqn":
+                result.dqn_params, result.dqn_layer_sizes = agent.flat, agent.layer_sizes
+            results[-1].append(result)
+    return results
+
+
 def run_seed(agent_names, q: int, seed: int,
              cfg: ExperimentConfig) -> list[SeedRunResult]:
-    """Build the cluster for this (q, seed) once and run every agent of
-    ``agent_names`` on it: the control loops episode by episode in lockstep
-    (``runner.run_episodes``), then one radio pass over all the episodes'
-    register histories (``mdp.drop_radio``); one result per agent, in
-    order."""
-    cluster = replace(cfg.cluster, ues_per_cell=q)
-    env = SonEnv(cluster, cfg.rates, cfg.rewards, cfg.episode,
-                 seed=seed, azimuth_delta=cfg.azimuth_delta)
-    agents = [build_agent(name, cfg, seed) for name in agent_names]
-    pairs = [(env if i == 0 else env.replica(), agent) for i, agent in enumerate(agents)]
-    episodes = [run_episodes(pairs, ep) for ep in range(cfg.episode.num_episodes)]
-    drop_radio(env, [(history, trace) for runs in episodes for _, trace, history in runs])
-    results = []
-    for name, agent, runs in zip(agent_names, agents, zip(*episodes)):
-        summaries, traces, _ = zip(*runs)
-        result = SeedRunResult(agent=name, q=q, seed=seed, traces=list(traces),
-                               episodes=list(summaries))
-        if name == "dqn":
-            result.dqn_params, result.dqn_layer_sizes = agent.flat, agent.layer_sizes
-        results.append(result)
-    return results
+    """``run_seeds`` with one seed."""
+    return run_seeds(agent_names, q, (seed,), cfg)[0]
 
 
 def run_single(agent_name: str, q: int, seed: int,
@@ -131,8 +141,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
             cell_dir = stage if len(qs) == 1 else stage / f"q{q}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             results = {agent: [] for agent in cfg.agents}
-            for seed in cfg.seeds:
-                for r in run_seed(cfg.agents, q, seed, cfg):
+            for seed_results in run_seeds(cfg.agents, q, cfg.seeds, cfg):
+                for r in seed_results:
                     results[r.agent].append(r)
             for agent in cfg.agents:
                 manifest_runs += [f"run: agent={agent} q={q} seed={seed}"

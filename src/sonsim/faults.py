@@ -64,11 +64,11 @@ class FaultRates:
         if len(p) == 5:
             p = p + (0.0,) * 4
         if len(p) != 9:
-            raise ValueError("need 5 or 9 event probabilities")
+            raise ValueError("faults.p: need 5 or 9 event probabilities")
         if not all(0.0 <= x <= 1.0 for x in p):  # NaN fails too
             raise ValueError("faults.p: event probabilities must be in [0, 1]")
         if abs(sum(p) - 1.0) > 1e-9:
-            raise ValueError(f"event probabilities sum to {sum(p)!r}, expected 1")
+            raise ValueError(f"faults.p: event probabilities sum to {sum(p)!r}, expected 1")
         self.p = p
         self._cumulative = np.cumsum(np.asarray(p))
         support = [i for i, x in enumerate(p) if x > 0]

@@ -38,6 +38,9 @@ NUM_ACTIONS = 5
 # UE-rows (TTIs x UEs) per block of an episode's radio pass; bounds its
 # (rows, C) temporaries, as DROP_CHUNK_ROWS does for the drop
 RADIO_BLOCK_ROWS = 2048
+# The most episodes per run: a finished episode keeps about 1.2 kB per agent
+# at one UE per cell, so three agents at the bound keep about 0.35 GB a seed.
+MAX_EPISODES = 100_000
 
 
 class MdpState(IntEnum):
@@ -92,8 +95,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.ttis_per_episode < 1:
             raise ConfigError("episode.ttis_per_episode must be at least 1")
-        if self.num_episodes < 1:
-            raise ConfigError("episode.num_episodes must be at least 1")
+        if not 1 <= self.num_episodes <= MAX_EPISODES:
+            raise ConfigError(f"episode.num_episodes must be in 1..{MAX_EPISODES:,}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("episode.gamma must be in (0, 1)")
 

@@ -7,6 +7,13 @@ output head, so negative value targets stay representable.  Parameters are
 a list [W0, b0, W1, b1, ...] with W of shape (fan_in, fan_out); a learner
 keeps them as views into one contiguous vector (``flatten`` and
 ``layer_views``), so that the optimizer updates them all in one pass.
+
+A stack of A networks keeps its vectors as the rows of an (A, P) array,
+and ``layer_views`` gives each parameter a leading axis of A and one of 1
+to broadcast over a network's batch rows: W of shape (A, 1, fan_in,
+fan_out), b of (A, 1, fan_out).  ``forward`` and ``backward`` then take a
+batch per network (A, B, in), or one batch for all (B, in), and each
+network's rows get the bits they get alone.
 """
 
 from __future__ import annotations
@@ -42,23 +49,26 @@ def flatten(arrays) -> np.ndarray:
 
 def layer_views(flat: np.ndarray, layer_sizes) -> list[np.ndarray]:
     """[W0, b0, W1, b1, ...] as views into ``flat``, laid out as
-    :func:`flatten` lays out the list."""
+    :func:`flatten` lays out the list; a stack of vectors (A, P) gives a
+    stack of networks, each parameter (A, 1, ...)."""
     views: list[np.ndarray] = []
-    pos = 0
+    lead, pos = flat.shape[:-1] + (1,) * (flat.ndim - 1), 0
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        views.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        views.append(flat[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
         pos += fan_in * fan_out
-        views.append(flat[pos:pos + fan_out])
+        bias = flat[..., pos:pos + fan_out]
+        views.append(bias.reshape(*lead, fan_out) if lead else bias)
         pos += fan_out
-    if pos != flat.size:
-        raise ValueError(f"{flat.size} values do not fill layers {tuple(layer_sizes)}")
+    if pos != flat.shape[-1]:
+        raise ValueError(f"{flat.shape[-1]} values do not fill layers {tuple(layer_sizes)}")
     return views
 
 
 def _activations(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     """Every layer's output, the input first, for one input (in,) or a
-    batch (B, in).  Each row goes through its own vector-matrix product, so
-    a batch row is bit-identical to the same input evaluated alone."""
+    batch (B, in), or for a stack of networks a batch (A, B, in) or
+    (B, in).  Each row goes through its own vector-matrix product, so a
+    batch row is bit-identical to the same input evaluated alone."""
     acts = [x]
     num_layers = len(params) // 2
     for i in range(num_layers):
@@ -82,31 +92,32 @@ def backward(params: list[np.ndarray], x, action_index, target,
     parameter; the loss is masked to the taken action's output unit.
 
     ``x`` is one input (in,) or a batch (B, in) with an action index and a
-    target per row.  A batch returns the per-row gradients summed in row
-    order, bit-identical to a running sum of single-row calls.  ``acts``,
-    the batch's layer outputs as ``forward(params, x, all_layers=True)``
-    gives them, saves the forward pass.
+    target per row, or for a stack of networks a batch per network
+    (A, B, in) with (A, B) indices and targets.  A batch returns the
+    per-row gradients summed in row order, bit-identical to a running sum
+    of single-row calls.  ``acts``, the batch's layer outputs as
+    ``forward(params, x, all_layers=True)`` gives them, saves the forward
+    pass.
     """
     if acts is None:
         acts = _activations(params, np.atleast_2d(np.asarray(x, dtype=float)))
     q = acts[-1]
-    rows = np.arange(len(q))
-    delta = np.zeros_like(q)
-    delta[rows, action_index] = 2.0 * (q[rows, action_index] - target)
+    taken = np.arange(q.shape[-1]) == np.asarray(action_index)[..., None]
+    delta = np.where(taken, 2.0 * (q - np.asarray(target)[..., None]), 0.0)
 
     # The bias is the weight of a constant-one input.  With it stacked in,
-    # a row's gradient has two or more elements, so numpy sums the rows over
-    # the leading axis one after another (a one-element row would be summed
+    # a row's gradient has two or more elements, so numpy sums the rows of
+    # a batch one after another (a one-element row would be summed
     # pairwise); starting from -0.0, the exact additive identity, keeps the
     # sign of a zero as a running sum of single rows gives it.
-    ones = np.ones((len(q), 1))
+    ones = np.ones(q.shape[:-1] + (1,))
     grads: list[np.ndarray] = [np.empty(0)] * len(params)
     for i in reversed(range(len(params) // 2)):
-        inputs = np.concatenate((acts[i], ones), axis=1)
-        g = (inputs[:, :, None] * delta[:, None, :]).sum(axis=0, initial=-0.0)
-        grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
+        inputs = np.concatenate((acts[i], ones), axis=-1)
+        g = (inputs[..., :, None] * delta[..., None, :]).sum(axis=-3, initial=-0.0)
+        grads[2 * i], grads[2 * i + 1] = g[..., :-1, :], g[..., -1, :]
         if i > 0:
-            delta = (params[2 * i] @ delta[:, :, None])[:, :, 0] * (acts[i] > 0)
+            delta = (params[2 * i] @ delta[..., None])[..., 0] * (acts[i] > 0)
     return grads
 
 

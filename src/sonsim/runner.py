@@ -1,4 +1,5 @@
-"""Agent-environment episode loop shared by all agents."""
+"""Agent-environment control loop shared by all agents: every (env, agent)
+pair of a run advances in lockstep ticks, one TTI per tick."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dqn import DqnAgent, LearnerStack
 from .mdp import drop_radio
 from .metrics import EpisodeTrace
 
@@ -17,46 +19,81 @@ class EpisodeResult:
     cleared: bool
 
 
-def run_episodes(pairs, episode_index: int = 0) -> list[tuple[EpisodeResult, EpisodeTrace, list]]:
-    """Run the control loop of one episode of every (env, agent) pair of
-    ``pairs``, whose envs share one drop (``SonEnv.replica``), and return a
-    summary, the per-TTI trace and the register history of each.
+class _Pair:
+    """A pair's place in the loop: its finished episodes and, within an
+    episode, the state, return and per-TTI rows so far (None between
+    episodes)."""
 
-    The traces' radio columns stay None until ``mdp.drop_radio`` fills
-    them from the histories.
+    __slots__ = ("env", "agent", "done", "state", "total", "rows")
+
+    def __init__(self, env, agent):
+        self.env, self.agent, self.done, self.rows = env, agent, [], None
+
+
+def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace, list]]]:
+    """Run the episodes ``episodes`` (indices, in order) of every (env,
+    agent) pair of ``pairs`` and return, per pair and episode, a summary,
+    the per-TTI trace and the register history.
+
+    Each tick every pair still running advances one TTI; a pair whose
+    episode ended starts its next one on the next tick, and a pair leaves
+    after its last.  So every pair runs its own episodes in order, and the
+    pairs' dqn learners, each storing one transition per tick, train as one
+    ``LearnerStack``, which a learner leaves with its pair.  The traces'
+    radio columns stay None until ``mdp.drop_radio`` fills them from the
+    histories.
     """
-    out = []
-    for env, agent in pairs:
-        state = env.reset(episode_index)
-        agent.begin_episode()
-        total = 0.0
-        rows = []
-        while True:
+    running = [_Pair(env, agent) for env, agent in pairs]
+    out = [pair.done for pair in running]
+    learners = [p.agent for p in running if isinstance(p.agent, DqnAgent)]
+    if learners:
+        LearnerStack.of(learners)
+    while running:
+        for pair in running:
+            env, agent = pair.env, pair.agent
+            if pair.rows is None:
+                pair.state = env.reset(episodes[len(pair.done)])
+                agent.begin_episode()
+                pair.total, pair.rows = 0.0, []
+            state = pair.state
             action = agent.act(state, env)
             next_state, reward, terminal, obs = env.step(action)
             agent.observe(state, action, reward, next_state, terminal, obs)
-            total += reward
-            rows.append((int(state), int(action), reward, obs["alarm_count"]))
-            state = next_state
+            pair.total += reward
+            pair.rows.append((int(state), int(action), reward, obs["alarm_count"]))
+            pair.state = next_state
             if terminal:
-                break
-        states, actions, rewards, alarms = zip(*rows)
-        out.append((EpisodeResult(total_reward=total, ttis=env.t,
-                                  cleared=env.alarm_count == 0),
-                    EpisodeTrace(episode=episode_index,
-                                 tti=np.arange(1, env.t + 1),
-                                 state=np.array(states, dtype=int),
-                                 action=np.array(actions, dtype=int),
-                                 reward=np.array(rewards, dtype=float),
-                                 alarm_count=np.array(alarms, dtype=int)),
-                    env.history))
+                pair.done.append(_finish(pair))
+                pair.rows = None
+        leaving = [p for p in running if p.rows is None and len(p.done) == len(episodes)]
+        if leaving:
+            running = [p for p in running if p not in leaving]
+            left = [p.agent for p in leaving if isinstance(p.agent, DqnAgent)]
+            if left:  # each into a stack of its own, the others on together
+                staying = [p.agent for p in running if isinstance(p.agent, DqnAgent)]
+                for group in [staying] * bool(staying) + [[learner] for learner in left]:
+                    LearnerStack.of(group)
     return out
+
+
+def _finish(pair: _Pair) -> tuple[EpisodeResult, EpisodeTrace, list]:
+    env = pair.env
+    states, actions, rewards, alarms = zip(*pair.rows)
+    return (EpisodeResult(total_reward=pair.total, ttis=env.t,
+                          cleared=env.alarm_count == 0),
+            EpisodeTrace(episode=env.episode_index,
+                         tti=np.arange(1, env.t + 1),
+                         state=np.array(states, dtype=int),
+                         action=np.array(actions, dtype=int),
+                         reward=np.array(rewards, dtype=float),
+                         alarm_count=np.array(alarms, dtype=int)),
+            env.history)
 
 
 def run_episode(env, agent, episode_index: int = 0) -> tuple[EpisodeResult, EpisodeTrace]:
     """Reset the environment, run one episode to termination, and return a
     summary plus the per-TTI trace, radio columns included:
-    ``run_episodes`` and ``mdp.drop_radio`` with one pair."""
-    result, trace, history = run_episodes([(env, agent)], episode_index)[0]
+    ``run_lockstep`` and ``mdp.drop_radio`` with one pair."""
+    [[(result, trace, history)]] = run_lockstep([(env, agent)], [episode_index])
     drop_radio(env, [(history, trace)])
     return result, trace

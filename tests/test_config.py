@@ -1,9 +1,10 @@
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sonsim.cli import MAX_SEED_COUNT, main
@@ -11,8 +12,8 @@ from sonsim.config import (KNOWN_AGENTS, ConfigError, ExperimentConfig, MlConfig
                            default_config, dump_effective_config, load_config,
                            parse_config)
 from sonsim.faults import FaultRates
-from sonsim.mdp import EpisodeConfig, RewardSchedule
-from sonsim.radio import ClusterConfig
+from sonsim.mdp import MAX_EPISODES, EpisodeConfig, RewardSchedule
+from sonsim.radio import MAX_UES_PER_CELL, ClusterConfig
 
 
 def parse(text):
@@ -192,6 +193,33 @@ class TestValues:
         assert "run.seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, key", [
+        (f"cluster.ues_per_cell = {MAX_UES_PER_CELL + 1}", "ues_per_cell"),
+        ("cluster.ues_per_cell = " + "9" * 400, "ues_per_cell"),
+        (f"run.q = 10,{MAX_UES_PER_CELL + 1}", "run.q"),
+        (f"episode.num_episodes = {MAX_EPISODES + 1}", "episode.num_episodes"),
+        ("episode.num_episodes = " + "9" * 400, "episode.num_episodes"),
+    ])
+    def test_count_past_its_bound_names_the_key(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse(line + "\n")
+
+    def test_counts_at_their_bounds_accepted(self):
+        cfg = parse(f"cluster.ues_per_cell = {MAX_UES_PER_CELL}\nrun.q = {MAX_UES_PER_CELL}\n"
+                    f"episode.num_episodes = {MAX_EPISODES}\n")
+        assert cfg.effective_qs() == (MAX_UES_PER_CELL,)
+        assert cfg.episode.num_episodes == MAX_EPISODES
+
+    @pytest.mark.parametrize("out", ["res#1", " res", "res\t", "a\nb", "a\rb", "a\x85b", ""])
+    def test_output_dir_the_file_cannot_hold_is_rejected(self, out, capsys):
+        with pytest.raises(ConfigError, match="run.output_dir"):
+            replace(default_config(), output_dir=out)
+        if out:
+            assert main(["--out", out, "--dump-effective-config"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("sonsim: error: run.output_dir")
+            assert captured.out == ""
+
     def test_empty_q_list_means_the_cluster_default(self):
         assert parse("run.q = ,\ncluster.ues_per_cell = 4\n").effective_qs() == (4,)
 
@@ -236,6 +264,7 @@ def finite(lo=None, hi=None, **kw):
 
 positive = finite(0.0, exclude_min=True)
 counts = st.integers(1, 2**63)  # past a float's 53 bits of mantissa
+ues_per_cell = st.integers(1, MAX_UES_PER_CELL)
 
 
 @st.composite
@@ -250,13 +279,13 @@ def configs(draw):
             bandwidth=draw(positive), bs_tx_power=draw(finite()),
             bs_height=draw(positive), ue_height=draw(positive),
             electrical_tilt=draw(finite()), shadow_sigma=draw(finite(0.0)),
-            noise_density=draw(finite()), ues_per_cell=draw(counts),
+            noise_density=draw(finite()), ues_per_cell=draw(ues_per_cell),
             ue_speed=draw(finite(0.0)),
             sinr_cap=draw(finite() | st.just(float("inf"))),
             diversity_gain=draw(finite())),
         rates=FaultRates(tuple(w / sum(weights) for w in weights)),
         rewards=RewardSchedule(*(draw(finite()) for _ in range(4))),
-        episode=EpisodeConfig(draw(counts), draw(counts),
+        episode=EpisodeConfig(draw(counts), draw(st.integers(1, MAX_EPISODES)),
                               draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True))),
         ml=MlConfig(draw(counts), draw(positive), draw(counts), draw(counts),
                     draw(finite(0.0, 1.0)),
@@ -265,19 +294,80 @@ def configs(draw):
         agents=tuple(draw(st.lists(st.sampled_from(KNOWN_AGENTS), min_size=1,
                                    unique=True))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, unique=True))),
-        qs=tuple(draw(st.lists(counts, unique=True))),
-        # the file format has no escape for "#", line ends or edge blanks
-        output_dir=draw(st.text("abcXYZ019._-/", max_size=20)))
+        qs=tuple(draw(st.lists(ues_per_cell, unique=True))))
+
+
+def holds_in_the_file(text):
+    """Whether a value survives the file format, which has no escape for
+    "#", line ends or edge blanks."""
+    return bool(text) and "#" not in text and text.splitlines() == [text] \
+        and text == text.strip()
 
 
 class TestDumpProperty:
     @settings(max_examples=200, deadline=None)
-    @given(configs())
-    def test_dump_round_trips_any_valid_config(self, cfg):
+    @given(configs(), st.text("abcXYZ019._-/", max_size=20)
+           | st.text(st.characters(codec="utf-8"), max_size=8))
+    def test_dump_round_trips_any_valid_config(self, cfg, output_dir):
+        if not holds_in_the_file(output_dir):
+            with pytest.raises(ConfigError, match="run.output_dir"):
+                replace(cfg, output_dir=output_dir)
+            return
+        cfg = replace(cfg, output_dir=output_dir)
         text = dump_effective_config(cfg)
         again = parse(text)
         assert again == replace(cfg, qs=cfg.effective_qs())
         assert dump_effective_config(again) == text
+
+
+# Config text: known keys (and near misses) with numbers, fractions, lists,
+# agent names and free text as values, mixed with comments, blank lines,
+# lines without "=" and free text.
+KEYS = ([f"{section}.{f.name}" for section, cls in (
+            ("cluster", ClusterConfig), ("rewards", RewardSchedule),
+            ("episode", EpisodeConfig), ("ml", MlConfig)) for f in fields(cls)]
+        + ["faults.p", "faults.azimuth_delta", "run.agents", "run.seeds", "run.q",
+           "run.output_dir"])
+numbers = (st.sampled_from(["0", "1", "2", "0.5", "1/9", "5/9", "-1", "nan", "inf"])
+           | st.integers(-10**30, 10**30).map(str) | st.floats().map(repr)
+           | st.integers(0, 5000).map(lambda n: "9" * n)
+           | st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map("{0[0]}/{0[1]}".format))
+values = (numbers | st.lists(numbers, max_size=10).map(",".join)
+          | st.lists(st.sampled_from(KNOWN_AGENTS + ("x",)), max_size=4).map(",".join)
+          | st.text(max_size=12))
+setting = st.tuples(st.sampled_from(KEYS + ["cluster.nope", "nosection", ""]),
+                    st.sampled_from(["=", " = "]), values,
+                    st.sampled_from(["", "  # note"])).map("".join)
+other_line = st.sampled_from(["", "# comment", "no equals sign"]) | st.text(max_size=20)
+config_text = st.lists(st.one_of(setting, setting, setting, other_line),
+                       max_size=5).map("\n".join)
+
+
+def keys_of(text):
+    """The keys of ``text``'s settings, read as the file format reads them."""
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    return {line.partition("=")[0].strip() for line in lines if "=" in line}
+
+
+class TestParseProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(config_text)
+    @example("faults.p=0")  # once "need 5 or 9 event probabilities", naming no key
+    @example("faults.p = 1,1,1,1,1")
+    def test_text_parses_or_names_the_line_or_key(self, text):
+        try:
+            cfg = parse(text)
+        except ConfigError as exc:
+            message = str(exc)
+            line = re.match(r"<config>:(\d+): ", message)
+            if line:
+                assert 1 <= int(line[1]) <= len(text.splitlines())
+            else:  # a value the file's lines set together: led by its key
+                assert message.startswith("<config>: ")
+                named = message.split(" ")[1].rstrip(":")
+                assert any(named in (k, k.partition(".")[2]) for k in keys_of(text)), message
+        else:
+            assert isinstance(cfg, ExperimentConfig)
 
 
 # CLI values: small numbers, numbers past an index-sized integer, and text
@@ -289,12 +379,16 @@ cli_numbers = (st.integers(-5, 2000) | st.integers(2**63, 10**400)
 cli_values = st.lists(cli_numbers.map(str)
                       | st.text(st.characters(exclude_categories=("Nd",)), max_size=8),
                       min_size=1, max_size=4).map(",".join)
+# counts at and past the bounds of --episodes and --ues-per-cell, which
+# allocate nothing with --dump-effective-config
+cli_counts = cli_values | st.sampled_from(
+    [MAX_UES_PER_CELL, MAX_UES_PER_CELL + 1, MAX_EPISODES, MAX_EPISODES + 1]).map(str)
 
 
 class TestCliProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.fixed_dictionaries({}, optional={
-        "--seeds": cli_values, "--episodes": cli_values, "--ues-per-cell": cli_values}))
+        "--seeds": cli_values, "--episodes": cli_counts, "--ues-per-cell": cli_counts}))
     def test_overrides_exit_with_a_diagnostic(self, options):
         argv = [f"{name}={value}" for name, value in options.items()]
         out, err = io.StringIO(), io.StringIO()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sonsim.config import default_config
-from sonsim.dqn import (DqnAgent, ExplorationSchedule, ReplayMemory,
+from sonsim.dqn import (DqnAgent, ExplorationSchedule, LearnerStack, ReplayMemory,
                         compute_targets, decay_epsilon, select_action)
 from sonsim.experiment import build_agent, run_single
 from sonsim.faults import FaultRates
@@ -378,3 +378,65 @@ class TestStatePass:
                           bool(transitions.random() < 0.2), None)
             greedy.add(tuple(np.argmax(forward(agent.params, np.eye(3)), axis=1)))
         assert len(greedy) > 1    # the updates did move the greedy actions
+
+
+class TestLearnerStack:
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(1, 6), batch_size=st.integers(1, 8),
+           capacity=st.integers(1, 40), lifetimes=st.lists(st.integers(1, 30), min_size=6,
+                                                            max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(num=3, batch_size=4, capacity=5, lifetimes=[12, 3, 30, 1, 1, 1], seed=7)
+    def test_stack_matches_per_sample_oracles(self, num, batch_size, capacity,
+                                              lifetimes, seed):
+        # learners of one stack act and learn as each learner alone, one
+        # experience at a time, would: the same actions, parameters,
+        # moments, step counts and generator states, bit for bit, also after
+        # others left the stack at other ticks
+        schedule = ExplorationSchedule(0.5, 1.0, 0.0)
+        learners, oracles = [], []
+        for i in range(num):
+            params = init_params((3, 24, 24, 5), np.random.default_rng([seed, i]))
+            learners.append(DqnAgent([p.copy() for p in params], 0.95,
+                                     np.random.default_rng([seed, i, 1]), schedule=schedule,
+                                     memory=ReplayMemory(capacity), batch_size=batch_size))
+            oracles.append(PerSampleLearner([p.copy() for p in params], 0.95,
+                                            np.random.default_rng([seed, i, 1]),
+                                            batch_size, capacity))
+        LearnerStack.of(learners)
+        transitions = np.random.default_rng(seed)
+        running = list(range(num))
+        for tick in range(max(lifetimes[:num])):
+            for i in running:
+                state = MdpState(int(transitions.integers(3)))
+                want = per_call_select(state, oracles[i].params, 0.5, oracles[i].rng)
+                action = learners[i].act(state, None)
+                assert action == want
+                t = (state, action, float(transitions.choice([-1.0, 0.0, 1.0, 5.0])),
+                     MdpState(int(transitions.integers(3))), bool(transitions.random() < 0.2))
+                learners[i].observe(*t, None)
+                oracles[i].observe(*t)
+            left = [learners[i] for i in running if lifetimes[i] == tick + 1]
+            running = [i for i in running if lifetimes[i] > tick + 1]
+            if left:  # as the control loop regroups them
+                for group in [[learners[i] for i in running]] * bool(running) + [[a] for a in left]:
+                    LearnerStack.of(group)
+        for learner, oracle, ticks in zip(learners, oracles, lifetimes):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(learner.params, oracle.params))
+            assert learner.opt_state.m.tobytes() == oracle.opt_state.m.tobytes()
+            assert learner.opt_state.v.tobytes() == oracle.opt_state.v.tobytes()
+            assert learner.opt_state.step_count == oracle.opt_state.step_count == ticks
+            assert learner.rng.bit_generator.state == oracle.rng.bit_generator.state
+            assert len(learner.stack.memories) == 1  # every learner left
+
+    def test_only_alike_learners_between_ttis_join(self):
+        cfg = default_config()
+        a, b = build_agent("dqn", cfg, 0), build_agent("dqn", cfg, 1)
+        a.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
+        with pytest.raises(ValueError, match="alike"):
+            LearnerStack.of([a, b])
+        b.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
+        LearnerStack.of([a, b])
+        a.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
+        with pytest.raises(ValueError, match="between TTIs"):
+            LearnerStack.of([b])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sonsim import mdp, seeding
 from sonsim.cli import main
 from sonsim.config import KNOWN_AGENTS, default_config, parse_config
-from sonsim.experiment import run_experiment, run_seed, run_single
+from sonsim.experiment import run_experiment, run_seed, run_seeds, run_single
 from sonsim.faults import FaultRates
 from sonsim.mdp import EpisodeConfig
 from sonsim.nn import load_params
@@ -162,6 +162,19 @@ class TestLockstep:
             assert [r.agent for r in shared] == agents
             for got in shared:
                 assert_same_run(got, run_single(got.agent, q, seed, cfg))
+
+    def test_seeds_in_lockstep_equal_each_seed_alone(self):
+        # the learners of four seeds train as one stack, and each pair
+        # leaves it when its episodes end, at its own tick
+        cfg = replace(default_config(), ml=replace(default_config().ml, batch_size=4),
+                      episode=EpisodeConfig(num_episodes=6))
+        together = run_seeds(KNOWN_AGENTS, 2, range(4), cfg)
+        assert [[r.seed for r in rs] for rs in together] == [[s] * 3 for s in range(4)]
+        ttis = [sum(e.ttis for e in rs[-1].episodes) for rs in together]
+        assert len(set(ttis)) > 1  # the dqn learners left at different ticks
+        for seed, results in enumerate(together):
+            for got, want in zip(results, run_seed(KNOWN_AGENTS, 2, seed, cfg), strict=True):
+                assert_same_run(got, want)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_random_and_fifo_share_one_pass_at_default_rates(self, seed):

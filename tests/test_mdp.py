@@ -18,7 +18,7 @@ from sonsim.mdp import (ACTION_CLEARS, CLEAR_ACTION_FOR, EpisodeConfig,
                         MdpAction, MdpState, RewardSchedule, SonEnv,
                         alarm_reward, encode_state, transition)
 from sonsim.radio import ClusterConfig
-from sonsim.runner import run_episodes
+from sonsim.runner import run_lockstep
 
 
 def reward_oracle(prev, cur, r=(-1.0, 0.0, 1.0, 5.0)):
@@ -361,7 +361,7 @@ class TestDropRadio:
             e.step = step
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows)
-            episodes = [run_episodes(pairs, ep) for ep in range(4)]
+            episodes = list(zip(*run_lockstep(pairs, range(4))))
             mdp.drop_radio(env, [(history, trace) for runs in episodes
                                  for _, trace, history in runs])
         for ep, runs in enumerate(episodes):
