@@ -155,8 +155,6 @@ class LearnerStack:
                for s, learner in zip(stacks, learners)]
         if any(k != key[0] for k in key):
             raise ValueError("learners of one stack must be alike")
-        if any(s._waiting != len(s.memories) for s in stacks):
-            raise ValueError("learners change stacks only between TTIs")
 
         def rows(arrays):
             return np.stack(arrays) if len(arrays) > 1 else arrays[0].copy()
@@ -167,6 +165,14 @@ class LearnerStack:
                               state.step_count, state.learning_rate)
         cls(learners, rows([learner.flat for learner in learners]), opt_state,
             stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size)
+
+    @classmethod
+    def leave(cls, leaving, staying) -> None:
+        """Take the learners ``leaving`` out of the stack they share with
+        ``staying``, between TTIs: each into a stack of its own, and the
+        others on together."""
+        for group in [staying] * bool(staying) + [[learner] for learner in leaving]:
+            cls.of(group)
 
     def state_pass(self) -> list[np.ndarray]:
         """Every layer's output for all three states, (A, 3, ·) past the
@@ -200,7 +206,7 @@ class LearnerStack:
         targets = compute_targets(acts[-1], rewards, next_rows, terminals, self.gamma)
         acts = [ALL_STATES[states]] + [a[rows] for a in acts]
         grads = backward(self.params, acts[0], actions, targets, acts=acts)
-        grads = np.concatenate([g.reshape(*states.shape[:-1], -1) for g in grads], axis=-1)
+        grads = np.concatenate([g.reshape(*self.flat.shape[:-1], -1) for g in grads], axis=-1)
         self.flat, self.opt_state = adam_step(self.flat, grads / states.shape[-1],
                                               self.opt_state)
         self.params = layer_views(self.flat, self.layer_sizes)

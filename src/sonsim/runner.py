@@ -69,10 +69,9 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
         if leaving:
             running = [p for p in running if p not in leaving]
             left = [p.agent for p in leaving if isinstance(p.agent, DqnAgent)]
-            if left:  # each into a stack of its own, the others on together
-                staying = [p.agent for p in running if isinstance(p.agent, DqnAgent)]
-                for group in [staying] * bool(staying) + [[learner] for learner in left]:
-                    LearnerStack.of(group)
+            if left:
+                LearnerStack.leave(left, [p.agent for p in running
+                                          if isinstance(p.agent, DqnAgent)])
     return out
 
 
