@@ -150,20 +150,18 @@ class LearnerStack:
         stacks = [learner.stack for learner in learners]
         if len(learners) == 1 and len(stacks[0].memories) == 1:
             return
-        key = [(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
-                s.opt_state.learning_rate, len(learner.memory))
-               for s, learner in zip(stacks, learners)]
-        if any(k != key[0] for k in key):
+        if len({(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
+                 s.opt_state.learning_rate, len(learner.memory))
+                for s, learner in zip(stacks, learners)}) > 1:
             raise ValueError("learners of one stack must be alike")
 
         def rows(arrays):
             return np.stack(arrays) if len(arrays) > 1 else arrays[0].copy()
 
-        state = stacks[0].opt_state
-        opt_state = AdamState(rows([s.opt_state.m[l.index] for s, l in zip(stacks, learners)]),
-                              rows([s.opt_state.v[l.index] for s, l in zip(stacks, learners)]),
-                              state.step_count, state.learning_rate)
-        cls(learners, rows([learner.flat for learner in learners]), opt_state,
+        states = [learner.opt_state for learner in learners]
+        cls(learners, rows([learner.flat for learner in learners]),
+            AdamState(rows([s.m for s in states]), rows([s.v for s in states]),
+                      states[0].step_count, states[0].learning_rate),
             stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size)
 
     @classmethod
@@ -171,8 +169,10 @@ class LearnerStack:
         """Take the learners ``leaving`` out of the stack they share with
         ``staying``, between TTIs: each into a stack of its own, and the
         others on together."""
-        for group in [staying] * bool(staying) + [[learner] for learner in leaving]:
-            cls.of(group)
+        if staying:
+            cls.of(staying)
+        for learner in leaving:
+            cls.of([learner])
 
     def state_pass(self) -> list[np.ndarray]:
         """Every layer's output for all three states, (A, 3, ·) past the

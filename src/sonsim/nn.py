@@ -52,7 +52,7 @@ def layer_views(flat: np.ndarray, layer_sizes) -> list[np.ndarray]:
     :func:`flatten` lays out the list; a stack of vectors (A, P) gives a
     stack of networks, each parameter (A, 1, ...)."""
     views: list[np.ndarray] = []
-    lead, pos = flat.shape[:-1] + (1,) * (flat.ndim - 1), 0
+    lead, pos = (len(flat), 1) if flat.ndim == 2 else (), 0
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         views.append(flat[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
         pos += fan_in * fan_out
