@@ -339,6 +339,9 @@ setting = st.tuples(st.sampled_from(KEYS + ["cluster.nope", "nosection", ""]),
                     st.sampled_from(["=", " = "]), values,
                     st.sampled_from(["", "  # note"])).map("".join)
 other_line = st.sampled_from(["", "# comment", "no equals sign"]) | st.text(max_size=20)
+# settings three times as often as other lines: a line that does not parse
+# ends the text's checks there, so texts that reach the checks over the
+# whole configuration need few of them
 config_text = st.lists(st.one_of(setting, setting, setting, other_line),
                        max_size=5).map("\n".join)
 
