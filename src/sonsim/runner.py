@@ -35,15 +35,12 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
     agent) pair of ``pairs`` and return, per pair and episode, a summary,
     the per-TTI trace and the register history.
 
-    The pairs' dqn learners train as one ``LearnerStack``, which a learner
-    leaves with its pair.  Each tick every pair still running advances: a
-    pair whose learner shares its stack by one TTI, so that the stack's
-    learners store their transitions together and update once, and any
-    other pair to the end of its episode, its TTIs back to back (stepped
-    between other pairs' TTIs they run slower).  A pair whose episode ended
-    starts its next one on the next tick, and a pair leaves after its last.
-    So every pair runs its own episodes in order.  The traces' radio
-    columns stay None until ``mdp.drop_radio`` fills them from the
+    Each tick every pair still running advances one TTI; a pair whose
+    episode ended starts its next one on the next tick, and a pair leaves
+    after its last.  So every pair runs its own episodes in order, and the
+    pairs' dqn learners, each storing one transition per tick, train as one
+    ``LearnerStack``, which a learner leaves with its pair.  The traces'
+    radio columns stay None until ``mdp.drop_radio`` fills them from the
     histories.
     """
     running = [_Pair(env, agent) for env, agent in pairs]
@@ -53,24 +50,18 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
         LearnerStack.of(learners)
     while running:
         for pair in running:
-            env, agent, rows = pair.env, pair.agent, pair.rows
-            if rows is None:
+            env, agent = pair.env, pair.agent
+            if pair.rows is None:
                 pair.state = env.reset(episodes[len(pair.done)])
                 agent.begin_episode()
                 pair.total, pair.rows = 0.0, []
-                rows = pair.rows
-            waits = isinstance(agent, DqnAgent) and len(agent.stack.memories) > 1
             state = pair.state
-            while True:
-                action = agent.act(state, env)
-                next_state, reward, terminal, obs = env.step(action)
-                agent.observe(state, action, reward, next_state, terminal, obs)
-                pair.total += reward
-                rows.append((int(state), int(action), reward, obs["alarm_count"]))
-                state = next_state
-                if terminal or waits:
-                    break
-            pair.state = state
+            action = agent.act(state, env)
+            next_state, reward, terminal, obs = env.step(action)
+            agent.observe(state, action, reward, next_state, terminal, obs)
+            pair.total += reward
+            pair.rows.append((int(state), int(action), reward, obs["alarm_count"]))
+            pair.state = next_state
             if terminal:
                 pair.done.append(_finish(pair))
                 pair.rows = None
