@@ -15,6 +15,12 @@ from .mdp import ConfigError, EpisodeConfig, RewardSchedule
 from .radio import MAX_UES_PER_CELL, ClusterConfig
 
 KNOWN_AGENTS = ("random", "fifo", "dqn")
+# The widest hidden layer and the largest replay batch.  A learner's update
+# holds its batch's per-row outer products, (batch, width + 1, width)
+# floats: at most 33.8 MB a learner here (4.8 kB at the defaults), one per
+# seed in a stack.
+MAX_HIDDEN_WIDTH = 128
+MAX_BATCH_SIZE = 256
 
 
 @dataclass
@@ -30,10 +36,10 @@ class MlConfig:
     epsilon_min: float = 0.01
 
     def __post_init__(self):
-        if self.hidden_width < 1:
-            raise ConfigError("ml.hidden_width must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("ml.batch_size must be at least 1")
+        if not 1 <= self.hidden_width <= MAX_HIDDEN_WIDTH:
+            raise ConfigError(f"ml.hidden_width must be in 1..{MAX_HIDDEN_WIDTH}")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ConfigError(f"ml.batch_size must be in 1..{MAX_BATCH_SIZE}")
         if self.replay_capacity < 1:
             raise ConfigError("ml.replay_capacity must be at least 1")
         if not 0.0 <= self.epsilon <= 1.0:

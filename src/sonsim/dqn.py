@@ -9,9 +9,11 @@ of the backward pass.  The network is row-independent, so this is
 bit-identical to evaluating each row on its own.
 
 Learners that take their TTIs in lockstep train as one ``LearnerStack``:
-their parameters and optimizer moments are rows of (A, P) arrays, and
-each tick one state pass, one target computation, one backward pass and
-one Adam step serve them all.  A lone learner is a stack of one.
+their parameters and optimizer moments are rows of (A, P) arrays and
+their replay columns rows of (A, size) arrays, and each tick one gather
+per replay column, one state pass, one target computation, one backward
+pass and one Adam step serve them all; only the sample's rows are drawn
+learner by learner.  A lone learner is a stack of one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class ReplayMemory:
     """Bounded FIFO store of transitions; oldest evicted first.
 
     A ring of five columns (state, action, reward, next state, terminal)
-    that grow as they fill, up to ``capacity`` rows.
+    that grow as they fill, up to ``capacity`` rows.  In a ``LearnerStack``
+    of several learners the columns are views of the stack's rows.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -44,12 +47,18 @@ class ReplayMemory:
         self._len = 0
         self._head = 0    # row of the oldest transition
 
+    def next_size(self) -> int:
+        """The ring's size for the next push: doubled, to at least 64 and at
+        most ``capacity`` rows, when it is full below capacity."""
+        size = len(self._columns[0])
+        return min(self.capacity, max(64, 2 * size)) if self._len == size < self.capacity \
+            else size
+
     def push(self, state, action, reward, next_state, terminal) -> None:
         if self._len < self.capacity:
             i = self._len
-            if i == len(self._columns[0]):
-                size = min(self.capacity, max(64, 2 * i))
-                self._columns = tuple(np.resize(c, size) for c in self._columns)
+            if i == len(self._columns[0]):  # never in a stack of several: it grows them
+                self._columns = tuple(_resized(c, self.next_size()) for c in self._columns)
             self._len += 1
         else:
             i = self._head
@@ -60,17 +69,33 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._len
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
-        """Uniform sample without replacement, as the five columns; fewer
-        entries than the batch size means every entry is used, oldest
-        first."""
+    def rows(self, rngs, batch_size: int) -> np.ndarray:
+        """Ring rows of a uniform sample without replacement, drawn from
+        the generator ``rngs``, or one row of them per generator of a list;
+        fewer entries than the batch size means every entry, oldest first."""
         n = self._len
         if n <= batch_size:
             rows = np.arange(n)
+        elif isinstance(rngs, np.random.Generator):
+            rows = rngs.choice(n, size=batch_size, replace=False)
         else:
-            rows = rng.choice(n, size=batch_size, replace=False)
-        rows = (rows + self._head) % n
+            rows = np.stack([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
+        return (rows + self._head) % n
+
+    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
+        """The five columns at the :meth:`rows` of one sample."""
+        rows = self.rows(rng, batch_size)
         return tuple(c[rows] for c in self._columns)
+
+
+def _resized(column: np.ndarray, size: int) -> np.ndarray:
+    """``column`` with ``size`` values along its last axis: itself when it
+    has as many, else a new array holding its values first."""
+    if column.shape[-1] == size:
+        return column
+    out = np.empty(column.shape[:-1] + (size,), column.dtype)
+    out[..., :column.shape[-1]] = column
+    return out
 
 
 @dataclass
@@ -110,22 +135,25 @@ class LearnerStack:
     """Learners with one network shape and one set of hyperparameters,
     trained side by side.  Several learners' parameters and Adam moments
     are rows of (A, P) arrays and ``params`` per-layer views with a
-    leading learner axis; a lone learner's are its own (P,) vector and
-    layers, with no learner axis.  A learner's ``index`` into the stack's
-    arrays is (i,) for row i, or () when alone; ``memories`` and ``rngs``
-    hold each learner's replay memory and generator, in row order.
+    leading learner axis, and their replay memories' five columns are
+    views of rows of the stack's (A, size) arrays; a lone learner's are its
+    own (P,) vector, layers and (size,) ring, with no learner axis.  A
+    learner's ``index`` into the stack's arrays is (i,) for row i, or ()
+    when alone; ``memories`` and ``rngs`` hold each learner's replay memory
+    and generator, in row order.
 
     Every learner stores one transition per TTI, so all hold the same
-    number, sample batches of one size and share one Adam step count.  Once
-    each has stored this TTI's (``observed``), one update serves all: each
-    learner samples its own memory with its own generator, in row order,
-    and the targets, backward pass and Adam step run over the learner
-    axis.  Every operation is elementwise or row by row across learners,
-    so each row gets the bits it gets alone.
+    number from the same head, sample batches of one size and share one
+    Adam step count.  Once each has stored this TTI's (``observed``), one
+    update serves all: each learner's generator draws its sample's rows,
+    in row order, one gather per column takes every batch, and the
+    targets, backward pass and Adam step run over the learner axis.  Every
+    operation is elementwise or row by row across learners, so each row
+    gets the bits it gets alone.
     """
 
     def __init__(self, learners, flat: np.ndarray, opt_state: AdamState,
-                 layer_sizes, gamma: float, batch_size: int):
+                 layer_sizes, gamma: float, batch_size: int, ring=None):
         self.flat = flat
         self.params = layer_views(flat, layer_sizes)
         self.opt_state = opt_state
@@ -136,10 +164,17 @@ class LearnerStack:
         self.rngs = [learner.rng for learner in learners]
         self._acts = None     # every state's layer outputs under params
         self._waiting = len(learners)  # learners yet to store this TTI's
+        self._learners = np.arange(len(learners))[:, None]
         # each learner's first row in the state pass taken as (A * 3, ·) rows
-        self._first_row = NUM_STATES * np.arange(len(learners))[:, None]
+        self._first_row = NUM_STATES * self._learners
         for row, learner in enumerate(learners):
             learner.stack, learner.index = self, (row,) if flat.ndim == 2 else ()
+        self._ring = None     # the replay columns' (A, size) rows, when several
+        if flat.ndim == 2:
+            self._share(ring)
+            self._reserve()
+        elif ring is not None:
+            self.memories[0]._columns = tuple(ring)
 
     @classmethod
     def of(cls, learners) -> None:
@@ -150,19 +185,23 @@ class LearnerStack:
         stacks = [learner.stack for learner in learners]
         if len(learners) == 1 and len(stacks[0].memories) == 1:
             return
+        memories = [learner.memory for learner in learners]
         if len({(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
-                 s.opt_state.learning_rate, len(learner.memory))
-                for s, learner in zip(stacks, learners)}) > 1:
+                 s.opt_state.learning_rate, m.capacity, len(m), m._head)
+                for s, m in zip(stacks, memories)}) > 1:
             raise ValueError("learners of one stack must be alike")
 
         def rows(arrays):
             return np.stack(arrays) if len(arrays) > 1 else arrays[0].copy()
 
+        size = max(len(m._columns[0]) for m in memories)
         states = [learner.opt_state for learner in learners]
         cls(learners, rows([learner.flat for learner in learners]),
             AdamState(rows([s.m for s in states]), rows([s.v for s in states]),
                       states[0].step_count, states[0].learning_rate),
-            stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size)
+            stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size,
+            [rows([_resized(c, size) for c in column])
+             for column in zip(*(m._columns for m in memories))])
 
     @classmethod
     def leave(cls, leaving, staying) -> None:
@@ -173,6 +212,20 @@ class LearnerStack:
             cls.of(staying)
         for learner in leaving:
             cls.of([learner])
+
+    def _share(self, ring) -> None:
+        """Hold the replay columns ``ring`` as (A, size) rows, each learner's
+        memory viewing its row."""
+        self._ring = tuple(ring)
+        for row, memory in enumerate(self.memories):
+            memory._columns = tuple(c[row] for c in self._ring)
+
+    def _reserve(self) -> None:
+        """Grow the replay rows before the pushes that fill them, to the
+        size each learner's own ring would grow to."""
+        size = self.memories[0].next_size()
+        if size != self._ring[0].shape[-1]:
+            self._share(_resized(c, size) for c in self._ring)
 
     def state_pass(self) -> list[np.ndarray]:
         """Every layer's output for all three states, (A, 3, ·) past the
@@ -193,16 +246,19 @@ class LearnerStack:
         whole stack's batches in one backward pass over rows of the state
         pass.  Targets are computed before the update, from the parameters
         as they stood at the start of this TTI."""
-        batches = [memory.sample(rng, self.batch_size)
-                   for memory, rng in zip(self.memories, self.rngs)]
-        acts = self.state_pass()[1:]
-        if len(batches) == 1:
-            states, actions, rewards, next_states, terminals = batches[0]
+        memory, acts = self.memories[0], self.state_pass()[1:]
+        if self._ring is None:
+            states, actions, rewards, next_states, terminals = memory.sample(
+                self.rngs[0], self.batch_size)
             rows, next_rows = states, next_states
-        else:  # the state pass as rows of every (learner, state) pair
-            states, actions, rewards, next_states, terminals = map(np.stack, zip(*batches))
+        else:  # every ring holds as many transitions from the same head
+            ring_rows = memory.rows(self.rngs, self.batch_size)
+            states, actions, rewards, next_states, terminals = (
+                c[self._learners, ring_rows] for c in self._ring)
+            # the state pass as rows of every (learner, state) pair
             rows, next_rows = states + self._first_row, next_states + self._first_row
             acts = [a.reshape(-1, a.shape[-1]) for a in acts]
+            self._reserve()
         targets = compute_targets(acts[-1], rewards, next_rows, terminals, self.gamma)
         acts = [ALL_STATES[states]] + [a[rows] for a in acts]
         grads = backward(self.params, acts[0], actions, targets, acts=acts)
@@ -216,7 +272,8 @@ class LearnerStack:
 class DqnAgent:
     """One training run's learner: its generator, exploration schedule and
     replay memory, and its ``index`` into ``stack``, which holds its network
-    parameters and optimizer state (``flat``, ``params``, ``opt_state``).
+    parameters and optimizer state (``flat``, ``params``, ``opt_state``)
+    and, while other learners share it, its replay memory's columns.
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,

@@ -13,7 +13,9 @@ and ``layer_views`` gives each parameter a leading axis of A and one of 1
 to broadcast over a network's batch rows: W of shape (A, 1, fan_in,
 fan_out), b of (A, 1, fan_out).  ``forward`` and ``backward`` then take a
 batch per network (A, B, in), or one batch for all (B, in), and each
-network's rows get the bits they get alone.
+network's rows get the bits they get alone.  The backward pass forms
+every row's outer products in one ``einsum`` per layer and sums them row
+by row, so a batch's gradient is a running sum of its rows' gradients.
 """
 
 from __future__ import annotations
@@ -109,12 +111,15 @@ def backward(params: list[np.ndarray], x, action_index, target,
     # a row's gradient has two or more elements, so numpy sums the rows of
     # a batch one after another (a one-element row would be summed
     # pairwise); starting from -0.0, the exact additive identity, keeps the
-    # sign of a zero as a running sum of single rows gives it.
+    # sign of a zero as a running sum of single rows gives it.  einsum
+    # forms each row's outer product with one rounded multiply an element,
+    # but writes +0.0 where a multiply gives -0.0; that sign can reach a
+    # zero gradient, never a parameter (``adam_step``).
     ones = np.ones(q.shape[:-1] + (1,))
     grads: list[np.ndarray] = [np.empty(0)] * len(params)
     for i in reversed(range(len(params) // 2)):
         inputs = np.concatenate((acts[i], ones), axis=-1)
-        g = (inputs[..., :, None] * delta[..., None, :]).sum(axis=-3, initial=-0.0)
+        g = np.einsum("...j,...k->...jk", inputs, delta).sum(axis=-3, initial=-0.0)
         grads[2 * i], grads[2 * i + 1] = g[..., :-1, :], g[..., -1, :]
         if i > 0:
             delta = (params[2 * i] @ delta[..., None])[..., 0] * (acts[i] > 0)
@@ -147,6 +152,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     the heap enough to raise a run's peak memory.  Returns a fresh parameter
     vector (the input is never mutated), so a held reference to the old one
     remains a valid pre-update snapshot.
+
+    The sign of a zero gradient moves no parameter: it can only flip the
+    sign of a zero step, and p - (+0.0) and p - (-0.0) differ only for
+    p = -0.0, which no parameter is (``init_params`` draws none, and a
+    difference is -0.0 only when its left side is).
     """
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -162,8 +172,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
 
 def save_params(params: np.ndarray, layer_sizes, path) -> None:
     """Write a flat parameter vector as text, one value per line, with a
-    header recording the layer sizes."""
-    np.savetxt(path, params, header="layers " + " ".join(str(s) for s in layer_sizes))
+    header recording the layer sizes: the bytes of ``np.savetxt`` with
+    that header, in one write."""
+    with open(path, "w") as fh:
+        fh.write("# layers " + " ".join(str(s) for s in layer_sizes) + "\n"
+                 + ("%.18e\n" * len(params)) % tuple(params.tolist()))
 
 
 def load_params(path) -> list[np.ndarray]:

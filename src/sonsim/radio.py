@@ -49,6 +49,9 @@ DROP_CHUNK_ROWS = 512  # 86 KB temporaries; 1,024 rows cost 0.7 MB more peak RSS
 # peaks near 250 MB while it is built (about 1.2 kB a UE, 24 B of it kept)
 # and draws 35 MB of shadowing per episode.
 MAX_UES_PER_CELL = 10_000
+# The most sectors per site: 42 cells on seven sites, twice the default, so a
+# q = MAX_UES_PER_CELL episode's shadowing is four times the default's.
+MAX_SECTORS_PER_SITE = 6
 
 
 @dataclass
@@ -89,8 +92,8 @@ class ClusterConfig:
             raise ValueError(f"ues_per_cell must be in 1..{MAX_UES_PER_CELL:,}")
         if not 1 <= self.num_sites <= 7:
             raise ValueError("num_sites must be in 1..7 (centre plus one ring)")
-        if self.sectors_per_site < 1:
-            raise ValueError("sectors_per_site must be at least 1")
+        if not 1 <= self.sectors_per_site <= MAX_SECTORS_PER_SITE:
+            raise ValueError(f"sectors_per_site must be in 1..{MAX_SECTORS_PER_SITE}")
 
     @property
     def num_cells(self) -> int:

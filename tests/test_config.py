@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sonsim.cli import MAX_SEED_COUNT, main
-from sonsim.config import (KNOWN_AGENTS, ConfigError, ExperimentConfig, MlConfig,
-                           default_config, dump_effective_config, load_config,
-                           parse_config)
+from sonsim.config import (KNOWN_AGENTS, MAX_BATCH_SIZE, MAX_HIDDEN_WIDTH, ConfigError,
+                           ExperimentConfig, MlConfig, default_config,
+                           dump_effective_config, load_config, parse_config)
 from sonsim.faults import FaultRates
 from sonsim.mdp import MAX_EPISODES, EpisodeConfig, RewardSchedule
-from sonsim.radio import MAX_UES_PER_CELL, ClusterConfig
+from sonsim.radio import MAX_SECTORS_PER_SITE, MAX_UES_PER_CELL, ClusterConfig
 
 
 def parse(text):
@@ -199,6 +199,9 @@ class TestValues:
         (f"run.q = 10,{MAX_UES_PER_CELL + 1}", "run.q"),
         (f"episode.num_episodes = {MAX_EPISODES + 1}", "episode.num_episodes"),
         ("episode.num_episodes = " + "9" * 400, "episode.num_episodes"),
+        (f"ml.hidden_width = {MAX_HIDDEN_WIDTH + 1}", "ml.hidden_width"),
+        (f"ml.batch_size = {MAX_BATCH_SIZE + 1}", "ml.batch_size"),
+        (f"cluster.sectors_per_site = {MAX_SECTORS_PER_SITE + 1}", "sectors_per_site"),
     ])
     def test_count_past_its_bound_names_the_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
@@ -206,9 +209,13 @@ class TestValues:
 
     def test_counts_at_their_bounds_accepted(self):
         cfg = parse(f"cluster.ues_per_cell = {MAX_UES_PER_CELL}\nrun.q = {MAX_UES_PER_CELL}\n"
-                    f"episode.num_episodes = {MAX_EPISODES}\n")
+                    f"episode.num_episodes = {MAX_EPISODES}\n"
+                    f"ml.hidden_width = {MAX_HIDDEN_WIDTH}\nml.batch_size = {MAX_BATCH_SIZE}\n"
+                    f"cluster.sectors_per_site = {MAX_SECTORS_PER_SITE}\n")
         assert cfg.effective_qs() == (MAX_UES_PER_CELL,)
         assert cfg.episode.num_episodes == MAX_EPISODES
+        assert (cfg.ml.hidden_width, cfg.ml.batch_size) == (MAX_HIDDEN_WIDTH, MAX_BATCH_SIZE)
+        assert cfg.cluster.sectors_per_site == MAX_SECTORS_PER_SITE
 
     @pytest.mark.parametrize("out", ["res#1", " res", "res\t", "a\nb", "a\rb", "a\x85b", ""])
     def test_output_dir_the_file_cannot_hold_is_rejected(self, out, capsys):
@@ -265,6 +272,13 @@ def finite(lo=None, hi=None, **kw):
 positive = finite(0.0, exclude_min=True)
 counts = st.integers(1, 2**63)  # past a float's 53 bits of mantissa
 ues_per_cell = st.integers(1, MAX_UES_PER_CELL)
+# the bounded counts of the configuration, each with its largest value
+BOUNDED = {"cluster.sectors_per_site": MAX_SECTORS_PER_SITE,
+           "ml.hidden_width": MAX_HIDDEN_WIDTH, "ml.batch_size": MAX_BATCH_SIZE}
+
+
+def up_to(bound):
+    return st.integers(1, bound) | st.just(bound)
 
 
 @st.composite
@@ -275,7 +289,7 @@ def configs(draw):
     return ExperimentConfig(
         cluster=ClusterConfig(
             inter_site_distance=draw(positive), num_sites=draw(st.integers(1, 7)),
-            sectors_per_site=draw(counts), carrier_freq=draw(positive),
+            sectors_per_site=draw(up_to(MAX_SECTORS_PER_SITE)), carrier_freq=draw(positive),
             bandwidth=draw(positive), bs_tx_power=draw(finite()),
             bs_height=draw(positive), ue_height=draw(positive),
             electrical_tilt=draw(finite()), shadow_sigma=draw(finite(0.0)),
@@ -287,7 +301,8 @@ def configs(draw):
         rewards=RewardSchedule(*(draw(finite()) for _ in range(4))),
         episode=EpisodeConfig(draw(counts), draw(st.integers(1, MAX_EPISODES)),
                               draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True))),
-        ml=MlConfig(draw(counts), draw(positive), draw(counts), draw(counts),
+        ml=MlConfig(draw(up_to(MAX_HIDDEN_WIDTH)), draw(positive), draw(up_to(MAX_BATCH_SIZE)),
+                    draw(counts),
                     draw(finite(0.0, 1.0)),
                     draw(finite(0.0, 1.0, exclude_min=True)), draw(finite(0.0, 1.0))),
         azimuth_delta=draw(finite()),
@@ -319,6 +334,21 @@ class TestDumpProperty:
         assert again == replace(cfg, qs=cfg.effective_qs())
         assert dump_effective_config(again) == text
 
+    @settings(max_examples=100, deadline=None)
+    @given(configs(), st.sampled_from(sorted(BOUNDED)), st.sampled_from([0, 1]))
+    def test_bounded_count_at_and_past_its_bound(self, cfg, key, past):
+        # any valid config's dump with one bounded count set to its largest
+        # value parses to that value, and one past it names the key
+        value = BOUNDED[key] + past
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                 for line in dump_effective_config(cfg).splitlines()]
+        if past:
+            with pytest.raises(ConfigError, match=key.partition(".")[2]):
+                parse("\n".join(lines))
+        else:
+            section, _, name = key.partition(".")
+            assert getattr(getattr(parse("\n".join(lines)), section), name) == value
+
 
 # Config text: known keys (and near misses) with numbers, fractions, lists,
 # agent names and free text as values, mixed with comments, blank lines,
@@ -331,6 +361,7 @@ KEYS = ([f"{section}.{f.name}" for section, cls in (
 numbers = (st.sampled_from(["0", "1", "2", "0.5", "1/9", "5/9", "-1", "nan", "inf"])
            | st.integers(-10**30, 10**30).map(str) | st.floats().map(repr)
            | st.integers(0, 5000).map(lambda n: "9" * n)
+           | st.sampled_from(sorted({str(b + d) for b in BOUNDED.values() for d in (0, 1)}))
            | st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map("{0[0]}/{0[1]}".format))
 values = (numbers | st.lists(numbers, max_size=10).map(",".join)
           | st.lists(st.sampled_from(KNOWN_AGENTS + ("x",)), max_size=4).map(",".join)

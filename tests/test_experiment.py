@@ -215,6 +215,15 @@ class TestRunExperiment:
         assert (out / "q2" / "episodes_dqn.csv").exists()
         assert (out / "q3" / "cdf_random.csv").exists()
 
+    def test_control_loop_does_not_depend_on_q(self, tmp_path):
+        # faults, rewards, actions and learning never read the radio, so
+        # every q writes the same episode logs and weights
+        out = run_experiment(replace(tiny_config(), qs=(2, 3)), tmp_path / "res")
+        names = [f"episodes_{agent}.csv" for agent in KNOWN_AGENTS]
+        names += [f"weights_dqn_seed{seed}.txt" for seed in tiny_config().seeds]
+        for name in names:
+            assert (out / "q2" / name).read_bytes() == (out / "q3" / name).read_bytes(), name
+
     def test_episode_csv_row_count(self, tmp_path):
         out = run_experiment(tiny_config(), tmp_path / "res")
         lines = (out / "episodes_dqn.csv").read_text().strip().splitlines()

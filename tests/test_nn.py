@@ -252,6 +252,30 @@ class TestAdam:
             for got, want in [(flat, params), (state.m, m), (state.v, v)]:
                 assert got.tobytes() == flatten(want).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 6), st.integers(0, 10_000),
+           st.floats(1e-6, 1.0))
+    def test_zero_gradient_signs_move_no_parameter(self, data, size, steps, t0, lr):
+        # the backward pass's einsum products may give +0.0 where a multiply
+        # gives -0.0; flipping the sign of every zero gradient leaves the
+        # parameters' bytes as they are and the moments equal
+        values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+        vector = st.lists(values, min_size=size, max_size=size).map(np.array)
+        params = data.draw(vector) + 0.0  # no parameter is -0.0
+        m = data.draw(vector)
+        v = np.abs(data.draw(vector))
+        states = [AdamState(m.copy(), v.copy(), t0, lr) for _ in range(2)]
+        flipped = params.copy()
+        for _ in range(steps):
+            grads = data.draw(st.lists(values | st.just(0.0), min_size=size,
+                                       max_size=size).map(np.array))
+            params, states[0] = adam_step(params, grads, states[0])
+            flipped, states[1] = adam_step(flipped, np.where(grads == 0, -grads, grads),
+                                           states[1])
+            assert params.tobytes() == flipped.tobytes()
+            assert np.array_equal(states[0].m, states[1].m)
+            assert states[0].v.tobytes() == states[1].v.tobytes()
+
     def test_training_decreases_loss_on_fixed_batch(self):
         rng = np.random.default_rng(6)
         params = init_params(rng=rng)
