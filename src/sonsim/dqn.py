@@ -57,7 +57,7 @@ class ReplayMemory:
     def push(self, state, action, reward, next_state, terminal) -> None:
         if self._len < self.capacity:
             i = self._len
-            if i == len(self._columns[0]):  # never in a stack of several: it grows them
+            if i == len(self._columns[0]):  # a stack of several grows its rows first
                 self._columns = tuple(_resized(c, self.next_size()) for c in self._columns)
             self._len += 1
         else:
