@@ -174,9 +174,7 @@ def _assign(key: str, value: str, sections, values, top) -> None:
         if unknown:
             raise ValueError(f"unknown agent(s) {unknown}; know {KNOWN_AGENTS}")
         top[key] = agents
-    elif key == "run.seeds":
-        top[key] = tuple(_parse_int(v) for v in _split_list(value))
-    elif key == "run.q":
+    elif key in ("run.seeds", "run.q"):
         top[key] = tuple(_parse_int(v) for v in _split_list(value))
     elif key == "run.output_dir":
         top[key] = value

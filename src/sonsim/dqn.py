@@ -8,12 +8,13 @@ values, every target's next-state maximum and, row by row, the activations
 of the backward pass.  The network is row-independent, so this is
 bit-identical to evaluating each row on its own.
 
-Learners that take their TTIs in lockstep train as one ``LearnerStack``:
-their parameters and optimizer moments are rows of (A, P) arrays and
-their replay columns rows of (A, size) arrays, and each tick one gather
-per replay column, one state pass, one target computation, one backward
-pass and one Adam step serve them all; only the sample's rows are drawn
-learner by learner.  A lone learner is a stack of one.
+Every learner is a row of a ``LearnerStack``: its parameters and
+optimizer moments are rows of (A, P) arrays and its replay columns rows of
+(A, size) arrays, and each tick one gather per replay column, one state
+pass, one target computation, one backward pass and one Adam step serve
+every learner that takes its TTIs in lockstep with it; only the sample's
+rows are drawn learner by learner.  A lone learner is a stack of one, with
+a learner axis of 1.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class ReplayMemory:
     """Bounded FIFO store of transitions; oldest evicted first.
 
     A ring of five columns (state, action, reward, next state, terminal)
-    that grow as they fill, up to ``capacity`` rows.  In a ``LearnerStack``
-    of several learners the columns are views of the stack's rows.
+    that grow as they fill, up to ``capacity`` rows.  A learner's memory
+    views its row of its ``LearnerStack``'s columns, which the stack grows
+    before the pushes that fill them.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -57,7 +59,7 @@ class ReplayMemory:
     def push(self, state, action, reward, next_state, terminal) -> None:
         if self._len < self.capacity:
             i = self._len
-            if i == len(self._columns[0]):  # a stack of several grows its rows first
+            if i == len(self._columns[0]):  # a stack grows its rows first
                 self._columns = tuple(_resized(c, self.next_size()) for c in self._columns)
             self._len += 1
         else:
@@ -70,21 +72,19 @@ class ReplayMemory:
         return self._len
 
     def rows(self, rngs, batch_size: int) -> np.ndarray:
-        """Ring rows of a uniform sample without replacement, drawn from
-        the generator ``rngs``, or one row of them per generator of a list;
-        fewer entries than the batch size means every entry, oldest first."""
+        """Ring rows of a uniform sample without replacement, one row of
+        them drawn from each generator of ``rngs``; fewer entries than the
+        batch size means every entry, oldest first, as one row."""
         n = self._len
         if n <= batch_size:
             rows = np.arange(n)
-        elif isinstance(rngs, np.random.Generator):
-            rows = rngs.choice(n, size=batch_size, replace=False)
         else:
-            rows = np.stack([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
+            rows = np.array([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
         return (rows + self._head) % n
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
-        """The five columns at the :meth:`rows` of one sample."""
-        rows = self.rows(rng, batch_size)
+        """The five columns at the :meth:`rows` of one sample from ``rng``."""
+        rows = self.rows([rng], batch_size).ravel()
         return tuple(c[rows] for c in self._columns)
 
 
@@ -127,20 +127,18 @@ def compute_targets(q: np.ndarray, reward, next_state, terminal,
     transitions, otherwise reward + gamma * max value of the next state.
     ``q`` holds every state's values (one row each) under the snapshot
     parameters from before this TTI's update, and ``next_state`` indexes
-    its rows."""
-    return np.where(terminal, reward, reward + gamma * q.max(axis=1)[next_state])
+    its rows (for a stack of networks, a (learner, state) index pair)."""
+    return np.where(terminal, reward, reward + gamma * q.max(axis=-1)[next_state])
 
 
 class LearnerStack:
     """Learners with one network shape and one set of hyperparameters,
-    trained side by side.  Several learners' parameters and Adam moments
-    are rows of (A, P) arrays and ``params`` per-layer views with a
-    leading learner axis, and their replay memories' five columns are
-    views of rows of the stack's (A, size) arrays; a lone learner's are its
-    own (P,) vector, layers and (size,) ring, with no learner axis.  A
-    learner's ``index`` into the stack's arrays is (i,) for row i, or ()
-    when alone; ``memories`` and ``rngs`` hold each learner's replay memory
-    and generator, in row order.
+    trained side by side.  Their parameters and Adam moments are rows of
+    (A, P) arrays and ``params`` per-layer views with a leading learner
+    axis, and their replay memories' five columns are views of rows of the
+    stack's (A, size) arrays; a lone learner is a stack with A = 1.  A
+    learner's ``index`` is its row; ``memories`` and ``rngs`` hold each
+    learner's replay memory and generator, in row order.
 
     Every learner stores one transition per TTI, so all hold the same
     number from the same head, sample batches of one size and share one
@@ -153,7 +151,7 @@ class LearnerStack:
     """
 
     def __init__(self, learners, flat: np.ndarray, opt_state: AdamState,
-                 layer_sizes, gamma: float, batch_size: int, ring=None):
+                 layer_sizes, gamma: float, batch_size: int, ring):
         self.flat = flat
         self.params = layer_views(flat, layer_sizes)
         self.opt_state = opt_state
@@ -165,16 +163,10 @@ class LearnerStack:
         self._acts = None     # every state's layer outputs under params
         self._waiting = len(learners)  # learners yet to store this TTI's
         self._learners = np.arange(len(learners))[:, None]
-        # each learner's first row in the state pass taken as (A * 3, ·) rows
-        self._first_row = NUM_STATES * self._learners
         for row, learner in enumerate(learners):
-            learner.stack, learner.index = self, (row,) if flat.ndim == 2 else ()
-        self._ring = None     # the replay columns' (A, size) rows, when several
-        if flat.ndim == 2:
-            self._share(ring)
-            self._reserve()
-        elif ring is not None:
-            self.memories[0]._columns = tuple(ring)
+            learner.stack, learner.index = self, row
+        self._share(ring)
+        self._reserve()
 
     @classmethod
     def of(cls, learners) -> None:
@@ -190,17 +182,13 @@ class LearnerStack:
                  s.opt_state.learning_rate, m.capacity, len(m), m._head)
                 for s, m in zip(stacks, memories)}) > 1:
             raise ValueError("learners of one stack must be alike")
-
-        def rows(arrays):
-            return np.stack(arrays) if len(arrays) > 1 else arrays[0].copy()
-
         size = max(len(m._columns[0]) for m in memories)
         states = [learner.opt_state for learner in learners]
-        cls(learners, rows([learner.flat for learner in learners]),
-            AdamState(rows([s.m for s in states]), rows([s.v for s in states]),
+        cls(learners, np.stack([learner.flat for learner in learners]),
+            AdamState(np.stack([s.m for s in states]), np.stack([s.v for s in states]),
                       states[0].step_count, states[0].learning_rate),
             stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size,
-            [rows([_resized(c, size) for c in column])
+            [np.stack([_resized(c, size) for c in column])
              for column in zip(*(m._columns for m in memories))])
 
     @classmethod
@@ -246,23 +234,18 @@ class LearnerStack:
         whole stack's batches in one backward pass over rows of the state
         pass.  Targets are computed before the update, from the parameters
         as they stood at the start of this TTI."""
-        memory, acts = self.memories[0], self.state_pass()[1:]
-        if self._ring is None:
-            states, actions, rewards, next_states, terminals = memory.sample(
-                self.rngs[0], self.batch_size)
-            rows, next_rows = states, next_states
-        else:  # every ring holds as many transitions from the same head
-            ring_rows = memory.rows(self.rngs, self.batch_size)
-            states, actions, rewards, next_states, terminals = (
-                c[self._learners, ring_rows] for c in self._ring)
-            # the state pass as rows of every (learner, state) pair
-            rows, next_rows = states + self._first_row, next_states + self._first_row
-            acts = [a.reshape(-1, a.shape[-1]) for a in acts]
-            self._reserve()
-        targets = compute_targets(acts[-1], rewards, next_rows, terminals, self.gamma)
-        acts = [ALL_STATES[states]] + [a[rows] for a in acts]
+        # every ring holds as many transitions from the same head; one take
+        # per column gathers them at their offsets into the (A, size) rows
+        at = self.memories[0].rows(self.rngs, self.batch_size) \
+            + self._learners * self._ring[0].shape[-1]
+        states, actions, rewards, next_states, terminals = (c.take(at) for c in self._ring)
+        self._reserve()
+        acts = self.state_pass()
+        targets = compute_targets(acts[-1], rewards, (self._learners, next_states),
+                                  terminals, self.gamma)
+        acts = [ALL_STATES[states]] + [a[self._learners, states] for a in acts[1:]]
         grads = backward(self.params, acts[0], actions, targets, acts=acts)
-        grads = np.concatenate([g.reshape(*self.flat.shape[:-1], -1) for g in grads], axis=-1)
+        grads = np.concatenate([g.reshape(len(self.flat), -1) for g in grads], axis=-1)
         self.flat, self.opt_state = adam_step(self.flat, grads / states.shape[-1],
                                               self.opt_state)
         self.params = layer_views(self.flat, self.layer_sizes)
@@ -271,9 +254,9 @@ class LearnerStack:
 
 class DqnAgent:
     """One training run's learner: its generator, exploration schedule and
-    replay memory, and its ``index`` into ``stack``, which holds its network
-    parameters and optimizer state (``flat``, ``params``, ``opt_state``)
-    and, while other learners share it, its replay memory's columns.
+    replay memory, and its row ``index`` of ``stack``, which holds its
+    network parameters, optimizer state and replay memory's columns
+    (``flat``, ``params`` and ``opt_state`` are views of its row).
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,
@@ -284,9 +267,10 @@ class DqnAgent:
         self.memory = memory if memory is not None else ReplayMemory()
         self.schedule = schedule if schedule is not None else ExplorationSchedule()
         self.rng = rng
-        flat = flatten(params)
+        flat = flatten(params)[None]
         LearnerStack([self], flat, AdamState.for_params(flat, learning_rate),
-                     layer_sizes_of(params), gamma, batch_size)
+                     layer_sizes_of(params), gamma, batch_size,
+                     [c[None] for c in self.memory._columns])
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -310,7 +294,7 @@ class DqnAgent:
         self.schedule = decay_epsilon(self.schedule)
 
     def act(self, state: MdpState, env) -> MdpAction:
-        return select_action(self.stack.state_pass()[-1][self.index + (state,)],
+        return select_action(self.stack.state_pass()[-1][self.index, state],
                              self.schedule, self.rng)
 
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:

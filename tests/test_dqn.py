@@ -387,12 +387,14 @@ class TestLearnerStack:
                                                             max_size=6),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(num=3, batch_size=4, capacity=5, lifetimes=[12, 3, 30, 1, 1, 1], seed=7)
+    @example(num=1, batch_size=4, capacity=5, lifetimes=[12, 1, 1, 1, 1, 1], seed=7)
     def test_stack_matches_per_sample_oracles(self, num, batch_size, capacity,
                                               lifetimes, seed):
         # learners of one stack act and learn as each learner alone, one
         # experience at a time, would: the same actions, parameters,
         # moments, step counts and generator states, bit for bit, also after
-        # others left the stack at other ticks
+        # others left the stack at other ticks; tobytes() is blind to shape,
+        # so the shapes are checked on their own
         schedule = ExplorationSchedule(0.5, 1.0, 0.0)
         learners, oracles = [], []
         for i in range(num):
@@ -421,6 +423,10 @@ class TestLearnerStack:
             if left:
                 LearnerStack.leave(left, [learners[i] for i in running])
         for learner, oracle, ticks in zip(learners, oracles, lifetimes):
+            assert learner.flat.shape == flatten(oracle.params).shape
+            assert [a.shape for a in learner.params] == [b.shape for b in oracle.params]
+            assert learner.opt_state.m.shape == learner.opt_state.v.shape \
+                == oracle.opt_state.m.shape == oracle.opt_state.v.shape
             assert all(a.tobytes() == b.tobytes() for a, b in zip(learner.params, oracle.params))
             assert learner.opt_state.m.tobytes() == oracle.opt_state.m.tobytes()
             assert learner.opt_state.v.tobytes() == oracle.opt_state.v.tobytes()
@@ -438,4 +444,4 @@ class TestLearnerStack:
             LearnerStack.of([a, b])
         b.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
         LearnerStack.of([a, b])
-        assert a.stack is b.stack and (a.index, b.index) == ((0,), (1,))
+        assert a.stack is b.stack and (a.index, b.index) == (0, 1)
