@@ -36,20 +36,17 @@ class MlConfig:
     epsilon_min: float = 0.01
 
     def __post_init__(self):
-        if not 1 <= self.hidden_width <= MAX_HIDDEN_WIDTH:
-            raise ConfigError(f"ml.hidden_width must be in 1..{MAX_HIDDEN_WIDTH}")
-        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
-            raise ConfigError(f"ml.batch_size must be in 1..{MAX_BATCH_SIZE}")
-        if self.replay_capacity < 1:
-            raise ConfigError("ml.replay_capacity must be at least 1")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("ml.epsilon must be in [0, 1]")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError("ml.learning_rate must be finite and above 0")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ConfigError("ml.epsilon_decay must be in (0, 1]")
-        if not 0.0 <= self.epsilon_min <= 1.0:
-            raise ConfigError("ml.epsilon_min must be in [0, 1]")
+        for name, ok, rule in (
+                ("hidden_width", 1 <= self.hidden_width <= MAX_HIDDEN_WIDTH,
+                 f"in 1..{MAX_HIDDEN_WIDTH}"),
+                ("batch_size", 1 <= self.batch_size <= MAX_BATCH_SIZE, f"in 1..{MAX_BATCH_SIZE}"),
+                ("replay_capacity", self.replay_capacity >= 1, "at least 1"),
+                ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
+                ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and above 0"),
+                ("epsilon_decay", 0.0 < self.epsilon_decay <= 1.0, "in (0, 1]"),
+                ("epsilon_min", 0.0 <= self.epsilon_min <= 1.0, "in [0, 1]")):
+            if not ok:
+                raise ConfigError(f"ml.{name} must be {rule}")
 
 
 @dataclass
@@ -189,27 +186,15 @@ def _dump_section(section: str, values) -> list[str]:
 def dump_effective_config(cfg: ExperimentConfig) -> str:
     """Render every effective value in the file format; parsing the result
     reproduces the configuration exactly."""
-    out = ["# effective configuration (all values explicit)"]
-
-    out.append("# radio environment")
-    out += _dump_section("cluster", cfg.cluster)
-
-    out.append("# fault process")
-    out.append("faults.p = " + ",".join(repr(x) for x in cfg.rates.p))
-    out.append(f"faults.azimuth_delta = {cfg.azimuth_delta!r}")
-
-    out.append("# rewards")
-    out += _dump_section("rewards", cfg.rewards)
-
-    out.append("# episodes")
-    out += _dump_section("episode", cfg.episode)
-
-    out.append("# learning")
-    out += _dump_section("ml", cfg.ml)
-
-    out.append("# runs")
-    out.append("run.agents = " + ",".join(cfg.agents))
-    out.append("run.seeds = " + ",".join(str(s) for s in cfg.seeds))
-    out.append("run.q = " + ",".join(str(q) for q in cfg.effective_qs()))
-    out.append(f"run.output_dir = {cfg.output_dir}")
+    out = ["# effective configuration (all values explicit)",
+           "# radio environment", *_dump_section("cluster", cfg.cluster),
+           "# fault process", "faults.p = " + ",".join(repr(x) for x in cfg.rates.p),
+           f"faults.azimuth_delta = {cfg.azimuth_delta!r}",
+           "# rewards", *_dump_section("rewards", cfg.rewards),
+           "# episodes", *_dump_section("episode", cfg.episode),
+           "# learning", *_dump_section("ml", cfg.ml),
+           "# runs", "run.agents = " + ",".join(cfg.agents),
+           "run.seeds = " + ",".join(str(s) for s in cfg.seeds),
+           "run.q = " + ",".join(str(q) for q in cfg.effective_qs()),
+           f"run.output_dir = {cfg.output_dir}"]
     return "\n".join(out) + "\n"

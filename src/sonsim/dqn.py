@@ -173,9 +173,10 @@ class LearnerStack:
         """Put ``learners``, taken between TTIs, in one stack with copies of
         their rows; they must be alike in shape, hyperparameters, stored
         transitions and steps (as learners of one configuration that have
-        run the same number of TTIs are).  A learner alone stays put."""
+        run the same number of TTIs are).  No learner, or a learner alone
+        in its stack, stays put."""
         stacks = [learner.stack for learner in learners]
-        if len(learners) == 1 and len(stacks[0].memories) == 1:
+        if len(learners) < 2 and all(len(s.memories) == 1 for s in stacks):
             return
         memories = [learner.memory for learner in learners]
         if len({(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
@@ -190,16 +191,6 @@ class LearnerStack:
             stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size,
             [np.stack([_resized(c, size) for c in column])
              for column in zip(*(m._columns for m in memories))])
-
-    @classmethod
-    def leave(cls, leaving, staying) -> None:
-        """Take the learners ``leaving`` out of the stack they share with
-        ``staying``, between TTIs: each into a stack of its own, and the
-        others on together."""
-        if staying:
-            cls.of(staying)
-        for learner in leaving:
-            cls.of([learner])
 
     def _share(self, ring) -> None:
         """Hold the replay columns ``ring`` as (A, size) rows, each learner's

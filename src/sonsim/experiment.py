@@ -1,6 +1,7 @@
 """Experiment orchestration over the (agent, UEs-per-cell, seed) grid,
-with deterministic outputs.  Each (q, seed) builds one drop, and every
-(seed, agent) pair of a q runs its control loop in lockstep ticks.
+with deterministic outputs.  Every (seed, agent) pair runs its control
+loop once for all qs, in lockstep ticks; then each (q, seed) builds one
+drop and runs one radio pass.  Each distinct file is formatted once a run.
 
 Every run writes into a staging directory first and is moved into place
 only on success, so a failed experiment leaves no partial results.  All
@@ -10,6 +11,7 @@ carries a timestamp.
 
 from __future__ import annotations
 
+import copy
 import datetime
 import shutil
 import tempfile
@@ -23,9 +25,9 @@ from .baselines import FifoAgent, RandomAgent
 from .config import ExperimentConfig, dump_effective_config
 from .dqn import DqnAgent, ExplorationSchedule, ReplayMemory
 from .mdp import NUM_ACTIONS, NUM_STATES, SonEnv, drop_radio
-from .metrics import (EpisodeTrace, summarize_run, write_cdf_csv,
-                      write_episodes_csv, write_summary_csv, write_trace_csv,
-                      ue_average_sinrs)
+from .metrics import (EpisodeTrace, RunSummary, summarize_run, trace_columns,
+                      ue_average_sinrs, write_cdf_csv, write_episodes_csv,
+                      write_summary_csv, write_trace_csv)
 from .nn import init_params, save_params
 from .runner import EpisodeResult, run_lockstep
 
@@ -53,50 +55,59 @@ def build_agent(name: str, cfg: ExperimentConfig, seed: int):
         params = init_params((NUM_STATES, ml.hidden_width, ml.hidden_width,
                               NUM_ACTIONS),
                              seeding.stream(seed, seeding.WEIGHTS))
-        return DqnAgent(params,
-                        gamma=cfg.episode.gamma,
-                        rng=seeding.stream(seed, seeding.POLICY),
-                        schedule=ExplorationSchedule(ml.epsilon, ml.epsilon_decay,
-                                                     ml.epsilon_min),
-                        memory=ReplayMemory(ml.replay_capacity),
-                        batch_size=ml.batch_size,
+        return DqnAgent(params, gamma=cfg.episode.gamma, rng=seeding.stream(seed, seeding.POLICY),
+                        schedule=ExplorationSchedule(ml.epsilon, ml.epsilon_decay, ml.epsilon_min),
+                        memory=ReplayMemory(ml.replay_capacity), batch_size=ml.batch_size,
                         learning_rate=ml.learning_rate)
     raise ValueError(f"unknown agent {name!r}")
 
 
-def run_seeds(agent_names, q: int, seeds, cfg: ExperimentConfig) -> list[list[SeedRunResult]]:
-    """Build the cluster of every (q, seed) of ``seeds`` once and run every
-    agent of ``agent_names`` on it: the control loops of all (seed, agent)
-    pairs in lockstep ticks (``runner.run_lockstep``), then each seed's
-    radio pass over all its episodes' register histories
-    (``mdp.drop_radio``); per seed, one result per agent, in order."""
-    cluster = replace(cfg.cluster, ues_per_cell=q)
-    envs = [SonEnv(cluster, cfg.rates, cfg.rewards, cfg.episode,
-                   seed=seed, azimuth_delta=cfg.azimuth_delta) for seed in seeds]
+def run_seeds(agent_names, qs, seeds, cfg: ExperimentConfig):
+    """Run every agent of ``agent_names`` on every seed of ``seeds`` at each
+    UEs-per-cell value of ``qs``; yield (q, per-seed results) one q at a
+    time, per seed one result per agent, in order.
+
+    Faults, rewards, actions and learning never read the radio, so the
+    control loops of all (seed, agent) pairs run once, in lockstep ticks
+    (``runner.run_lockstep``) on each seed's drop at the first q.  Then per
+    q, one radio pass (``mdp.drop_radio``) on each seed's drop at that q
+    fills copies of its traces, which only the yielded results hold.
+    """
+    seeds = tuple(seeds)
+    drops = ([SonEnv(replace(cfg.cluster, ues_per_cell=q), cfg.rates, cfg.rewards,
+                     cfg.episode, seed=seed, azimuth_delta=cfg.azimuth_delta)
+              for seed in seeds] for q in qs)
+    envs = next(drops)
     agents = [[build_agent(name, cfg, seed) for name in agent_names] for seed in seeds]
     runs = run_lockstep([(env if i == 0 else env.replica(), agent)
                          for env, row in zip(envs, agents) for i, agent in enumerate(row)],
                         range(cfg.episode.num_episodes))
-    results = []
-    for s, (seed, env, row) in enumerate(zip(seeds, envs, agents)):
-        seed_runs = runs[s * len(row):(s + 1) * len(row)]
-        drop_radio(env, [(history, trace) for episode in zip(*seed_runs)
-                         for _, trace, history in episode])
-        results.append([])
-        for name, agent, agent_runs in zip(agent_names, row, seed_runs):
-            summaries, traces, _ = zip(*agent_runs)
-            result = SeedRunResult(agent=name, q=q, seed=seed, traces=list(traces),
-                                   episodes=list(summaries))
-            if name == "dqn":
-                result.dqn_params, result.dqn_layer_sizes = agent.flat, agent.layer_sizes
-            results[-1].append(result)
-    return results
+    k = len(agent_names)
+    for q in qs:
+        yield q, [_seed_radio(env, q, seed, agent_names, row, runs[s * k:(s + 1) * k])
+                  for s, (seed, env, row) in enumerate(zip(seeds, envs, agents))]
+        envs = next(drops, None)
+
+
+def _seed_radio(env: SonEnv, q: int, seed: int, agent_names, agents,
+                seed_runs) -> list[SeedRunResult]:
+    """One seed's results at ``q``: its agents' runs, with copies of their
+    traces filled by one radio pass on the seed's drop ``env``."""
+    seed_runs = [[(summary, copy.copy(trace), history) for summary, trace, history in runs]
+                 for runs in seed_runs]
+    drop_radio(env, [(history, trace) for episode in zip(*seed_runs)
+                     for _, trace, history in episode])
+    return [SeedRunResult(name, q, seed, [trace for _, trace, _ in runs],
+                          [summary for summary, _, _ in runs],
+                          getattr(agent, "flat", None), getattr(agent, "layer_sizes", ()))
+            for name, agent, runs in zip(agent_names, agents, seed_runs)]
 
 
 def run_seed(agent_names, q: int, seed: int,
              cfg: ExperimentConfig) -> list[SeedRunResult]:
-    """``run_seeds`` with one seed."""
-    return run_seeds(agent_names, q, (seed,), cfg)[0]
+    """``run_seeds`` with one q and one seed."""
+    [(_, [results])] = run_seeds(agent_names, (q,), (seed,), cfg)
+    return results
 
 
 def run_single(agent_name: str, q: int, seed: int,
@@ -106,18 +117,30 @@ def run_single(agent_name: str, q: int, seed: int,
     return run_seed((agent_name,), q, seed, cfg)[0]
 
 
-def _write_cell_outputs(out: Path, agent: str, results: list[SeedRunResult]) -> None:
-    """Per-(agent, q) files: episode log, SINR CDF, TTI trace, weights."""
-    all_traces = [tr for r in results for tr in r.traces]
-    episode_rows = [(ep, res)
-                    for r in results for ep, res in enumerate(r.episodes)]
-    write_episodes_csv(out / f"episodes_{agent}.csv", episode_rows)
-    write_cdf_csv(out / f"cdf_{agent}.csv", ue_average_sinrs(all_traces))
-    write_trace_csv(out / f"traces_{agent}.csv", all_traces)
-    for r in results:
-        if r.dqn_params is not None:
-            save_params(r.dqn_params, r.dqn_layer_sizes,
-                        out / f"weights_dqn_seed{r.seed}.txt")
+def _write_cell_outputs(out: Path, agent: str, results, written: dict,
+                        cfg: ExperimentConfig) -> RunSummary:
+    """Write the per-(agent, q) files (episode log, SINR CDF, TTI trace,
+    weights) and return the summary of the pooled traces.  ``written`` maps
+    the kind of every file this run has written and the exact input its
+    writer formatted to its path; a file with the same key is copied."""
+    traces = [tr for r in results for tr in r.traces]
+    rows = [(ep, res) for r in results for ep, res in enumerate(r.episodes)]
+    sinrs, columns = ue_average_sinrs(traces), trace_columns(traces)
+    files = [(f"episodes_{agent}.csv", repr(rows), write_episodes_csv, rows),  # exact floats
+             (f"cdf_{agent}.csv", sinrs.tobytes(), write_cdf_csv, sinrs),
+             (f"traces_{agent}.csv", tuple(c.tobytes() for c in columns),
+              write_trace_csv, traces, columns)]
+    files += [(f"weights_dqn_seed{r.seed}.txt", (r.dqn_layer_sizes, r.dqn_params.tobytes()),
+               lambda path, r: save_params(r.dqn_params, r.dqn_layer_sizes, path), r)
+              for r in results if r.dqn_params is not None]
+    for name, key, write, *data in files:
+        path = out / name
+        first = written.setdefault((name.split("_")[0], key), path)
+        if first is path:
+            write(path, *data)
+        else:
+            shutil.copyfile(first, path)
+    return summarize_run(traces, cfg.episode.ttis_per_episode)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -133,24 +156,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         raise OSError(f"output path {out} is not a directory")
 
     qs = cfg.effective_qs()
-    manifest_runs: list[str] = []
+    manifest_runs = [f"run: agent={agent} q={q} seed={seed}"
+                     for q in qs for agent in cfg.agents for seed in cfg.seeds]
+    written: dict = {}  # (file kind, writer input) -> the first file written
     with tempfile.TemporaryDirectory() as tmp:
         stage = Path(tmp)
         summary_rows = []
-        for q in qs:
+        for q, per_seed in run_seeds(cfg.agents, qs, cfg.seeds, cfg):
             cell_dir = stage if len(qs) == 1 else stage / f"q{q}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            results = {agent: [] for agent in cfg.agents}
-            for seed_results in run_seeds(cfg.agents, q, cfg.seeds, cfg):
-                for r in seed_results:
-                    results[r.agent].append(r)
-            for agent in cfg.agents:
-                manifest_runs += [f"run: agent={agent} q={q} seed={seed}"
-                                  for seed in cfg.seeds]
-                _write_cell_outputs(cell_dir, agent, results[agent])
-                pooled = [tr for r in results.pop(agent) for tr in r.traces]
-                summary_rows.append(
-                    (agent, q, summarize_run(pooled, cfg.episode.ttis_per_episode)))
+            summary_rows += [(agent, q, _write_cell_outputs(cell_dir, agent, results,
+                                                            written, cfg))
+                             for agent, results in zip(cfg.agents, zip(*per_seed))]
+            del per_seed  # frees this q's radio before the next q's pass
 
         write_summary_csv(stage / "summary.csv", summary_rows)
         (stage / "effective_config.txt").write_text(dump_effective_config(cfg))

@@ -234,7 +234,9 @@ class SonEnv:
         cur_count = self.register.active_count
         reward = alarm_reward(prev_count, cur_count, self.rewards)
         self.state = transition(self.state, prev_count, cur_count)
-        self.history.append((self.register.counts, self.register.down_cells))
+        snapshot = (self.register.counts, self.register.down_cells)
+        # an unchanged register appends its last snapshot object again
+        self.history.append(self.history[-1] if self.history[-1:] == [snapshot] else snapshot)
         self.t += 1
         self.terminal = (cur_count == 0
                          or self.t >= self.episode_config.ttis_per_episode)

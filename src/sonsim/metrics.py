@@ -179,14 +179,17 @@ def write_summary_csv(path, rows) -> None:
                            s.mean_clearance_ttis) for agent, q, s in rows))))
 
 
-def _trace_columns(tr: EpisodeTrace) -> tuple[np.ndarray, ...]:
-    """One trace's columns, with each TTI's mean over its finite UE SINRs."""
-    return (np.full(len(tr.tti), tr.episode), tr.tti, tr.state, tr.action,
-            tr.reward, tr.alarm_count, _finite_mean(tr.sinr_db, axis=1))
+def trace_columns(traces) -> list[np.ndarray]:
+    """The columns of ``write_trace_csv``: one row per TTI of ``traces``,
+    with the TTI's mean over its finite UE SINRs."""
+    return [np.concatenate(c) for c in zip(*(
+        (np.full(len(tr.tti), tr.episode), tr.tti, tr.state, tr.action, tr.reward,
+         tr.alarm_count, _finite_mean(tr.sinr_db, axis=1)) for tr in traces))]
 
 
-def write_trace_csv(path, traces) -> None:
-    """traces_<agent>.csv: one row per TTI with the mean UE SINR."""
+def write_trace_csv(path, traces, columns=None) -> None:
+    """traces_<agent>.csv: one row per TTI with the mean UE SINR, from
+    ``columns``, the caller's ``trace_columns(traces)``, when given."""
     _write_csv(path, "episode,tti,state,action,reward,alarm_count,mean_sinr_db",
                f"%s,%d,%d,%d,{FLOAT_FORMAT},%d,{FLOAT_FORMAT}",
-               [np.concatenate(c) for c in zip(*map(_trace_columns, traces))])
+               trace_columns(traces) if columns is None else columns)

@@ -45,9 +45,7 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
     """
     running = [_Pair(env, agent) for env, agent in pairs]
     out = [pair.done for pair in running]
-    learners = [p.agent for p in running if isinstance(p.agent, DqnAgent)]
-    if learners:
-        LearnerStack.of(learners)
+    LearnerStack.of([p.agent for p in running if isinstance(p.agent, DqnAgent)])
     while running:
         for pair in running:
             env, agent = pair.env, pair.agent
@@ -69,9 +67,10 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
         if leaving:
             running = [p for p in running if p not in leaving]
             left = [p.agent for p in leaving if isinstance(p.agent, DqnAgent)]
-            if left:
-                LearnerStack.leave(left, [p.agent for p in running
-                                          if isinstance(p.agent, DqnAgent)])
+            if left:  # each into a stack of its own, and the others on together
+                LearnerStack.of([p.agent for p in running if isinstance(p.agent, DqnAgent)])
+                for learner in left:
+                    LearnerStack.of([learner])
     return out
 
 

@@ -420,8 +420,10 @@ class TestLearnerStack:
                 oracles[i].observe(*t)
             left = [learners[i] for i in running if lifetimes[i] == tick + 1]
             running = [i for i in running if lifetimes[i] > tick + 1]
-            if left:
-                LearnerStack.leave(left, [learners[i] for i in running])
+            if left:  # each into a stack of its own, and the others on together
+                LearnerStack.of([learners[i] for i in running])
+                for learner in left:
+                    LearnerStack.of([learner])
         for learner, oracle, ticks in zip(learners, oracles, lifetimes):
             assert learner.flat.shape == flatten(oracle.params).shape
             assert [a.shape for a in learner.params] == [b.shape for b in oracle.params]

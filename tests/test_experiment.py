@@ -1,18 +1,20 @@
 import csv
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim import mdp, seeding
+from sonsim import experiment, mdp, seeding
 from sonsim.cli import main
 from sonsim.config import KNOWN_AGENTS, default_config, parse_config
 from sonsim.experiment import run_experiment, run_seed, run_seeds, run_single
 from sonsim.faults import FaultRates
 from sonsim.mdp import EpisodeConfig
+from sonsim.metrics import ue_average_sinrs, write_cdf_csv, write_trace_csv
 from sonsim.nn import load_params
 from sonsim.radio import ClusterConfig, step_mobility
 
@@ -27,6 +29,10 @@ def tiny_config(**kw):
                   seeds=(0, 1),
                   **kw)
     return cfg
+
+
+# every event has a chance, the spontaneous clears too
+CLEARING_RATES = FaultRates((2 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 12, 1 / 12, 1 / 12, 1 / 12))
 
 
 def read_bytes_tree(root):
@@ -168,7 +174,8 @@ class TestLockstep:
         # leaves it when its episodes end, at its own tick
         cfg = replace(default_config(), ml=replace(default_config().ml, batch_size=4),
                       episode=EpisodeConfig(num_episodes=6))
-        together = run_seeds(KNOWN_AGENTS, 2, range(4), cfg)
+        [(q, together)] = run_seeds(KNOWN_AGENTS, (2,), range(4), cfg)
+        assert q == 2
         assert [[r.seed for r in rs] for rs in together] == [[s] * 3 for s in range(4)]
         ttis = [sum(e.ttis for e in rs[-1].episodes) for rs in together]
         assert len(set(ttis)) > 1  # the dqn learners left at different ticks
@@ -223,6 +230,70 @@ class TestRunExperiment:
         names += [f"weights_dqn_seed{seed}.txt" for seed in tiny_config().seeds]
         for name in names:
             assert (out / "q2" / name).read_bytes() == (out / "q3" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("rates", [FaultRates(), CLEARING_RATES])
+    def test_each_q_writes_what_a_run_at_that_q_alone_writes(self, tmp_path, monkeypatch,
+                                                              rates):
+        # the control loops run once for both qs, yet every file of q2/ and
+        # q3/ and every summary row is what a run at that q alone writes
+        calls = []
+        def counted(pairs, episodes, original=experiment.run_lockstep):
+            calls.append(len(pairs))
+            return original(pairs, episodes)
+        monkeypatch.setattr(experiment, "run_lockstep", counted)
+        cfg = replace(tiny_config(), rates=rates, qs=(2, 3))
+        both = run_experiment(cfg, tmp_path / "both")
+        assert calls == [len(cfg.agents) * len(cfg.seeds)]
+        summary = (both / "summary.csv").read_text().splitlines()
+        for q in cfg.qs:
+            alone = read_bytes_tree(run_experiment(replace(cfg, qs=(q,)), tmp_path / f"{q}"))
+            got = read_bytes_tree(both / f"q{q}")
+            assert set(got) == {rel for rel in alone if rel.name not in
+                                ("summary.csv", "manifest.txt", "effective_config.txt")}
+            for rel, data in got.items():
+                assert data == alone[rel], (q, rel)
+            assert set(alone[Path("summary.csv")].decode().splitlines()) <= set(summary)
+        assert len(calls) == 1 + len(cfg.qs)  # one control stage a run
+
+    @pytest.mark.parametrize("rates", [FaultRates(), CLEARING_RATES])
+    def test_every_file_is_written_from_its_own_results(self, tmp_path, rates):
+        # a file copied from another is the file its own agent's results at
+        # its own q write: the qs' traces differ only in their SINR column,
+        # and dqn's results differ from the baselines'
+        cfg = replace(tiny_config(), rates=rates, qs=(2, 3),
+                      episode=EpisodeConfig(ttis_per_episode=10, num_episodes=6))
+        out = run_experiment(cfg, tmp_path / "res")
+        want = tmp_path / "want.csv"
+        for q, per_seed in run_seeds(cfg.agents, cfg.qs, cfg.seeds, cfg):
+            for agent, results in zip(cfg.agents, zip(*per_seed)):
+                traces = [tr for r in results for tr in r.traces]
+                write_cdf_csv(want, ue_average_sinrs(traces))
+                assert (out / f"q{q}" / f"cdf_{agent}.csv").read_bytes() == want.read_bytes()
+                write_trace_csv(want, traces)
+                assert (out / f"q{q}" / f"traces_{agent}.csv").read_bytes() == want.read_bytes()
+        for name in ("cdf", "traces"):
+            files = {(q, agent): (out / f"q{q}" / f"{name}_{agent}.csv").read_bytes()
+                     for q in cfg.qs for agent in cfg.agents}
+            # one alarm type at most is pending when a baseline acts, so
+            # random and fifo clear the same alarm every TTI, at any rates
+            assert files[2, "random"] == files[2, "fifo"] != files[2, "dqn"]
+            assert files[2, "random"] != files[3, "random"]
+
+    def test_signed_zeros_get_files_of_their_own(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0, yet "%.8g" prints them as -0 and 0: CDF samples that
+        # differ only in the sign of a zero are two inputs and two files
+        samples = [np.array([-0.0, 1.0]), np.array([0.0, 1.0]), np.array([-0.0, 1.0])]
+        given = iter(samples)
+        monkeypatch.setattr(experiment, "ue_average_sinrs", lambda traces: next(given))
+        cfg = tiny_config()
+        out = run_experiment(cfg, tmp_path / "res")
+        want = tmp_path / "want.csv"
+        files = []
+        for agent, values in zip(cfg.agents, samples, strict=True):
+            write_cdf_csv(want, values)
+            files.append((out / f"cdf_{agent}.csv").read_bytes())
+            assert files[-1] == want.read_bytes(), agent
+        assert files[0] != files[1] and files[0] == files[2]
 
     def test_episode_csv_row_count(self, tmp_path):
         out = run_experiment(tiny_config(), tmp_path / "res")

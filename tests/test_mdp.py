@@ -254,6 +254,29 @@ class TestEnv:
         assert env.history == [((1, 0, 0, 0), ())]
         assert twin.history == [((0, 0, 0, 0), ())]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unchanged_register_appends_its_last_snapshot(self, seed):
+        # a TTI that leaves the register as it was appends the snapshot
+        # object before it again, and derive_cells and drop_radio read the
+        # history as they read one of fresh, equal pairs
+        env = SonEnv(SMALL, FaultRates((1 / 2, 1 / 8, 1 / 8, 1 / 8, 1 / 8)), seed=seed)
+        actions = np.random.default_rng(seed)
+        shared = 0
+        for ep in range(4):
+            env.reset(ep)
+            while not env.terminal:
+                env.step(MdpAction(int(actions.integers(len(MdpAction)))))
+            history = env.history
+            for before, after in zip(history, history[1:]):
+                assert (after is before) == (after == before)
+                shared += after is before
+            fresh = [(tuple(list(counts)), tuple(list(down))) for counts, down in history]
+            assert not any(a is b for a, b in zip(fresh, fresh[1:]))
+            assert same_bits(derive_cells(env.cells, history), derive_cells(env.cells, fresh))
+            for got, want in zip(radio_of(env, history, ep), radio_of(env, fresh, ep)):
+                assert got.tobytes() == want.tobytes()
+        assert shared
+
     def test_drop_radio_takes_each_trace_with_its_history(self):
         env = SonEnv(SMALL, rates=FaultRates((0, 1.0, 0, 0, 0)), seed=3)
         env.reset(0)

@@ -422,7 +422,7 @@ class TestTraceMean:
         t, n = sinr_db.shape
         tr = make_trace(0, rates=np.zeros((t, n)), sinrs=sinr_db,
                         alarm_counts=np.zeros(t))
-        return metrics._trace_columns(tr)[-1]
+        return metrics.trace_columns([tr])[-1]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 21, 127, 128, 129, 210, 1050])
     def test_all_finite_rows_bit_for_bit(self, n):
