@@ -71,9 +71,8 @@ def run_seeds(agent_names, qs, seeds, cfg: ExperimentConfig):
     control loops of all (seed, agent) pairs run once, in lockstep ticks
     (``runner.run_lockstep``) on each seed's drop at the first q.  Then per
     q, one radio pass (``mdp.drop_radio``) on each seed's drop at that q
-    fills copies of its traces, which only the yielded results hold.
+    fills that q's own traces, which only the yielded results hold.
     """
-    seeds = tuple(seeds)
     drops = ([SonEnv(replace(cfg.cluster, ues_per_cell=q), cfg.rates, cfg.rewards,
                      cfg.episode, seed=seed, azimuth_delta=cfg.azimuth_delta)
               for seed in seeds] for q in qs)
@@ -82,25 +81,28 @@ def run_seeds(agent_names, qs, seeds, cfg: ExperimentConfig):
     runs = run_lockstep([(env if i == 0 else env.replica(), agent)
                          for env, row in zip(envs, agents) for i, agent in enumerate(row)],
                         range(cfg.episode.num_episodes))
-    k = len(agent_names)
-    for q in qs:
-        yield q, [_seed_radio(env, q, seed, agent_names, row, runs[s * k:(s + 1) * k])
-                  for s, (seed, env, row) in enumerate(zip(seeds, envs, agents))]
+    runs = [runs[s:s + len(agent_names)] for s in range(0, len(runs), len(agent_names))]
+    for i, q in enumerate(qs):
+        yield q, [_seed_radio(env, q, seed, agent_names, row, seed_runs, i == len(qs) - 1)
+                  for seed, env, row, seed_runs in zip(seeds, envs, agents, runs)]
         envs = next(drops, None)
 
 
-def _seed_radio(env: SonEnv, q: int, seed: int, agent_names, agents,
-                seed_runs) -> list[SeedRunResult]:
-    """One seed's results at ``q``: its agents' runs, with copies of their
-    traces filled by one radio pass on the seed's drop ``env``."""
-    seed_runs = [[(summary, copy.copy(trace), history) for summary, trace, history in runs]
-                 for runs in seed_runs]
-    drop_radio(env, [(history, trace) for episode in zip(*seed_runs)
+def _seed_radio(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs,
+                last: bool) -> list[SeedRunResult]:
+    """One seed's results at ``q``: its runs ``seed_runs``, their traces
+    filled by one radio pass on ``env``; copies of them, but the ``last`` q
+    takes them and empties ``seed_runs``, so their histories go after it."""
+    runs = [[(summary, trace if last else copy.copy(trace), history)
+             for summary, trace, history in agent_runs] for agent_runs in seed_runs]
+    if last:
+        seed_runs.clear()
+    drop_radio(env, [(history, trace) for episode in zip(*runs)
                      for _, trace, history in episode])
-    return [SeedRunResult(name, q, seed, [trace for _, trace, _ in runs],
-                          [summary for summary, _, _ in runs],
+    return [SeedRunResult(name, q, seed, [trace for _, trace, _ in agent_runs],
+                          [summary for summary, _, _ in agent_runs],
                           getattr(agent, "flat", None), getattr(agent, "layer_sizes", ()))
-            for name, agent, runs in zip(agent_names, agents, seed_runs)]
+            for name, agent, agent_runs in zip(agent_names, agents, runs)]
 
 
 def run_seed(agent_names, q: int, seed: int,
@@ -119,11 +121,11 @@ def run_single(agent_name: str, q: int, seed: int,
 
 def _write_cell_outputs(out: Path, agent: str, results, written: dict,
                         cfg: ExperimentConfig) -> RunSummary:
-    """Write the per-(agent, q) files (episode log, SINR CDF, TTI trace,
-    weights) and return the summary of the pooled traces.  ``written`` maps
-    the kind of every file this run has written and the exact input its
-    writer formatted to its path; a file with the same key is copied."""
+    """Write the per-(agent, q) files and return the pooled traces' summary.
+    ``written`` maps (file kind, the exact input its writer formats) to the
+    first file written from it, which a file with the same key copies."""
     traces = [tr for r in results for tr in r.traces]
+    summary = summarize_run(traces, cfg.episode.ttis_per_episode)  # its temporaries go first
     rows = [(ep, res) for r in results for ep, res in enumerate(r.episodes)]
     sinrs, columns = ue_average_sinrs(traces), trace_columns(traces)
     files = [(f"episodes_{agent}.csv", repr(rows), write_episodes_csv, rows),  # exact floats
@@ -140,7 +142,7 @@ def _write_cell_outputs(out: Path, agent: str, results, written: dict,
             write(path, *data)
         else:
             shutil.copyfile(first, path)
-    return summarize_run(traces, cfg.episode.ttis_per_episode)
+    return summary
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
