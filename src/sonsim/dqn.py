@@ -9,12 +9,12 @@ of the backward pass.  The network is row-independent, so this is
 bit-identical to evaluating each row on its own.
 
 Every learner is a row of a ``LearnerStack``: its parameters and
-optimizer moments are rows of (A, P) arrays and its replay columns rows of
-(A, size) arrays, and each tick one gather per replay column, one state
-pass, one target computation, one backward pass and one Adam step serve
-every learner that takes its TTIs in lockstep with it; only the sample's
-rows are drawn learner by learner.  A lone learner is a stack of one, with
-a learner axis of 1.
+optimizer moments are rows of (A, P) arrays and its transitions a row of
+the stack's one replay memory, whose columns are (A, size).  Each tick
+one gather per replay column, one state pass, one target computation, one
+backward pass and one Adam step serve every learner that takes its TTIs
+in lockstep with it; only the sample's rows are drawn learner by learner.
+A lone learner is a stack of one, with a learner axis of 1.
 """
 
 from __future__ import annotations
@@ -34,45 +34,62 @@ ALL_STATES = encode_state(np.arange(NUM_STATES))
 class ReplayMemory:
     """Bounded FIFO store of transitions; oldest evicted first.
 
-    A ring of five columns (state, action, reward, next state, terminal)
-    that grow as they fill, up to ``capacity`` rows.  A learner's memory
-    views its row of its ``LearnerStack``'s columns, which the stack grows
-    before the pushes that fill them.
+    A ring of five columns (state, action, reward, next state, terminal),
+    each (A, size) with one row per learner of a ``LearnerStack``, that
+    grow as they fill, up to ``capacity`` slots.  Every learner puts its
+    transition of a TTI in the same slot and ``advance`` stores them, so
+    the rows hold as many transitions from one head.  A lone memory has
+    one row, and ``push`` and ``sample`` work on it.
     """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._columns = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-                         np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
+        self._columns = tuple(np.empty((1, 0), dtype=t)
+                              for t in (np.intp, np.intp, float, np.intp, bool))
         self._len = 0
-        self._head = 0    # row of the oldest transition
+        self._head = 0    # slot of the oldest transition
 
-    def next_size(self) -> int:
-        """The ring's size for the next push: doubled, to at least 64 and at
-        most ``capacity`` rows, when it is full below capacity."""
-        size = len(self._columns[0])
-        return min(self.capacity, max(64, 2 * size)) if self._len == size < self.capacity \
-            else size
+    @classmethod
+    def of(cls, rows) -> ReplayMemory:
+        """A memory of the rows of the (memory, row) pairs ``rows``, in
+        order; the memories must hold as many transitions from one head."""
+        first = rows[0][0]
+        memory = cls(first.capacity)
+        memory._columns = tuple(np.stack(column) for column in
+                                zip(*([c[row] for c in m._columns] for m, row in rows)))
+        memory._len, memory._head = first._len, first._head
+        return memory
 
-    def push(self, state, action, reward, next_state, terminal) -> None:
+    def put(self, row: int, state, action, reward, next_state, terminal) -> None:
+        """Write ``row``'s transition in this TTI's slot; the columns grow,
+        doubled to at least 64 and at most ``capacity`` slots, when the slot
+        is past their end."""
+        i = self._len if self._len < self.capacity else self._head
+        if i == self._columns[0].shape[1]:
+            size = min(self.capacity, max(64, 2 * i))
+            self._columns = tuple(np.concatenate([c, np.empty((len(c), size - i), c.dtype)], 1)
+                                  for c in self._columns)
+        for column, value in zip(self._columns, (state, action, reward, next_state, terminal)):
+            column[row, i] = value
+
+    def advance(self) -> None:
+        """Store this TTI's slot, evicting the oldest transition when full."""
         if self._len < self.capacity:
-            i = self._len
-            if i == len(self._columns[0]):  # a stack grows its rows first
-                self._columns = tuple(_resized(c, self.next_size()) for c in self._columns)
             self._len += 1
         else:
-            i = self._head
-            self._head = (i + 1) % self.capacity
-        for column, value in zip(self._columns, (state, action, reward, next_state, terminal)):
-            column[i] = value
+            self._head = (self._head + 1) % self.capacity
+
+    def push(self, state, action, reward, next_state, terminal) -> None:
+        self.put(0, state, action, reward, next_state, terminal)
+        self.advance()
 
     def __len__(self) -> int:
         return self._len
 
     def rows(self, rngs, batch_size: int) -> np.ndarray:
-        """Ring rows of a uniform sample without replacement, one row of
+        """Ring slots of a uniform sample without replacement, one row of
         them drawn from each generator of ``rngs``; fewer entries than the
         batch size means every entry, oldest first, as one row."""
         n = self._len
@@ -83,19 +100,9 @@ class ReplayMemory:
         return (rows + self._head) % n
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
-        """The five columns at the :meth:`rows` of one sample from ``rng``."""
+        """Row 0's five columns at the :meth:`rows` of one sample from ``rng``."""
         rows = self.rows([rng], batch_size).ravel()
-        return tuple(c[rows] for c in self._columns)
-
-
-def _resized(column: np.ndarray, size: int) -> np.ndarray:
-    """``column`` with ``size`` values along its last axis: itself when it
-    has as many, else a new array holding its values first."""
-    if column.shape[-1] == size:
-        return column
-    out = np.empty(column.shape[:-1] + (size,), column.dtype)
-    out[..., :column.shape[-1]] = column
-    return out
+        return tuple(c[0, rows] for c in self._columns)
 
 
 @dataclass
@@ -135,10 +142,9 @@ class LearnerStack:
     """Learners with one network shape and one set of hyperparameters,
     trained side by side.  Their parameters and Adam moments are rows of
     (A, P) arrays and ``params`` per-layer views with a leading learner
-    axis, and their replay memories' five columns are views of rows of the
-    stack's (A, size) arrays; a lone learner is a stack with A = 1.  A
-    learner's ``index`` is its row; ``memories`` and ``rngs`` hold each
-    learner's replay memory and generator, in row order.
+    axis, and they share one replay ``memory`` with a row each; a lone
+    learner is a stack with A = 1.  A learner's ``index`` is its row, and
+    ``rngs`` holds each learner's generator, in row order.
 
     Every learner stores one transition per TTI, so all hold the same
     number from the same head, sample batches of one size and share one
@@ -151,22 +157,20 @@ class LearnerStack:
     """
 
     def __init__(self, learners, flat: np.ndarray, opt_state: AdamState,
-                 layer_sizes, gamma: float, batch_size: int, ring):
+                 layer_sizes, gamma: float, batch_size: int, memory: ReplayMemory):
         self.flat = flat
         self.params = layer_views(flat, layer_sizes)
         self.opt_state = opt_state
         self.layer_sizes = tuple(layer_sizes)
         self.gamma = gamma
         self.batch_size = batch_size
-        self.memories = [learner.memory for learner in learners]
+        self.memory = memory
         self.rngs = [learner.rng for learner in learners]
         self._acts = None     # every state's layer outputs under params
         self._waiting = len(learners)  # learners yet to store this TTI's
         self._learners = np.arange(len(learners))[:, None]
         for row, learner in enumerate(learners):
-            learner.stack, learner.index = self, row
-        self._share(ring)
-        self._reserve()
+            learner.stack, learner.index, learner.memory = self, row, memory
 
     @classmethod
     def of(cls, learners) -> None:
@@ -176,35 +180,19 @@ class LearnerStack:
         run the same number of TTIs are).  No learner, or a learner alone
         in its stack, stays put."""
         stacks = [learner.stack for learner in learners]
-        if len(learners) < 2 and all(len(s.memories) == 1 for s in stacks):
+        if len(learners) < 2 and all(len(s.rngs) == 1 for s in stacks):
             return
         memories = [learner.memory for learner in learners]
         if len({(s.layer_sizes, s.gamma, s.batch_size, s.opt_state.step_count,
                  s.opt_state.learning_rate, m.capacity, len(m), m._head)
                 for s, m in zip(stacks, memories)}) > 1:
             raise ValueError("learners of one stack must be alike")
-        size = max(len(m._columns[0]) for m in memories)
         states = [learner.opt_state for learner in learners]
         cls(learners, np.stack([learner.flat for learner in learners]),
             AdamState(np.stack([s.m for s in states]), np.stack([s.v for s in states]),
                       states[0].step_count, states[0].learning_rate),
             stacks[0].layer_sizes, stacks[0].gamma, stacks[0].batch_size,
-            [np.stack([_resized(c, size) for c in column])
-             for column in zip(*(m._columns for m in memories))])
-
-    def _share(self, ring) -> None:
-        """Hold the replay columns ``ring`` as (A, size) rows, each learner's
-        memory viewing its row."""
-        self._ring = tuple(ring)
-        for row, memory in enumerate(self.memories):
-            memory._columns = tuple(c[row] for c in self._ring)
-
-    def _reserve(self) -> None:
-        """Grow the replay rows before the pushes that fill them, to the
-        size each learner's own ring would grow to."""
-        size = self.memories[0].next_size()
-        if size != self._ring[0].shape[-1]:
-            self._share(_resized(c, size) for c in self._ring)
+            ReplayMemory.of([(learner.memory, learner.index) for learner in learners]))
 
     def state_pass(self) -> list[np.ndarray]:
         """Every layer's output for all three states, (A, 3, ·) past the
@@ -217,7 +205,8 @@ class LearnerStack:
         """Count a learner's stored transition; the last of a TTI updates."""
         self._waiting -= 1
         if not self._waiting:
-            self._waiting = len(self.memories)
+            self._waiting = len(self.rngs)
+            self.memory.advance()
             self._update()
 
     def _update(self) -> None:
@@ -225,12 +214,11 @@ class LearnerStack:
         whole stack's batches in one backward pass over rows of the state
         pass.  Targets are computed before the update, from the parameters
         as they stood at the start of this TTI."""
-        # every ring holds as many transitions from the same head; one take
-        # per column gathers them at their offsets into the (A, size) rows
-        at = self.memories[0].rows(self.rngs, self.batch_size) \
-            + self._learners * self._ring[0].shape[-1]
-        states, actions, rewards, next_states, terminals = (c.take(at) for c in self._ring)
-        self._reserve()
+        # one take per column gathers every learner's batch at its offsets
+        # into the memory's (A, size) rows
+        columns = self.memory._columns
+        at = self.memory.rows(self.rngs, self.batch_size) + self._learners * columns[0].shape[1]
+        states, actions, rewards, next_states, terminals = (c.take(at) for c in columns)
         acts = self.state_pass()
         targets = compute_targets(acts[-1], rewards, (self._learners, next_states),
                                   terminals, self.gamma)
@@ -244,10 +232,10 @@ class LearnerStack:
 
 
 class DqnAgent:
-    """One training run's learner: its generator, exploration schedule and
-    replay memory, and its row ``index`` of ``stack``, which holds its
-    network parameters, optimizer state and replay memory's columns
-    (``flat``, ``params`` and ``opt_state`` are views of its row).
+    """One training run's learner: its generator and exploration schedule,
+    and its row ``index`` of ``stack``, which holds its network parameters
+    and optimizer state (``flat``, ``params`` and ``opt_state`` are views
+    of its row) and of the stack's replay ``memory``.
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,
@@ -255,13 +243,12 @@ class DqnAgent:
                  memory: ReplayMemory | None = None,
                  batch_size: int = 1,
                  learning_rate: float = 1e-3):
-        self.memory = memory if memory is not None else ReplayMemory()
         self.schedule = schedule if schedule is not None else ExplorationSchedule()
         self.rng = rng
         flat = flatten(params)[None]
         LearnerStack([self], flat, AdamState.for_params(flat, learning_rate),
                      layer_sizes_of(params), gamma, batch_size,
-                     [c[None] for c in self.memory._columns])
+                     memory if memory is not None else ReplayMemory())
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -291,5 +278,5 @@ class DqnAgent:
     def observe(self, state, action, reward, next_state, terminal, obs) -> None:
         """Store the transition; the stack updates once every learner in it
         has stored this TTI's (``LearnerStack.observed``)."""
-        self.memory.push(state, action, reward, next_state, terminal)
+        self.memory.put(self.index, state, action, reward, next_state, terminal)
         self.stack.observed()

@@ -41,6 +41,10 @@ RADIO_BLOCK_ROWS = 2048
 # The most episodes per run: a finished episode keeps about 1.2 kB per agent
 # at one UE per cell, so three agents at the bound keep about 0.35 GB a seed.
 MAX_EPISODES = 100_000
+# The most TTIs per episode: a TTI keeps about 0.6 kB per agent at one UE
+# per cell (its trace row and radio rows), so three agents' episodes at the
+# bound keep about 0.18 GB.
+MAX_TTIS_PER_EPISODE = 100_000
 
 
 class MdpState(IntEnum):
@@ -93,8 +97,8 @@ class EpisodeConfig:
     gamma: float = 0.95
 
     def __post_init__(self):
-        if self.ttis_per_episode < 1:
-            raise ConfigError("episode.ttis_per_episode must be at least 1")
+        if not 1 <= self.ttis_per_episode <= MAX_TTIS_PER_EPISODE:
+            raise ConfigError(f"episode.ttis_per_episode must be in 1..{MAX_TTIS_PER_EPISODE:,}")
         if not 1 <= self.num_episodes <= MAX_EPISODES:
             raise ConfigError(f"episode.num_episodes must be in 1..{MAX_EPISODES:,}")
         if not 0.0 < self.gamma < 1.0:

@@ -20,14 +20,13 @@ class EpisodeResult:
 
 
 class _Pair:
-    """A pair's place in the loop: its finished episodes and, within an
-    episode, the state, return and per-TTI rows so far (None between
-    episodes)."""
+    """A pair's place in the loop: its finished episodes and the return
+    and per-TTI rows of its episode so far (no rows between episodes)."""
 
-    __slots__ = ("env", "agent", "done", "state", "total", "rows")
+    __slots__ = ("env", "agent", "done", "total", "rows")
 
     def __init__(self, env, agent):
-        self.env, self.agent, self.done, self.rows = env, agent, [], None
+        self.env, self.agent, self.done, self.rows = env, agent, [], []
 
 
 def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace, list]]]:
@@ -49,21 +48,20 @@ def run_lockstep(pairs, episodes) -> list[list[tuple[EpisodeResult, EpisodeTrace
     while running:
         for pair in running:
             env, agent = pair.env, pair.agent
-            if pair.rows is None:
-                pair.state = env.reset(episodes[len(pair.done)])
+            if not pair.rows:
+                env.reset(episodes[len(pair.done)])
                 agent.begin_episode()
-                pair.total, pair.rows = 0.0, []
-            state = pair.state
+                pair.total = 0.0
+            state = env.state
             action = agent.act(state, env)
             next_state, reward, terminal, obs = env.step(action)
             agent.observe(state, action, reward, next_state, terminal, obs)
             pair.total += reward
             pair.rows.append((int(state), int(action), reward, obs["alarm_count"]))
-            pair.state = next_state
             if terminal:
                 pair.done.append(_finish(pair))
-                pair.rows = None
-        leaving = [p for p in running if p.rows is None and len(p.done) == len(episodes)]
+                pair.rows = []
+        leaving = [p for p in running if not p.rows and len(p.done) == len(episodes)]
         if leaving:
             running = [p for p in running if p not in leaving]
             left = [p.agent for p in leaving if isinstance(p.agent, DqnAgent)]

@@ -128,7 +128,7 @@ class TestAgentsAgainstEnv:
             state = env.reset(ep)
             agent.begin_episode()
             while True:
-                # with no spontaneous clears one instance at most is pending
+                # one event and one clear a TTI leave at most one instance pending
                 assert sum(env.register.counts) <= 1
                 a = agent.act(state, env)
                 # both baselines must only clear active alarm types
@@ -154,10 +154,13 @@ class TestAgentsAgainstEnv:
         assert self._run("random", seed=3) == self._run("fifo", seed=3)
 
     @pytest.mark.parametrize("p", [(5 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9),
-                                   (0, 1 / 4, 1 / 4, 1 / 4, 1 / 4)])
+                                   (0, 1 / 4, 1 / 4, 1 / 4, 1 / 4),
+                                   (2 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9,
+                                    1 / 12, 1 / 12, 1 / 12, 1 / 12)])
     @pytest.mark.parametrize("seed", range(3))
     def test_random_and_fifo_traces_identical(self, seed, p):
-        # the one pending instance leaves both baselines the same choice
+        # the one pending instance leaves both baselines the same choice, at
+        # any rates, spontaneous clears (events 5..8) included
         cfg = replace(default_config(), rates=FaultRates(p))
         rand, fifo = (run_single(agent, 1, seed, cfg) for agent in ("random", "fifo"))
         assert rand.episodes == fifo.episodes

@@ -12,7 +12,7 @@ from sonsim.config import (KNOWN_AGENTS, MAX_BATCH_SIZE, MAX_HIDDEN_WIDTH, Confi
                            ExperimentConfig, MlConfig, default_config,
                            dump_effective_config, load_config, parse_config)
 from sonsim.faults import FaultRates
-from sonsim.mdp import MAX_EPISODES, EpisodeConfig, RewardSchedule
+from sonsim.mdp import MAX_EPISODES, MAX_TTIS_PER_EPISODE, EpisodeConfig, RewardSchedule
 from sonsim.radio import MAX_SECTORS_PER_SITE, MAX_UES_PER_CELL, ClusterConfig
 
 
@@ -199,6 +199,8 @@ class TestValues:
         (f"run.q = 10,{MAX_UES_PER_CELL + 1}", "run.q"),
         (f"episode.num_episodes = {MAX_EPISODES + 1}", "episode.num_episodes"),
         ("episode.num_episodes = " + "9" * 400, "episode.num_episodes"),
+        (f"episode.ttis_per_episode = {MAX_TTIS_PER_EPISODE + 1}", "episode.ttis_per_episode"),
+        ("episode.ttis_per_episode = 1000000000000", "episode.ttis_per_episode"),
         (f"ml.hidden_width = {MAX_HIDDEN_WIDTH + 1}", "ml.hidden_width"),
         (f"ml.batch_size = {MAX_BATCH_SIZE + 1}", "ml.batch_size"),
         (f"cluster.sectors_per_site = {MAX_SECTORS_PER_SITE + 1}", "sectors_per_site"),
@@ -210,10 +212,12 @@ class TestValues:
     def test_counts_at_their_bounds_accepted(self):
         cfg = parse(f"cluster.ues_per_cell = {MAX_UES_PER_CELL}\nrun.q = {MAX_UES_PER_CELL}\n"
                     f"episode.num_episodes = {MAX_EPISODES}\n"
+                    f"episode.ttis_per_episode = {MAX_TTIS_PER_EPISODE}\n"
                     f"ml.hidden_width = {MAX_HIDDEN_WIDTH}\nml.batch_size = {MAX_BATCH_SIZE}\n"
                     f"cluster.sectors_per_site = {MAX_SECTORS_PER_SITE}\n")
         assert cfg.effective_qs() == (MAX_UES_PER_CELL,)
         assert cfg.episode.num_episodes == MAX_EPISODES
+        assert cfg.episode.ttis_per_episode == MAX_TTIS_PER_EPISODE
         assert (cfg.ml.hidden_width, cfg.ml.batch_size) == (MAX_HIDDEN_WIDTH, MAX_BATCH_SIZE)
         assert cfg.cluster.sectors_per_site == MAX_SECTORS_PER_SITE
 
@@ -299,7 +303,8 @@ def configs(draw):
             diversity_gain=draw(finite())),
         rates=FaultRates(tuple(w / sum(weights) for w in weights)),
         rewards=RewardSchedule(*(draw(finite()) for _ in range(4))),
-        episode=EpisodeConfig(draw(counts), draw(st.integers(1, MAX_EPISODES)),
+        episode=EpisodeConfig(draw(up_to(MAX_TTIS_PER_EPISODE)),
+                              draw(st.integers(1, MAX_EPISODES)),
                               draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True))),
         ml=MlConfig(draw(up_to(MAX_HIDDEN_WIDTH)), draw(positive), draw(up_to(MAX_BATCH_SIZE)),
                     draw(counts),
@@ -376,6 +381,7 @@ class TestParseProperty:
     @example(f"ml.hidden_width = {MAX_HIDDEN_WIDTH + 1}")
     @example(f"ml.batch_size = {MAX_BATCH_SIZE + 1}")
     @example(f"cluster.sectors_per_site = {MAX_SECTORS_PER_SITE + 1}")
+    @example(f"episode.ttis_per_episode = {MAX_TTIS_PER_EPISODE + 1}")
     def test_text_parses_or_names_the_line_or_key(self, text):
         try:
             cfg = parse(text)

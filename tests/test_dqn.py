@@ -434,16 +434,24 @@ class TestLearnerStack:
             assert learner.opt_state.v.tobytes() == oracle.opt_state.v.tobytes()
             assert learner.opt_state.step_count == oracle.opt_state.step_count == ticks
             assert learner.rng.bit_generator.state == oracle.rng.bit_generator.state
-            assert len(learner.stack.memories) == 1  # every learner left
+            assert len(learner.stack.rngs) == 1  # every learner left
+            assert learner.memory is learner.stack.memory
+            assert learner.memory._columns[0].shape[0] == 1
 
     def test_learners_at_different_steps_do_not_join(self):
         # a shared Adam step count would give one of them the other's bias
-        # corrections
+        # corrections, and a shared ring one of them the other's capacity
         cfg = default_config()
         a, b = build_agent("dqn", cfg, 0), build_agent("dqn", cfg, 1)
-        a.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
+        c = build_agent("dqn", replace(cfg, ml=replace(cfg.ml, replay_capacity=64)), 2)
+        for learner in (a, c):
+            learner.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT,
+                            False, None)
         with pytest.raises(ValueError, match="alike"):
             LearnerStack.of([a, b])
+        with pytest.raises(ValueError, match="alike"):
+            LearnerStack.of([a, c])
         b.observe(MdpState.TRANSIENT, MdpAction.NO_ACTION, 0.0, MdpState.TRANSIENT, False, None)
         LearnerStack.of([a, b])
         assert a.stack is b.stack and (a.index, b.index) == (0, 1)
+        assert a.memory is b.memory is a.stack.memory and len(a.memory) == 1

@@ -156,8 +156,9 @@ class TestLockstep:
            ttis_per_block=st.integers(1, 8))
     def test_shared_pass_equals_solo_runs(self, weights, agents, q, ttis, seed,
                                           ttis_per_block):
-        # events 5..8 are the spontaneous clears, after which random and fifo
-        # can hold different registers; small blocks split long episodes
+        # events 5..8 are the spontaneous clears; random and fifo act alike
+        # at any rates, so distinct histories come from dqn, and small blocks
+        # split long episodes
         cfg = replace(tiny_config(),
                       rates=FaultRates(np.array(weights) / sum(weights)),
                       episode=EpisodeConfig(ttis_per_episode=ttis, num_episodes=3))

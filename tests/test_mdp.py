@@ -361,10 +361,11 @@ class TestDropRadio:
            q=st.sampled_from([1, 3]), ttis=st.integers(1, 12), seed=st.integers(0, 10_000))
     def test_matches_per_tti_path_bit_for_bit(self, ttis_per_block, spare_rows,
                                               weights, agents, q, ttis, seed):
-        # events 5..8 are the spontaneous clears, after which random and fifo
-        # can hold different registers.  Blocks of one TTI split every longer
-        # episode, blocks of seven span short ones, and with several
-        # histories a chunk of history-rows ends inside a walk block
+        # events 5..8 are the spontaneous clears; random and fifo act alike
+        # at any rates, so distinct histories come from dqn.  Blocks of one
+        # TTI split every longer episode, blocks of seven span short ones,
+        # and with several histories a chunk of history-rows ends inside a
+        # walk block
         cfg = replace(default_config(), cluster=ClusterConfig(ues_per_cell=q),
                       rates=FaultRates(np.array(weights) / sum(weights)),
                       episode=EpisodeConfig(ttis_per_episode=ttis, num_episodes=4))
