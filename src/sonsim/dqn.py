@@ -39,7 +39,7 @@ class ReplayMemory:
     grow as they fill, up to ``capacity`` slots.  Every learner puts its
     transition of a TTI in the same slot and ``advance`` stores them, so
     the rows hold as many transitions from one head.  A lone memory has
-    one row, and ``push`` and ``sample`` work on it.
+    one row; ``push`` and ``sample`` use row 0.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -88,21 +88,22 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._len
 
-    def rows(self, rngs, batch_size: int) -> np.ndarray:
-        """Ring slots of a uniform sample without replacement, one row of
-        them drawn from each generator of ``rngs``; fewer entries than the
-        batch size means every entry, oldest first, as one row."""
+    def batches(self, rngs, batch_size: int) -> tuple[np.ndarray, ...]:
+        """The five columns of a uniform sample without replacement from
+        each of the first len(rngs) rows, the r-th drawn from ``rngs[r]``,
+        as (len(rngs), batch) arrays; fewer entries than the batch size
+        means every entry, oldest first.  One take per column gathers all."""
         n = self._len
         if n <= batch_size:
-            rows = np.arange(n)
+            slots = np.arange(n)
         else:
-            rows = np.array([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
-        return (rows + self._head) % n
+            slots = np.array([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
+        at = (slots + self._head) % n + np.arange(len(rngs))[:, None] * self._columns[0].shape[1]
+        return tuple(c.take(at) for c in self._columns)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
-        """Row 0's five columns at the :meth:`rows` of one sample from ``rng``."""
-        rows = self.rows([rng], batch_size).ravel()
-        return tuple(c[0, rows] for c in self._columns)
+        """Row 0's five columns at one sample from ``rng``."""
+        return tuple(c[0] for c in self.batches([rng], batch_size))
 
 
 @dataclass
@@ -214,11 +215,8 @@ class LearnerStack:
         whole stack's batches in one backward pass over rows of the state
         pass.  Targets are computed before the update, from the parameters
         as they stood at the start of this TTI."""
-        # one take per column gathers every learner's batch at its offsets
-        # into the memory's (A, size) rows
-        columns = self.memory._columns
-        at = self.memory.rows(self.rngs, self.batch_size) + self._learners * columns[0].shape[1]
-        states, actions, rewards, next_states, terminals = (c.take(at) for c in columns)
+        states, actions, rewards, next_states, terminals = self.memory.batches(
+            self.rngs, self.batch_size)
         acts = self.state_pass()
         targets = compute_targets(acts[-1], rewards, (self._learners, next_states),
                                   terminals, self.gamma)
