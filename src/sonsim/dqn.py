@@ -88,7 +88,7 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._len
 
-    def batches(self, rngs, batch_size: int) -> tuple[np.ndarray, ...]:
+    def batches(self, rngs, batch_size: int) -> list[np.ndarray]:
         """The five columns of a uniform sample without replacement from
         each of the first len(rngs) rows, the r-th drawn from ``rngs[r]``,
         as (len(rngs), batch) arrays; fewer entries than the batch size
@@ -99,7 +99,7 @@ class ReplayMemory:
         else:
             slots = np.array([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
         at = (slots + self._head) % n + np.arange(len(rngs))[:, None] * self._columns[0].shape[1]
-        return tuple(c.take(at) for c in self._columns)
+        return [c.take(at) for c in self._columns]
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
         """Row 0's five columns at one sample from ``rng``."""
