@@ -219,6 +219,28 @@ class TestReplayMemory:
                 tracemalloc.stop()
         assert peaks[10 ** 12] <= peaks[cfg.ml.replay_capacity] + 64 * 1024
 
+    def test_learner_with_a_full_ring_keeps_nothing_per_tti(self):
+        # nothing a TTI allocates stays, not even a block cached by a free
+        # list: a tuple built from a generator is shrunk in place, and
+        # one a TTI would fill the 5-tuple free list (up to 160 kB)
+        agent = DqnAgent(init_params((3, 24, 24, 5), np.random.default_rng(0)), 0.95,
+                         np.random.default_rng(1), memory=ReplayMemory(64), batch_size=4)
+
+        def run(ttis):
+            for k in range(ttis):
+                state = MdpState(k % 3)
+                agent.observe(state, agent.act(state, None), -1.0, MdpState((k + 1) % 3),
+                              False, None)
+
+        run(100)
+        tracemalloc.start()
+        try:
+            run(2000)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * 1024
+
 
 class TestTrainEpisode:
     def test_fault_free_episode_ends_at_first_tti(self):
