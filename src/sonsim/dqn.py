@@ -57,8 +57,8 @@ class ReplayMemory:
         order; the memories must hold as many transitions from one head."""
         first = rows[0][0]
         memory = cls(first.capacity)
-        memory._columns = tuple(np.stack(column) for column in
-                                zip(*([c[row] for c in m._columns] for m, row in rows)))
+        memory._columns = tuple(np.stack([m._columns[k][row] for m, row in rows])
+                                for k in range(len(first._columns)))
         memory._len, memory._head = first._len, first._head
         return memory
 
