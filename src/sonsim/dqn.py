@@ -91,8 +91,9 @@ class ReplayMemory:
     def batches(self, rngs, batch_size: int) -> list[np.ndarray]:
         """The five columns of a uniform sample without replacement from
         each of the first len(rngs) rows, the r-th drawn from ``rngs[r]``,
-        as (len(rngs), batch) arrays; fewer entries than the batch size
-        means every entry, oldest first.  One take per column gathers all."""
+        as a list of (len(rngs), batch) arrays (a tuple built from a
+        generator would stay in the 5-tuple free list); fewer entries than
+        the batch size means every entry, oldest first."""
         n = self._len
         if n <= batch_size:
             slots = np.arange(n)
