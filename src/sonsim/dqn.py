@@ -39,7 +39,7 @@ class ReplayMemory:
     grow as they fill, up to ``capacity`` slots.  Every learner puts its
     transition of a TTI in the same slot and ``advance`` stores them, so
     the rows hold as many transitions from one head.  A lone memory has
-    one row; ``push`` and ``sample`` use row 0.
+    one row; ``sample`` uses row 0.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -80,10 +80,6 @@ class ReplayMemory:
             self._len += 1
         else:
             self._head = (self._head + 1) % self.capacity
-
-    def push(self, state, action, reward, next_state, terminal) -> None:
-        self.put(0, state, action, reward, next_state, terminal)
-        self.advance()
 
     def __len__(self) -> int:
         return self._len
@@ -233,8 +229,8 @@ class LearnerStack:
 class DqnAgent:
     """One training run's learner: its generator and exploration schedule,
     and its row ``index`` of ``stack``, which holds its network parameters
-    and optimizer state (``flat``, ``params`` and ``opt_state`` are views
-    of its row) and of the stack's replay ``memory``.
+    and optimizer state (``flat`` and ``opt_state`` are views of its
+    row) and of the stack's replay ``memory``.
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,
@@ -256,10 +252,6 @@ class DqnAgent:
     @property
     def flat(self) -> np.ndarray:
         return self.stack.flat[self.index]
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return layer_views(self.flat, self.layer_sizes)
 
     @property
     def opt_state(self) -> AdamState:

@@ -105,18 +105,12 @@ def _seed_radio(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs,
             for name, agent, agent_runs in zip(agent_names, agents, runs)]
 
 
-def run_seed(agent_names, q: int, seed: int,
-             cfg: ExperimentConfig) -> list[SeedRunResult]:
-    """``run_seeds`` with one q and one seed."""
-    [(_, [results])] = run_seeds(agent_names, (q,), (seed,), cfg)
-    return results
-
-
 def run_single(agent_name: str, q: int, seed: int,
                cfg: ExperimentConfig) -> SeedRunResult:
     """Build the cluster for this seed, run every episode, keep the traces:
-    ``run_seed`` with one agent."""
-    return run_seed((agent_name,), q, seed, cfg)[0]
+    ``run_seeds`` with one agent, one q and one seed."""
+    [(_, [[result]])] = run_seeds((agent_name,), (q,), (seed,), cfg)
+    return result
 
 
 def _write_cell_outputs(out: Path, agent: str, results, written: dict,
@@ -131,7 +125,7 @@ def _write_cell_outputs(out: Path, agent: str, results, written: dict,
     files = [(f"episodes_{agent}.csv", repr(rows), write_episodes_csv, rows),  # exact floats
              (f"cdf_{agent}.csv", sinrs.tobytes(), write_cdf_csv, sinrs),
              (f"traces_{agent}.csv", tuple(c.tobytes() for c in columns),
-              write_trace_csv, traces, columns)]
+              write_trace_csv, columns)]
     files += [(f"weights_dqn_seed{r.seed}.txt", (r.dqn_layer_sizes, r.dqn_params.tobytes()),
                lambda path, r: save_params(r.dqn_params, r.dqn_layer_sizes, path), r)
               for r in results if r.dqn_params is not None]
@@ -154,8 +148,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not out.is_dir():
-        raise OSError(f"output path {out} is not a directory")
 
     qs = cfg.effective_qs()
     manifest_runs = [f"run: agent={agent} q={q} seed={seed}"

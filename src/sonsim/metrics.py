@@ -187,9 +187,8 @@ def trace_columns(traces) -> list[np.ndarray]:
          tr.alarm_count, _finite_mean(tr.sinr_db, axis=1)) for tr in traces))]
 
 
-def write_trace_csv(path, traces, columns=None) -> None:
+def write_trace_csv(path, columns) -> None:
     """traces_<agent>.csv: one row per TTI with the mean UE SINR, from
-    ``columns``, the caller's ``trace_columns(traces)``, when given."""
+    ``columns``, the traces' ``trace_columns``."""
     _write_csv(path, "episode,tti,state,action,reward,alarm_count,mean_sinr_db",
-               f"%s,%d,%d,%d,{FLOAT_FORMAT},%d,{FLOAT_FORMAT}",
-               trace_columns(traces) if columns is None else columns)
+               f"%s,%d,%d,%d,{FLOAT_FORMAT},%d,{FLOAT_FORMAT}", columns)

@@ -24,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_LAYER_SIZES = (3, 24, 24, 5)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba defaults
 
 
-def init_params(layer_sizes=DEFAULT_LAYER_SIZES,
-                rng: np.random.Generator | None = None) -> list[np.ndarray]:
+def init_params(layer_sizes, rng: np.random.Generator) -> list[np.ndarray]:
     """Glorot-uniform weights, zero biases."""
-    rng = rng if rng is not None else np.random.default_rng()
     params: list[np.ndarray] = []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -18,7 +18,7 @@ from test_faults import register_cells, same_bits
 
 from sonsim.config import default_config
 from sonsim.dqn import ExplorationSchedule, decay_epsilon
-from sonsim.experiment import run_experiment, run_seed, run_single
+from sonsim.experiment import run_experiment, run_seeds, run_single
 from sonsim.faults import FaultKind, FaultRegister, apply_fault, clear_fault
 from sonsim.mdp import (EpisodeConfig, MdpAction, RewardSchedule, SonEnv,
                         alarm_reward)
@@ -45,9 +45,9 @@ def ordering_data():
     """Per-seed run summaries for every (agent, q) cell, 20 paired seeds."""
     cfg = default_config()
     data = {(agent, q): [] for q in (10, 50) for agent in AGENTS}
-    for q in (10, 50):
-        for seed in range(20):
-            for r in run_seed(AGENTS, q, seed, cfg):
+    for seed in range(20):
+        for q, [results] in run_seeds(AGENTS, (10, 50), (seed,), cfg):
+            for r in results:
                 data[r.agent, q].append(
                     summarize_run(r.traces, cfg.episode.ttis_per_episode))
     return data

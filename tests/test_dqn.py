@@ -54,6 +54,11 @@ class TestDecay:
         assert decay_epsilon(s).epsilon == 0.01
 
 
+def params_of(agent):
+    """The agent's per-layer parameters, views of its row of its stack."""
+    return layer_views(agent.flat, agent.layer_sizes)
+
+
 def greedy_values(params, state):
     return forward(params, encode_state(state))
 
@@ -121,8 +126,9 @@ class TestComputeTarget:
 
 def push_rewards(mem, rewards):
     for r in rewards:
-        mem.push(MdpState.TRANSIENT, MdpAction.NO_ACTION, float(r),
-                 MdpState.TRANSIENT, False)
+        mem.put(0, MdpState.TRANSIENT, MdpAction.NO_ACTION, float(r),
+                MdpState.TRANSIENT, False)
+        mem.advance()
 
 
 @dataclass
@@ -192,7 +198,8 @@ class TestReplayMemory:
             t = (MdpState(int(transitions.integers(3))), MdpAction(int(transitions.integers(5))),
                  float(transitions.normal()), MdpState(int(transitions.integers(3))),
                  bool(transitions.random() < 0.5))
-            ring.push(*t)
+            ring.put(0, *t)
+            ring.advance()
             oracle.push(*t)
             got = ring.sample(ring_rng, batch_size)
             want = oracle.sample(oracle_rng, batch_size)
@@ -278,11 +285,11 @@ class TestTrainEpisode:
         cfg = default_config()
         env = SonEnv(ClusterConfig(ues_per_cell=2), seed=3)
         agent = build_agent("dqn", cfg, 3)
-        before = [p.copy() for p in agent.params]
+        before = [p.copy() for p in params_of(agent)]
         for ep in range(5):
             run_episode(env, agent, ep)
         assert any(not np.array_equal(a, b)
-                   for a, b in zip(agent.params, before))
+                   for a, b in zip(params_of(agent), before))
 
 
 def per_sample_forward(params, x):
@@ -362,7 +369,7 @@ class TestBatchedUpdate:
             terminal = bool(transitions.random() < 0.2)
             agent.observe(state, action, reward, next_state, terminal, None)
             oracle.observe(state, action, reward, next_state, terminal)
-        for got, want in [(agent.params, oracle.params),
+        for got, want in [(params_of(agent), oracle.params),
                           (agent.opt_state.m, oracle.opt_state.m),
                           (agent.opt_state.v, oracle.opt_state.v)]:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -391,14 +398,14 @@ class TestStatePass:
         for _ in range(300):
             state = MdpState(int(transitions.integers(3)))
             reference = copy.deepcopy(agent.rng)
-            want = per_call_select(state, agent.params, epsilon, reference)
+            want = per_call_select(state, params_of(agent), epsilon, reference)
             action = agent.act(state, None)
             assert action == want
             assert agent.rng.bit_generator.state == reference.bit_generator.state
             agent.observe(state, action, float(transitions.choice([-1.0, 0.0])),
                           MdpState(int(transitions.integers(3))),
                           bool(transitions.random() < 0.2), None)
-            greedy.add(tuple(np.argmax(forward(agent.params, np.eye(3)), axis=1)))
+            greedy.add(tuple(np.argmax(forward(params_of(agent), np.eye(3)), axis=1)))
         assert len(greedy) > 1    # the updates did move the greedy actions
 
 
@@ -448,10 +455,11 @@ class TestLearnerStack:
                     LearnerStack.of([learner])
         for learner, oracle, ticks in zip(learners, oracles, lifetimes):
             assert learner.flat.shape == flatten(oracle.params).shape
-            assert [a.shape for a in learner.params] == [b.shape for b in oracle.params]
+            assert [a.shape for a in params_of(learner)] == [b.shape for b in oracle.params]
             assert learner.opt_state.m.shape == learner.opt_state.v.shape \
                 == oracle.opt_state.m.shape == oracle.opt_state.v.shape
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(learner.params, oracle.params))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(params_of(learner), oracle.params))
             assert learner.opt_state.m.tobytes() == oracle.opt_state.m.tobytes()
             assert learner.opt_state.v.tobytes() == oracle.opt_state.v.tobytes()
             assert learner.opt_state.step_count == oracle.opt_state.step_count == ticks

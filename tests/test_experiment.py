@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from sonsim import experiment, mdp, seeding
 from sonsim.cli import main
 from sonsim.config import KNOWN_AGENTS, default_config, parse_config
-from sonsim.experiment import run_experiment, run_seed, run_seeds, run_single
+from sonsim.experiment import run_experiment, run_seeds, run_single
 from sonsim.faults import FaultRates
 from sonsim.mdp import EpisodeConfig
-from sonsim.metrics import ue_average_sinrs, write_cdf_csv, write_trace_csv
+from sonsim.metrics import trace_columns, ue_average_sinrs, write_cdf_csv, write_trace_csv
 from sonsim.nn import load_params
 from sonsim.radio import ClusterConfig, step_mobility
 
@@ -141,7 +142,7 @@ class TestLockstep:
             return original(position, heading, turns, config)
         monkeypatch.setattr(mdp, "step_mobility", walk)
         cfg = replace(default_config(), rates=rates, episode=EpisodeConfig(num_episodes=episodes))
-        run_seed(KNOWN_AGENTS, q, 0, cfg)
+        list(run_seeds(KNOWN_AGENTS, (q,), (0,), cfg))
         n = q * cfg.cluster.num_cells
         assert sizes and max(sizes) <= mdp.RADIO_BLOCK_ROWS
         assert max(sizes) > mdp.RADIO_BLOCK_ROWS - n  # the chunks fill up
@@ -165,7 +166,7 @@ class TestLockstep:
         n = q * cfg.cluster.num_cells
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n)
-            shared = run_seed(agents, q, seed, cfg)
+            [(_, [shared])] = run_seeds(agents, (q,), (seed,), cfg)
             assert [r.agent for r in shared] == agents
             for got in shared:
                 assert_same_run(got, run_single(got.agent, q, seed, cfg))
@@ -181,15 +182,18 @@ class TestLockstep:
         ttis = [sum(e.ttis for e in rs[-1].episodes) for rs in together]
         assert len(set(ttis)) > 1  # the dqn learners left at different ticks
         for seed, results in enumerate(together):
-            for got, want in zip(results, run_seed(KNOWN_AGENTS, 2, seed, cfg), strict=True):
+            [(_, [alone])] = run_seeds(KNOWN_AGENTS, (2,), (seed,), cfg)
+            for got, want in zip(results, alone, strict=True):
                 assert_same_run(got, want)
 
+    @pytest.mark.parametrize("rates", [FaultRates(), CLEARING_RATES])
     @pytest.mark.parametrize("seed", range(2))
-    def test_random_and_fifo_share_one_pass_at_default_rates(self, seed):
-        # with no spontaneous clears their registers match every TTI, so
-        # their traces hold the same read-only radio arrays
-        cfg = replace(tiny_config(), episode=EpisodeConfig(num_episodes=6))
-        rand, fifo, dqn = run_seed(("random", "fifo", "dqn"), 2, seed, cfg)
+    def test_random_and_fifo_share_one_pass(self, seed, rates):
+        # random and fifo clear the same alarm every TTI at any rates, the
+        # spontaneous clears included, so their registers match every TTI
+        # and their traces hold the same read-only radio arrays
+        cfg = replace(tiny_config(), rates=rates, episode=EpisodeConfig(num_episodes=6))
+        [(_, [(rand, fifo, dqn)])] = run_seeds(("random", "fifo", "dqn"), (2,), (seed,), cfg)
         assert_same_run(replace(fifo, agent="random"), rand)
         for a, b in zip(rand.traces, fifo.traces, strict=True):
             for name in ("sinr_db", "rate_mbps", "cell_mbps"):
@@ -270,7 +274,7 @@ class TestRunExperiment:
                 traces = [tr for r in results for tr in r.traces]
                 write_cdf_csv(want, ue_average_sinrs(traces))
                 assert (out / f"q{q}" / f"cdf_{agent}.csv").read_bytes() == want.read_bytes()
-                write_trace_csv(want, traces)
+                write_trace_csv(want, trace_columns(traces))
                 assert (out / f"q{q}" / f"traces_{agent}.csv").read_bytes() == want.read_bytes()
         for name in ("cdf", "traces"):
             files = {(q, agent): (out / f"q{q}" / f"{name}_{agent}.csv").read_bytes()
@@ -295,6 +299,17 @@ class TestRunExperiment:
             files.append((out / f"cdf_{agent}.csv").read_bytes())
             assert files[-1] == want.read_bytes(), agent
         assert files[0] != files[1] and files[0] == files[2]
+
+    def test_output_path_that_is_a_file_rejected(self, tmp_path, capsys):
+        # making the output directory fails, naming the path, before any
+        # run, and the file keeps its bytes
+        path = tmp_path / "results"
+        path.write_bytes(b"not a directory\n")
+        with pytest.raises(FileExistsError, match=re.escape(str(path))):
+            run_experiment(tiny_config(), path)
+        assert main(["--out", str(path), "--episodes", "1", "--seeds", "1"]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == b"not a directory\n"
 
     def test_episode_csv_row_count(self, tmp_path):
         out = run_experiment(tiny_config(), tmp_path / "res")

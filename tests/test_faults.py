@@ -124,6 +124,14 @@ class TestApplyClear:
             apply_fault(FaultKind.AZIMUTH_RESTORED, FaultRegister(),
                         np.random.default_rng(0), NUM_CELLS)
 
+    @pytest.mark.parametrize("kind", [FaultKind.NORMAL, FaultKind.AZIMUTH_RESTORED])
+    def test_clear_of_a_non_alarm_kind_rejected(self, kind):
+        reg = FaultRegister()
+        apply_fault(FaultKind.AZIMUTH_DRIFT, reg, np.random.default_rng(0), NUM_CELLS)
+        with pytest.raises(ValueError, match="alarm kinds 1..4"):
+            clear_fault(kind, reg)
+        assert reg.counts == (1, 0, 0, 0)
+
     def test_neighbor_down_twice_hits_two_cells(self):
         reg = FaultRegister()
         rng = np.random.default_rng(1)

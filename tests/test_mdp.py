@@ -197,6 +197,10 @@ class TestEnv:
         assert a == b
         assert a != run(12)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            seeding.stream(-1, 0)
+
     def test_reset_heals_everything(self):
         env = SonEnv(SMALL, rates=FaultRates((0, 0.25, 0.25, 0.25, 0.25)), seed=4)
         env.reset(0)

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from sonsim import metrics
 from sonsim.config import KNOWN_AGENTS
 from sonsim.metrics import (EpisodeTrace, RunSummary, ThroughputSummary,
                             clearance_ttis, empirical_cdf, percentile,
-                            summarize_run, ue_average_rates, ue_average_sinrs,
-                            write_cdf_csv, write_episodes_csv,
+                            summarize_run, trace_columns, ue_average_rates,
+                            ue_average_sinrs, write_cdf_csv, write_episodes_csv,
                             write_summary_csv, write_trace_csv)
 from sonsim.runner import EpisodeResult
+
+
+def write_traces(path, traces):
+    write_trace_csv(path, trace_columns(traces))
 
 
 def percentile_oracle(samples, p):
@@ -115,6 +120,16 @@ class TestPercentile:
 
 
 class TestSummaries:
+    def test_no_traces_rejected(self):
+        with pytest.raises(ValueError, match="at least one trace"):
+            summarize_run([], ttis_per_episode=20)
+
+    @pytest.mark.parametrize("tti", [[1, 1], [2, 1]])
+    def test_tti_that_does_not_increase_rejected(self, tti):
+        tr = make_trace(0, rates=np.ones((2, 1)), sinrs=np.ones((2, 1)), alarm_counts=[1, 0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            replace(tr, tti=np.array(tti))
+
     def test_constant_rates_collapse_percentiles(self):
         tr = make_trace(0, rates=np.full((4, 6), 10.0),
                         sinrs=np.full((4, 6), 12.0),
@@ -227,7 +242,7 @@ class TestCsvWriters:
         tr = make_trace(3, rates=[[1.0, 2.0]], sinrs=[[6.0, 10.0]],
                         alarm_counts=[2])
         path = tmp_path / "traces_dqn.csv"
-        write_trace_csv(path, [tr])
+        write_traces(path, [tr])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "episode,tti,state,action,reward,alarm_count,mean_sinr_db"
         assert lines[1] == "3,1,0,0,0,2,8"
@@ -409,7 +424,7 @@ class TestWriterBytes:
     @settings(max_examples=150, deadline=None)
     @given(traces_st())
     def test_trace(self, tmp_path_factory, traces):
-        assert_same_bytes(tmp_path_factory.mktemp("trace"), write_trace_csv,
+        assert_same_bytes(tmp_path_factory.mktemp("trace"), write_traces,
                           trace_csv_oracle, traces)
 
 
@@ -450,7 +465,7 @@ class TestTraceMean:
                         sinrs=[[-np.inf, -np.inf, -np.inf], [-np.inf, 4.0, 8.0]],
                         alarm_counts=[1, 0])
         path = tmp_path / "traces_x.csv"
-        write_trace_csv(path, [tr])
+        write_traces(path, [tr])
         rows = path.read_bytes().split(b"\r\n")
         assert rows[1] == b"2,1,0,0,0,1,nan"
         assert rows[2] == b"2,2,0,0,0,0,6"

@@ -46,7 +46,7 @@ class TestForward:
 
     def test_negative_output_representable(self):
         rng = np.random.default_rng(1)
-        outs = [forward(init_params(rng=rng), [0.0, 1.0, 0.0]).min()
+        outs = [forward(init_params((3, 24, 24, 5), rng), [0.0, 1.0, 0.0]).min()
                 for _ in range(50)]
         assert min(outs) < 0.0
 
@@ -93,7 +93,7 @@ def finite_difference_grads(params, x, action, target, h=1e-5):
 class TestBackward:
     def test_zero_gradient_at_optimum(self):
         rng = np.random.default_rng(2)
-        params = init_params(rng=rng)
+        params = init_params((3, 24, 24, 5), rng)
         x = np.array([0.0, 1.0, 0.0])
         target = forward(params, x)[3]
         grads = backward(params, x, 3, target)
@@ -101,7 +101,7 @@ class TestBackward:
 
     def test_non_taken_action_head_untouched(self):
         rng = np.random.default_rng(3)
-        params = init_params(rng=rng)
+        params = init_params((3, 24, 24, 5), rng)
         x = np.array([1.0, 0.0, 0.0])
         grads = backward(params, x, 2, 1.5)
         w_out, b_out = grads[-2], grads[-1]
@@ -229,7 +229,7 @@ class TestAdam:
 
     def test_inputs_never_mutated(self):
         rng = np.random.default_rng(5)
-        params = flatten(init_params(rng=rng))
+        params = flatten(init_params((3, 24, 24, 5), rng))
         before = params.copy()
         grads = np.ones_like(params)
         adam_step(params, grads, AdamState.for_params(params))
@@ -278,7 +278,7 @@ class TestAdam:
 
     def test_training_decreases_loss_on_fixed_batch(self):
         rng = np.random.default_rng(6)
-        params = init_params(rng=rng)
+        params = init_params((3, 24, 24, 5), rng)
         sizes = layer_sizes_of(params)
         targets = rng.normal(scale=2.0, size=(3, 5))
         batch = [(np.eye(3)[s], a, targets[s, a])
@@ -304,8 +304,8 @@ class TestAdam:
 
 class TestInitAndPersistence:
     def test_init_reproducible(self):
-        a = init_params(rng=np.random.default_rng(42))
-        b = init_params(rng=np.random.default_rng(42))
+        a = init_params((3, 24, 24, 5), np.random.default_rng(42))
+        b = init_params((3, 24, 24, 5), np.random.default_rng(42))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_init_bounds_and_shapes(self):
@@ -339,4 +339,12 @@ class TestInitAndPersistence:
         path = tmp_path / "weights.txt"
         save_params(np.zeros(10), (3, 4, 2), path)
         with pytest.raises(ValueError, match="does not match header"):
+            load_params(path)
+
+    @pytest.mark.parametrize("text", ["", "0.0\n1.0\n", "# weights 3 4 2\n0.0\n"],
+                             ids=["empty", "values only", "other header"])
+    def test_load_rejects_a_file_with_no_layer_header(self, tmp_path, text):
+        path = tmp_path / "weights.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="missing layer-size header"):
             load_params(path)
