@@ -8,12 +8,8 @@ and a snapshot of the register is recorded.  An episode ends when the
 register empties or the TTI budget runs out.  The agents see the register
 alone, so the radio observables (SINR and throughput, which only the
 metrics read) are computed after the control loops, by ``drop_radio``, for
-every episode of one drop at once: the UEs of consecutive short episodes
-walk from the drop side by side, and each block of walk rows runs the
-healthy link budget once; the rows of every distinct register history
-then recompute only the managed cell's column, which their faults move,
-and run handover, SINR and throughput together under the cells
-``derive_cells`` derives from their snapshots.
+every episode of one drop at once, and each register history keeps only
+the per-UE and per-TTI means of them that the metrics read.
 """
 
 from __future__ import annotations
@@ -38,12 +34,13 @@ NUM_ACTIONS = 5
 # UE-rows (TTIs x UEs) per block of an episode's radio pass; bounds its
 # (rows, C) temporaries, as DROP_CHUNK_ROWS does for the drop
 RADIO_BLOCK_ROWS = 2048
-# The most episodes per run: a finished episode keeps about 1.2 kB per agent
-# at one UE per cell, so three agents at the bound keep about 0.35 GB a seed.
+# The most episodes per run: a finished episode keeps about 2.3 kB per agent
+# at one UE per cell and 16 B more a UE, so three agents at the bound keep
+# about 0.7 GB a seed.
 MAX_EPISODES = 100_000
-# The most TTIs per episode: a TTI keeps about 0.6 kB per agent at one UE
-# per cell (its trace row and radio rows), so three agents' episodes at the
-# bound keep about 0.18 GB.
+# The most TTIs per episode: a TTI keeps about 0.26 kB per agent at any q
+# (its trace row, snapshot, mean SINR and cell throughputs), so three
+# agents' episodes at the bound keep about 80 MB.
 MAX_TTIS_PER_EPISODE = 100_000
 
 
@@ -251,8 +248,9 @@ class SonEnv:
 def drop_radio(env: SonEnv, runs) -> None:
     """Fill the radio columns of every finished episode of ``runs``, pairs
     of (register history, trace) on the drop of ``env``: each trace's
-    ``sinr_db`` and ``rate_mbps`` (T, N) and ``cell_mbps`` (T, C), one row
-    per TTI of its history.
+    per-UE means over its TTIs ``ue_sinr_db`` (of the finite SINRs, NaN if
+    none) and ``ue_mbps`` (N,), per-TTI mean of the finite UE SINRs
+    ``tti_sinr_db`` (T,) and ``cell_mbps`` (T, C).
 
     Each episode's UEs walk from the drop as far as its longest history.
     Consecutive episodes whose walks fit in RADIO_BLOCK_ROWS UE-rows walk
@@ -261,24 +259,23 @@ def drop_radio(env: SonEnv, runs) -> None:
     episode's shadowing.  The rows of every distinct history of a block
     then go through ``derive_cells``, the managed cell's column (the only
     one faults move, recomputed where they do), handover, SINR and
-    throughput in chunks of at most RADIO_BLOCK_ROWS UE-rows.  Traces of
-    one episode with equal histories get the same read-only arrays.
+    throughput in chunks of at most RADIO_BLOCK_ROWS UE-rows.  No history's
+    (T, N) SINR and rate exist whole: each block adds its rows to the
+    history's per-UE sums one after another, in TTI order, as numpy's
+    axis-0 sum of the whole does for N > 1.  Traces of one episode with
+    equal histories get the same read-only arrays.
     """
     cells, n = env.cells, len(env.ues)
-    # per episode, its distinct histories with their outputs, allocated
-    # before any walk: they outlive the call, and the freed walk buffers
-    # would otherwise fragment the heap under them (6% more peak RSS on the
-    # fault-storm workload)
-    episodes: dict[int, dict[tuple, tuple]] = {}
+    # per episode, its distinct histories with [per-UE sums, (T,) and (T, C)
+    # outputs, traces]; the outputs outlive the call, so they precede any walk
+    episodes: dict[int, dict[tuple, list]] = {}
     for history, trace in runs:
         if not history or len(history) != len(trace.tti):
             raise ValueError("drop_radio takes each trace with its finished episode's history")
         outs = episodes.setdefault(trace.episode, {})
-        history = tuple(history)
-        if history not in outs:
-            t = len(history)
-            outs[history] = (np.empty((t, n)), np.empty((t, n)), np.empty((t, len(cells))))
-        trace.sinr_db, trace.rate_mbps, trace.cell_mbps = outs[history]
+        t = len(history)
+        outs.setdefault(tuple(history), [None, np.empty(t), np.empty((t, len(cells))), []]
+                        )[3].append(trace)
     block = max(1, RADIO_BLOCK_ROWS // n)
     group, rows = [], 0
     for episode, outs in episodes.items():
@@ -291,9 +288,14 @@ def drop_radio(env: SonEnv, runs) -> None:
     if group:
         _group_radio(env, group, block)
     for outs in episodes.values():
-        for arrays in outs.values():
+        for history, (sums, *arrays, traces) in outs.items():
+            sinr, rate, finite = sums.reshape(3, n)
+            with np.errstate(invalid="ignore"):  # 0 / 0 for a UE never served
+                arrays[:0] = sinr / finite, rate / len(history)
             for array in arrays:
                 array.flags.writeable = False
+            for trace in traces:
+                trace.ue_sinr_db, trace.ue_mbps, trace.tti_sinr_db, trace.cell_mbps = arrays
 
 
 def _group_radio(env: SonEnv, group, block: int) -> None:
@@ -322,19 +324,19 @@ def _group_radio(env: SonEnv, group, block: int) -> None:
         b = a + len(position)
         links = site_links(position, cells.sites, config)
         healthy = rx_power_matrix(position, shadow, cells, config, links)
-        # (outputs, first output row, rows, first gathered row) per history
-        # of the block's episodes, its block rows and snapshots gathered
+        # (drop_radio's list, first output row, rows, first gathered row) per
+        # history of the block's episodes, its block rows and snapshots gathered
         segments, at, snaps = [], [], []
         for start, (_, _, outs) in zip(starts, group):
-            for history, arrays in outs.items():
+            for history, out in outs.items():
                 lo, hi = max(a, start), min(b, start + len(history))
                 if lo < hi:
-                    segments.append((arrays, lo - start, hi - lo, len(snaps)))
+                    segments.append((out, lo - start, hi - lo, len(snaps)))
                     at.append(np.arange(lo - a, hi - a))
                     snaps += history[lo - start:hi - start]
         at = np.concatenate(at)
-        results = (np.empty((len(at), len(ues))), np.empty((len(at), len(ues))),
-                   np.empty((len(at), len(cells))))
+        # per row, its UEs' SINR (0 where not finite), rate and finite flags
+        ue, cell = np.empty((len(at), 3, len(ues))), np.empty((len(at), len(cells)))
         for c in range(0, len(at), block):  # bounds the (rows, N, C) temporaries
             rows = at[c:c + block]
             faulted = derive_cells(cells, snaps[c:c + block], env.azimuth_delta)
@@ -345,9 +347,16 @@ def _group_radio(env: SonEnv, group, block: int) -> None:
                     position[rows], shadow if shadow.ndim == 2 else shadow[rows],
                     faulted, config, (links[0][rows], links[1][rows]), [MANAGED_CELL])[..., 0]
             serving = reassign_serving(rx, faulted)
-            sinr_db = results[0][c:c + block] = compute_sinr_all(serving, rx, faulted, config)
-            results[1][c:c + block], results[2][c:c + block] = compute_throughputs(
+            sinr_db = ue[c:c + block, 0] = compute_sinr_all(serving, rx, faulted, config)
+            ue[c:c + block, 1], cell[c:c + block] = compute_throughputs(
                 serving, sinr_db, len(cells), config)
-        for arrays, i, n, k in segments:
-            for out, value in zip(arrays, results):
-                out[i:i + n] = value[k:k + n]
+        sinr_db, finite = ue[:, 0], ue[:, 2]
+        np.isfinite(sinr_db, out=finite)
+        sinr_db[finite == 0] = 0.0
+        with np.errstate(invalid="ignore"):  # 0 / 0 for a row that serves no UE
+            tti_sinr = sinr_db.sum(axis=1) / finite.sum(axis=1)
+        ue = ue.reshape(len(at), -1)
+        for out, i, n, k in segments:
+            out[1][i:i + n], out[2][i:i + n] = tti_sinr[k:k + n], cell[k:k + n]
+            rows = ue[k:k + n]  # added to the history's sums one after another
+            out[0] = (rows if out[0] is None else np.vstack((out[0], rows))).sum(axis=0)

@@ -29,9 +29,12 @@ class EpisodeTrace:
     action: np.ndarray       # (T,)
     reward: np.ndarray       # (T,)
     alarm_count: np.ndarray  # (T,) register population after the TTI
-    sinr_db: np.ndarray | None = None    # (T, N), from the radio pass
-    rate_mbps: np.ndarray | None = None  # (T, N)
-    cell_mbps: np.ndarray | None = None  # (T, C)
+    # from the radio pass: per UE, its mean finite SINR (NaN if none) and
+    # throughput; per TTI, its UEs' mean finite SINR and cell throughputs
+    ue_sinr_db: np.ndarray | None = None   # (N,)
+    ue_mbps: np.ndarray | None = None      # (N,)
+    tti_sinr_db: np.ndarray | None = None  # (T,)
+    cell_mbps: np.ndarray | None = None    # (T, C)
 
     def __post_init__(self):
         if len(self.tti) and np.any(np.diff(self.tti) <= 0):
@@ -78,22 +81,10 @@ def percentile(samples, p: float) -> float:
     return float(arr[rank - 1])
 
 
-def ue_average_rates(traces) -> np.ndarray:
-    """Per-UE time-averaged throughput, pooled over all traces."""
-    return np.concatenate([tr.rate_mbps.mean(axis=0) for tr in traces])
-
-
-def _finite_mean(sinr_db: np.ndarray, axis: int) -> np.ndarray:
-    """Mean over the finite entries along ``axis``; NaN where there is none."""
-    finite = np.isfinite(sinr_db)
-    with np.errstate(invalid="ignore"):
-        return np.where(finite, sinr_db, 0.0).sum(axis=axis) / finite.sum(axis=axis)
-
-
 def ue_average_sinrs(traces) -> np.ndarray:
     """Per-UE time-averaged SINR over finite TTIs, pooled over all traces;
     UEs with no finite sample (never served) are dropped."""
-    means = np.concatenate([_finite_mean(tr.sinr_db, axis=0) for tr in traces])
+    means = np.concatenate([tr.ue_sinr_db for tr in traces])
     return means[~np.isnan(means)]
 
 
@@ -110,7 +101,7 @@ def summarize_run(traces, ttis_per_episode: int) -> RunSummary:
     throughput percentiles, mean SINR and alarm-clearance statistics."""
     if not traces:
         raise ValueError("summarize_run needs at least one trace")
-    rates = ue_average_rates(traces)
+    rates = np.concatenate([tr.ue_mbps for tr in traces])
     sinrs = ue_average_sinrs(traces)
     cell_means = np.concatenate([tr.cell_mbps.ravel() for tr in traces])
 
@@ -184,7 +175,7 @@ def trace_columns(traces) -> list[np.ndarray]:
     with the TTI's mean over its finite UE SINRs."""
     return [np.concatenate(c) for c in zip(*(
         (np.full(len(tr.tti), tr.episode), tr.tti, tr.state, tr.action, tr.reward,
-         tr.alarm_count, _finite_mean(tr.sinr_db, axis=1)) for tr in traces))]
+         tr.alarm_count, tr.tti_sinr_db) for tr in traces))]
 
 
 def write_trace_csv(path, columns) -> None:

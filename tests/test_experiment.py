@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_mdp import RADIO_FIELDS
 
 from sonsim import experiment, mdp, seeding
 from sonsim.cli import main
@@ -196,7 +197,7 @@ class TestLockstep:
         [(_, [(rand, fifo, dqn)])] = run_seeds(("random", "fifo", "dqn"), (2,), (seed,), cfg)
         assert_same_run(replace(fifo, agent="random"), rand)
         for a, b in zip(rand.traces, fifo.traces, strict=True):
-            for name in ("sinr_db", "rate_mbps", "cell_mbps"):
+            for name in RADIO_FIELDS:
                 assert getattr(a, name) is getattr(b, name)
                 assert not getattr(a, name).flags.writeable
         assert_same_run(dqn, run_single("dqn", 2, seed, cfg))

@@ -1,5 +1,8 @@
 import copy
+import functools
 import math
+import operator
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -38,11 +41,14 @@ def reward_oracle(prev, cur, r=(-1.0, 0.0, 1.0, 5.0)):
 SMALL = ClusterConfig(num_sites=1, sectors_per_site=3, ues_per_cell=2)
 
 
+RADIO_FIELDS = ("ue_sinr_db", "ue_mbps", "tti_sinr_db", "cell_mbps")
+
+
 def radio_of(env, history, episode):
     # the radio columns drop_radio fills for one episode's history
     trace = SimpleNamespace(episode=episode, tti=np.arange(len(history)))
     mdp.drop_radio(env, [(history, trace)])
-    return trace.sinr_db, trace.rate_mbps, trace.cell_mbps
+    return tuple(getattr(trace, name) for name in RADIO_FIELDS)
 
 
 class TestReward:
@@ -188,9 +194,8 @@ class TestEnv:
                     state, r, term, _ = env.step(action)
                     out.append((int(state), r, term))
                     k += 1
-                # the episode's observables, one row per TTI
-                sinr_db, ue_mbps, _ = radio_of(env, env.history, ep)
-                out.append((sinr_db.tobytes(), ue_mbps.tobytes()))
+                # the episode's observables
+                out.append(tuple(a.tobytes() for a in radio_of(env, env.history, ep)))
             return out
 
         a, b = run(11), run(11)
@@ -294,10 +299,10 @@ class TestEnv:
         # same history in another episode walks and shadows another way
         a, b, c = (SimpleNamespace(episode=ep, tti=np.arange(1)) for ep in (0, 0, 1))
         mdp.drop_radio(env, [(history, a), (list(history), b), (history, c)])
-        for name in ("sinr_db", "rate_mbps", "cell_mbps"):
+        for name in RADIO_FIELDS:
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
-        assert a.sinr_db.tobytes() != c.sinr_db.tobytes()
+            assert getattr(a, name).tobytes() != getattr(c, name).tobytes()
 
     def test_shadowing_redrawn_per_episode(self):
         env = SonEnv(SMALL, seed=4)
@@ -367,9 +372,9 @@ class TestDropRadio:
                                               weights, agents, q, ttis, seed):
         # events 5..8 are the spontaneous clears; random and fifo act alike
         # at any rates, so distinct histories come from dqn.  Blocks of one
-        # TTI split every longer episode, blocks of seven span short ones,
-        # and with several histories a chunk of history-rows ends inside a
-        # walk block
+        # TTI split every longer episode, so its per-UE sums cross blocks;
+        # blocks of seven span short ones, and with several histories a
+        # chunk of history-rows ends inside a walk block
         cfg = replace(default_config(), cluster=ClusterConfig(ues_per_cell=q),
                       rates=FaultRates(np.array(weights) / sum(weights)),
                       episode=EpisodeConfig(ttis_per_episode=ttis, num_episodes=4))
@@ -399,11 +404,37 @@ class TestDropRadio:
                 # every episode walks from the drop, one TTI at a time
                 position, heading = drop.position.copy(), drop.heading.copy()
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
-                want = [np.stack(col) for col in
-                        zip(*(tti_radio_oracle(position, heading, shadow, c, cfg.cluster, walk)
-                              for c in cells[id(e), ep]))]
-                assert np.isfinite(trace.sinr_db).all()  # no UE is ever in outage
-                for name, w in zip(("sinr_db", "rate_mbps", "cell_mbps"), want):
+                sinr, rate, cell = (np.stack(col) for col in zip(
+                    *(tti_radio_oracle(position, heading, shadow, c, cfg.cluster, walk)
+                      for c in cells[id(e), ep])))
+                assert np.isfinite(sinr).all()  # no UE is ever in outage
+                # per UE, its TTIs added one after another; per TTI, its mean
+                want = (functools.reduce(operator.add, sinr) / len(sinr),
+                        functools.reduce(operator.add, rate) / len(rate),
+                        np.array([row[np.isfinite(row)].mean() for row in sinr]), cell)
+                for name, w in zip(RADIO_FIELDS, want):
                     got = getattr(trace, name)
                     assert got.shape == w.shape and got.tobytes() == w.tobytes(), name
         assert env.ues.tobytes() == drop.tobytes()  # never written
+
+    def test_a_long_episode_keeps_no_rows_per_ue(self):
+        # a 400-TTI history of 210 UEs runs in 45 blocks and keeps its
+        # per-UE means (N,), per-TTI means (T,) and cell throughputs (T, C),
+        # about 74 kB, where its (T, N) SINR and rate would keep 1.3 MB more
+        env = SonEnv(ClusterConfig(ues_per_cell=10), FaultRates((0, 1 / 4, 1 / 4, 1 / 4, 1 / 4)),
+                     episode=EpisodeConfig(ttis_per_episode=400), seed=0)
+        env.reset(0)
+        while not env.terminal:
+            env.step(MdpAction.NO_ACTION)
+        history = env.history
+        n, t, c = len(env.ues), len(history), len(env.cells)
+        assert t == 400
+        trace, warm = (SimpleNamespace(episode=0, tti=np.arange(t)) for _ in range(2))
+        mdp.drop_radio(env, [(history, warm)])
+        tracemalloc.start()
+        try:
+            mdp.drop_radio(env, [(history, trace)])
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * (2 * n + t + t * c) + 16 * 1024

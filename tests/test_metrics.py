@@ -1,19 +1,24 @@
 import csv
+import functools
 import math
+import operator
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim import metrics
+from sonsim import mdp
 from sonsim.config import KNOWN_AGENTS
+from sonsim.mdp import SonEnv
 from sonsim.metrics import (EpisodeTrace, RunSummary, ThroughputSummary,
                             clearance_ttis, empirical_cdf, percentile,
-                            summarize_run, trace_columns, ue_average_rates,
-                            ue_average_sinrs, write_cdf_csv, write_episodes_csv,
-                            write_summary_csv, write_trace_csv)
+                            summarize_run, trace_columns, ue_average_sinrs,
+                            write_cdf_csv, write_episodes_csv, write_summary_csv,
+                            write_trace_csv)
+from sonsim.radio import ClusterConfig
 from sonsim.runner import EpisodeResult
 
 
@@ -41,7 +46,14 @@ def cdf_oracle(samples):
     return out
 
 
+def finite_mean_oracle(values):
+    finite = values[np.isfinite(values)]
+    return finite.mean() if finite.size else float("nan")
+
+
 def make_trace(episode, rates, sinrs, alarm_counts, cell_rates=None):
+    # the trace of (T, N) per-TTI UE rates and SINRs, with the per-UE and
+    # per-TTI means the radio pass keeps of them
     rates = np.asarray(rates, dtype=float)
     sinrs = np.asarray(sinrs, dtype=float)
     t = rates.shape[0]
@@ -54,8 +66,9 @@ def make_trace(episode, rates, sinrs, alarm_counts, cell_rates=None):
         action=np.zeros(t, dtype=int),
         reward=np.zeros(t),
         alarm_count=np.asarray(alarm_counts, dtype=int),
-        sinr_db=sinrs,
-        rate_mbps=rates,
+        ue_sinr_db=np.array([finite_mean_oracle(ue) for ue in sinrs.T]),
+        ue_mbps=rates.mean(axis=0),
+        tti_sinr_db=np.array([finite_mean_oracle(row) for row in sinrs]),
         cell_mbps=np.asarray(cell_rates, dtype=float),
     )
 
@@ -175,8 +188,10 @@ class TestSummaries:
         tr = make_trace(0, rates=[[0.0, 2.0]],
                         sinrs=[[-np.inf, 5.0]],
                         alarm_counts=[0])
-        assert list(ue_average_rates([tr])) == [0.0, 2.0]
         assert list(ue_average_sinrs([tr])) == [5.0]
+        s = summarize_run([tr], 20)
+        assert (s.throughput.edge_mbps, s.throughput.peak_mbps) == (0.0, 2.0)
+        assert s.throughput.average_mbps == 1.0 and s.mean_sinr_db == 5.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -326,11 +341,6 @@ def summary_csv_oracle(path, rows):
                              _fmt_oracle(summary.mean_clearance_ttis)])
 
 
-def row_mean_oracle(row_sinr):
-    finite = row_sinr[np.isfinite(row_sinr)]
-    return finite.mean() if finite.size else float("nan")
-
-
 def trace_csv_oracle(path, traces):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -341,7 +351,7 @@ def trace_csv_oracle(path, traces):
                 writer.writerow([tr.episode, int(tr.tti[i]), int(tr.state[i]),
                                  int(tr.action[i]), _fmt_oracle(tr.reward[i]),
                                  int(tr.alarm_count[i]),
-                                 _fmt_oracle(row_mean_oracle(tr.sinr_db[i]))])
+                                 _fmt_oracle(tr.tti_sinr_db[i])])
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
@@ -354,13 +364,8 @@ def traces_st(draw):
     traces = []
     for episode in range(draw(st.integers(0, 3))):
         t = draw(st.integers(1, 6))
-        n = draw(st.integers(1, 12))
-        # whole rows finite or whole rows in outage: the mean of a partial
-        # row may differ from the oracle in its last bit (see TestTraceMean)
-        rows = [draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
-                if draw(st.booleans()) else
-                draw(st.lists(st.sampled_from([-math.inf, math.nan]), min_size=n, max_size=n))
-                for _ in range(t)]
+        # a TTI in outage has a NaN mean
+        means = st.floats(-1e6, 1e6) | st.just(math.nan)
         ints = st.lists(small_int, min_size=t, max_size=t)
         start = draw(small_int)
         traces.append(EpisodeTrace(
@@ -370,9 +375,7 @@ def traces_st(draw):
             action=np.array(draw(ints)),
             reward=np.array(draw(st.lists(any_float, min_size=t, max_size=t))),
             alarm_count=np.array(draw(ints)),
-            sinr_db=np.array(rows, dtype=float),
-            rate_mbps=np.zeros((t, n)),
-            cell_mbps=np.zeros((t, 1))))
+            tti_sinr_db=np.array(draw(st.lists(means, min_size=t, max_size=t)))))
     return traces
 
 
@@ -429,23 +432,34 @@ class TestWriterBytes:
 
 
 class TestTraceMean:
-    """The trace's per-TTI mean over finite SINRs, computed on whole
-    episodes, against the per-row mean it replaced."""
+    """The per-TTI and per-UE means over finite SINRs that ``drop_radio``
+    keeps of the SINR rows it computes a block at a time, against the row
+    and column means they replaced."""
 
     @staticmethod
     def means(sinr_db):
+        # drop_radio on a one-cell drop of N UEs and one fault-free history
+        # of T TTIs, whose SINR rows are ``sinr_db``; above 1,024 UEs, each
+        # TTI is a block of its own
         t, n = sinr_db.shape
-        tr = make_trace(0, rates=np.zeros((t, n)), sinrs=sinr_db,
-                        alarm_counts=np.zeros(t))
-        return metrics.trace_columns([tr])[-1]
+        env = SonEnv(ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=n))
+        trace = SimpleNamespace(episode=0, tti=np.arange(t))
+        rows = iter(sinr_db)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdp, "compute_sinr_all",
+                       lambda serving, *_: np.array([next(rows) for _ in serving]))
+            mdp.drop_radio(env, [([((0, 0, 0, 0), ())] * t, trace)])
+        return trace.tti_sinr_db, trace.ue_sinr_db
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 21, 127, 128, 129, 210, 1050])
     def test_all_finite_rows_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         sinr = rng.normal(8.0, 6.0, (5, n))
-        got = self.means(sinr)
-        want = np.array([row_mean_oracle(row) for row in sinr])
+        got, ues = self.means(sinr)
+        want = np.array([finite_mean_oracle(row) for row in sinr])
         assert got.tobytes() == want.tobytes()
+        # each UE's TTIs added one after another
+        assert ues.tobytes() == (functools.reduce(operator.add, sinr) / len(sinr)).tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_with_outages_within_rounding(self, seed):
@@ -455,15 +469,18 @@ class TestTraceMean:
         sinr[rng.random((6, n)) < rng.random((6, 1))] = -np.inf
         sinr[0, :] = -np.inf
         sinr[1, 1:] = -np.inf  # one UE served
-        got = self.means(sinr)
-        want = np.array([row_mean_oracle(row) for row in sinr])
+        got, ues = self.means(sinr)
+        want = np.array([finite_mean_oracle(row) for row in sinr])
         assert np.isnan(got[0])
         np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15, atol=0)
+        want = np.array([finite_mean_oracle(ue) for ue in sinr.T])
+        np.testing.assert_allclose(ues, want, rtol=1e-15, atol=0)
 
     def test_all_outage_row_prints_nan(self, tmp_path):
-        tr = make_trace(2, rates=np.zeros((2, 3)),
-                        sinrs=[[-np.inf, -np.inf, -np.inf], [-np.inf, 4.0, 8.0]],
-                        alarm_counts=[1, 0])
+        sinr = np.array([[-np.inf, -np.inf, -np.inf], [-np.inf, 4.0, 8.0]])
+        tr = make_trace(2, rates=np.zeros((2, 3)), sinrs=sinr, alarm_counts=[1, 0])
+        tr.tti_sinr_db, ues = self.means(sinr)
+        assert np.isnan(ues[0]) and ues[1:].tolist() == [4.0, 8.0]
         path = tmp_path / "traces_x.csv"
         write_traces(path, [tr])
         rows = path.read_bytes().split(b"\r\n")
