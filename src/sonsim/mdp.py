@@ -39,8 +39,8 @@ RADIO_BLOCK_ROWS = 2048
 # about 0.7 GB a seed.
 MAX_EPISODES = 100_000
 # The most TTIs per episode: a TTI keeps about 0.26 kB per agent at any q
-# (its trace row, snapshot, mean SINR and cell throughputs), so three
-# agents' episodes at the bound keep about 80 MB.
+# (its trace row, mean SINR and cell throughputs), so three agents'
+# episodes at the bound keep about 80 MB.
 MAX_TTIS_PER_EPISODE = 100_000
 
 
