@@ -291,7 +291,7 @@ def drop_radio(env: SonEnv, runs) -> None:
         for history, (sums, *arrays, traces) in outs.items():
             sinr, rate, finite = sums.reshape(3, n)
             with np.errstate(invalid="ignore"):  # 0 / 0 for a UE never served
-                arrays[:0] = sinr / finite, rate / len(history)
+                arrays = [sinr / finite, rate / len(history), *arrays]
             for array in arrays:
                 array.flags.writeable = False
             for trace in traces:
