@@ -56,11 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config is not None else default_config()
         if args.agent:
             cfg = replace(cfg, agents=tuple(KNOWN_AGENTS) if args.agent == "all"
                           else (args.agent,))
-        if args.seeds:
+        if args.seeds is not None:
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
         if args.ues_per_cell is not None:
             cfg = replace(cfg,
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         if args.episodes is not None:
             cfg = replace(cfg, episode=replace(cfg.episode,
                                                num_episodes=args.episodes))
-        if args.out:
+        if args.out is not None:
             cfg = replace(cfg, output_dir=args.out)
 
         if args.dump_effective_config:

@@ -1,7 +1,8 @@
 """Experiment orchestration over the (agent, UEs-per-cell, seed) grid,
 with deterministic outputs.  Every (seed, agent) pair runs its control
 loop once for all qs, in lockstep ticks; then each (q, seed) builds one
-drop and runs one radio pass.  Each distinct file is formatted once a run.
+drop, whose one radio pass runs when its traces are first read.  Each
+distinct file is formatted once a run.
 
 Every run writes into a staging directory first and is moved into place
 only on success, so a failed experiment leaves no partial results.  All
@@ -15,7 +16,7 @@ import copy
 import datetime
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +35,24 @@ from .runner import EpisodeResult, run_lockstep
 
 @dataclass
 class SeedRunResult:
-    """Everything one (agent, q, seed) cell produced."""
+    """Everything one (agent, q, seed) cell produced.  Reading ``traces``
+    runs the (q, seed)'s radio pass, once for all its agents' results."""
 
     agent: str
     q: int
     seed: int
-    traces: list[EpisodeTrace]
     episodes: list[EpisodeResult]
-    dqn_params: np.ndarray | None = None    # the dqn agent's flat parameter vector
-    dqn_layer_sizes: tuple = ()
+    dqn_params: np.ndarray | None    # the dqn agent's flat parameter vector
+    dqn_layer_sizes: tuple
+    radio: list = field(repr=False, compare=False)  # the (q, seed)'s pass until it runs
+    _traces: list[EpisodeTrace] = field(repr=False, compare=False)
+
+    @property
+    def traces(self) -> list[EpisodeTrace]:
+        if self.radio:
+            drop_radio(*self.radio[0])
+            self.radio.clear()
+        return self._traces
 
 
 def build_agent(name: str, cfg: ExperimentConfig, seed: int):
@@ -69,9 +79,9 @@ def run_seeds(agent_names, qs, seeds, cfg: ExperimentConfig):
 
     Faults, rewards, actions and learning never read the radio, so the
     control loops of all (seed, agent) pairs run once, in lockstep ticks
-    (``runner.run_lockstep``) on each seed's drop at the first q.  Then per
-    q, one radio pass (``mdp.drop_radio``) on each seed's drop at that q
-    fills that q's own traces, which only the yielded results hold.
+    (``runner.run_lockstep``) on each seed's drop at the first q.  Each
+    (q, seed) then gets one radio pass (``mdp.drop_radio``) on the seed's
+    drop at that q, run when one of its results' traces is first read.
     """
     drops = ([SonEnv(replace(cfg.cluster, ues_per_cell=q), cfg.rates, cfg.rewards,
                      cfg.episode, seed=seed, azimuth_delta=cfg.azimuth_delta)
@@ -83,26 +93,34 @@ def run_seeds(agent_names, qs, seeds, cfg: ExperimentConfig):
                         range(cfg.episode.num_episodes))
     runs = [runs[s:s + len(agent_names)] for s in range(0, len(runs), len(agent_names))]
     for i, q in enumerate(qs):
-        yield q, [_seed_radio(env, q, seed, agent_names, row, seed_runs, i == len(qs) - 1)
+        yield q, [_seed_results(env, q, seed, agent_names, row, seed_runs, i == len(qs) - 1)
                   for seed, env, row, seed_runs in zip(seeds, envs, agents, runs)]
         envs = next(drops, None)
 
 
-def _seed_radio(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs,
-                last: bool) -> list[SeedRunResult]:
-    """One seed's results at ``q``: its runs ``seed_runs``, their traces
-    filled by one radio pass on ``env``; copies of them, but the ``last`` q
-    takes them and empties ``seed_runs``, so their histories go after it."""
-    runs = [[(summary, trace if last else copy.copy(trace), history)
-             for summary, trace, history in agent_runs] for agent_runs in seed_runs]
+def _seed_results(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs,
+                  last: bool) -> list[SeedRunResult]:
+    """One seed's results at ``q``, from its runs ``seed_runs``: copies of
+    the traces, but the ``last`` q takes them and empties ``seed_runs``.  A
+    trace equal to an earlier agent's, history included, is that trace, and
+    the radio pass on ``env`` waits in the results until one is read."""
+    firsts: dict = {}  # (episode, history, control columns' bytes) -> (history, trace)
+    traces = [[] for _ in seed_runs]
+    for e, episode in enumerate(zip(*seed_runs)):
+        for agent_traces, (_, trace, history) in zip(traces, episode):
+            key = (e, tuple(history), *(a.tobytes() for a in (
+                trace.tti, trace.state, trace.action, trace.reward, trace.alarm_count)))
+            agent_traces.append(firsts.setdefault(
+                key, (history, trace if last else copy.copy(trace)))[1])
+    radio = [(env, list(firsts.values()))]
+    results = [SeedRunResult(name, q, seed, [summary for summary, _, _ in agent_runs],
+                             getattr(agent, "flat", None), getattr(agent, "layer_sizes", ()),
+                             radio, agent_traces)
+               for name, agent, agent_runs, agent_traces in zip(agent_names, agents, seed_runs,
+                                                                 traces)]
     if last:
         seed_runs.clear()
-    drop_radio(env, [(history, trace) for episode in zip(*runs)
-                     for _, trace, history in episode])
-    return [SeedRunResult(name, q, seed, [trace for _, trace, _ in agent_runs],
-                          [summary for summary, _, _ in agent_runs],
-                          getattr(agent, "flat", None), getattr(agent, "layer_sizes", ()))
-            for name, agent, agent_runs in zip(agent_names, agents, runs)]
+    return results
 
 
 def run_single(agent_name: str, q: int, seed: int,
@@ -113,19 +131,25 @@ def run_single(agent_name: str, q: int, seed: int,
     return result
 
 
-def _write_cell_outputs(out: Path, agent: str, results, written: dict,
+def _write_cell_outputs(out: Path, agent: str, q: int, results, written: dict,
                         cfg: ExperimentConfig) -> RunSummary:
     """Write the per-(agent, q) files and return the pooled traces' summary.
     ``written`` maps (file kind, the exact input its writer formats) to the
-    first file written from it, which a file with the same key copies."""
+    first file written from it, which a file with the same key copies, and
+    holds the summaries.  The summary, CDF and trace file key on q and the
+    traces' ids: a q's traces all live while its files are written, a run
+    takes each q once, and equal traces are one object (``run_seeds``)."""
     traces = [tr for r in results for tr in r.traces]
-    summary = summarize_run(traces, cfg.episode.ttis_per_episode)  # its temporaries go first
+    pooled = (q, *map(id, traces))
+    sinrs = []  # the per-UE means, pooled once, until the CDF writer takes them
+    if ("summary", pooled) not in written:
+        sinrs.append(ue_average_sinrs(traces))
+        written["summary", pooled] = summarize_run(traces, cfg.episode.ttis_per_episode, sinrs[0])
     rows = [(ep, res) for r in results for ep, res in enumerate(r.episodes)]
-    sinrs, columns = ue_average_sinrs(traces), trace_columns(traces)
     files = [(f"episodes_{agent}.csv", repr(rows), write_episodes_csv, rows),  # exact floats
-             (f"cdf_{agent}.csv", sinrs.tobytes(), write_cdf_csv, sinrs),
-             (f"traces_{agent}.csv", tuple(c.tobytes() for c in columns),
-              write_trace_csv, columns)]
+             (f"cdf_{agent}.csv", pooled, lambda path: write_cdf_csv(path, sinrs.pop())),
+             (f"traces_{agent}.csv", pooled,
+              lambda path: write_trace_csv(path, trace_columns(traces)))]
     files += [(f"weights_dqn_seed{r.seed}.txt", (r.dqn_layer_sizes, r.dqn_params.tobytes()),
                lambda path, r: save_params(r.dqn_params, r.dqn_layer_sizes, path), r)
               for r in results if r.dqn_params is not None]
@@ -136,7 +160,7 @@ def _write_cell_outputs(out: Path, agent: str, results, written: dict,
             write(path, *data)
         else:
             shutil.copyfile(first, path)
-    return summary
+    return written["summary", pooled]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -159,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         for q, per_seed in run_seeds(cfg.agents, qs, cfg.seeds, cfg):
             cell_dir = stage if len(qs) == 1 else stage / f"q{q}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            summary_rows += [(agent, q, _write_cell_outputs(cell_dir, agent, results,
+            summary_rows += [(agent, q, _write_cell_outputs(cell_dir, agent, q, results,
                                                             written, cfg))
                              for agent, results in zip(cfg.agents, zip(*per_seed))]
             del per_seed  # frees this q's radio before the next q's pass

@@ -60,13 +60,28 @@ class RunSummary:
 def empirical_cdf(samples) -> np.ndarray:
     """Empirical distribution function as a (K, 2) array of (value,
     cumulative probability) rows over the K distinct sorted values; the
-    last probability is 1."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
+    last probability is 1: ``np.unique(samples, return_counts=True)``'s
+    values and count sums over n, bit for bit (the first of equal values
+    signs a zero; NaNs are one value), built in one (2, n) buffer."""
+    samples = np.asarray(samples, dtype=float)
+    if not samples.size:
         raise ValueError("empirical_cdf needs at least one sample")
-    values, counts = np.unique(arr, return_counts=True)
-    cum = np.cumsum(counts) / arr.size
-    return np.column_stack([values, cum])
+    steps = np.empty((2, samples.size))
+    values, ranks = steps
+    values[:] = samples.ravel()
+    values.sort()
+    n = len(values)  # NaNs sort last; they are one run from the first
+    m = int(np.searchsorted(values, np.nan)) + 1 if np.isnan(values[-1]) else n
+    k = 0  # ranks[k] ends run k and starts run k + 1, at or past k + 1: values move down
+    for lo in range(0, m - 1, CSV_BLOCK_ROWS):
+        block = values[lo:min(lo + CSV_BLOCK_ROWS + 1, m)]
+        starts = lo + 1 + np.flatnonzero(block[1:] != block[:-1])
+        values[k + 1:k + 1 + len(starts)] = values[starts]
+        ranks[k:k + len(starts)] = starts
+        k += len(starts)
+    ranks[k] = n
+    ranks[:k + 1] /= n
+    return steps[:, :k + 1].T
 
 
 def percentile(samples, p: float) -> float:
@@ -96,13 +111,15 @@ def clearance_ttis(trace: EpisodeTrace, ttis_per_episode: int) -> int:
     return int(trace.tti[zeros[0]])
 
 
-def summarize_run(traces, ttis_per_episode: int) -> RunSummary:
+def summarize_run(traces, ttis_per_episode: int, sinrs=None) -> RunSummary:
     """Pool per-UE time averages over the given traces and compute the
-    throughput percentiles, mean SINR and alarm-clearance statistics."""
+    throughput percentiles, mean SINR and alarm-clearance statistics;
+    ``sinrs``, if given, is the traces' ``ue_average_sinrs``."""
     if not traces:
         raise ValueError("summarize_run needs at least one trace")
     rates = np.concatenate([tr.ue_mbps for tr in traces])
-    sinrs = ue_average_sinrs(traces)
+    if sinrs is None:
+        sinrs = ue_average_sinrs(traces)
     cell_means = np.concatenate([tr.cell_mbps.ravel() for tr in traces])
 
     clear = np.array([clearance_ttis(tr, ttis_per_episode) for tr in traces], dtype=float)
@@ -144,8 +161,11 @@ def write_cdf_csv(path, samples) -> None:
     steps = empirical_cdf(samples)
     v, p = steps[:, 0], steps[:, 1]
     # neighbours print alike at 8+ digits only when closer than a relative
-    # ~1e-7; the gap is taken between halves, which cannot overflow
-    near = np.flatnonzero(np.diff(v / 2) <= 1e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    # ~1e-7; the gap is taken between halves, which cannot overflow, a block
+    # at a time, which bounds the temporaries
+    near = [lo + i for lo in range(0, len(v) - 1, CSV_BLOCK_ROWS)
+            for w in [v[lo:lo + CSV_BLOCK_ROWS + 1]]
+            for i in np.flatnonzero(np.diff(w / 2) <= 1e-7 * np.maximum(abs(w[:-1]), abs(w[1:])))]
     digits = 8  # 17 always suffices
     while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
               for i in near):

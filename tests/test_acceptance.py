@@ -45,8 +45,8 @@ def ordering_data():
     """Per-seed run summaries for every (agent, q) cell, 20 paired seeds."""
     cfg = default_config()
     data = {(agent, q): [] for q in (10, 50) for agent in AGENTS}
-    for seed in range(20):
-        for q, [results] in run_seeds(AGENTS, (10, 50), (seed,), cfg):
+    for q, per_seed in run_seeds(AGENTS, (10, 50), range(20), cfg):
+        for results in per_seed:
             for r in results:
                 data[r.agent, q].append(
                     summarize_run(r.traces, cfg.episode.ttis_per_episode))

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -103,6 +104,46 @@ def assert_same_run(got, want):
         assert [p.tobytes() for p in got.dqn_params] == [p.tobytes() for p in want.dqn_params]
 
 
+class TestLazyRadio:
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        def counted(env, runs, original=experiment.drop_radio):
+            passes.append((env.config.ues_per_cell, env.seed))
+            return original(env, runs)
+        monkeypatch.setattr(experiment, "drop_radio", counted)
+        return passes
+
+    def test_episodes_alone_run_no_radio(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        result = run_single("dqn", 2, 0, tiny_config())
+        assert len(result.episodes) == 4 and result.dqn_params is not None
+        assert passes == []
+
+    @pytest.mark.parametrize("rates", [FaultRates(), CLEARING_RATES])
+    def test_traces_run_one_pass_per_q_and_seed(self, tmp_path, monkeypatch, rates):
+        # read in any order, after the run, twice: one pass per (q, seed),
+        # and the traces run_experiment reads at once, bit for bit
+        passes = self.count_passes(monkeypatch)
+        cfg = replace(tiny_config(), rates=rates, qs=(2, 3))
+        grid = list(run_seeds(cfg.agents, cfg.qs, cfg.seeds, cfg))
+        assert passes == []
+        for q, per_seed in reversed(grid):
+            for results in per_seed:
+                for r in results[::-1] + results:
+                    assert len(r.traces) == cfg.episode.num_episodes
+        assert sorted(passes) == [(q, seed) for q in cfg.qs for seed in cfg.seeds]
+        passes.clear()
+        for (q, lazy), (_, eager) in zip(grid, run_seeds(cfg.agents, cfg.qs, cfg.seeds, cfg),
+                                         strict=True):
+            for got, want in zip(lazy, eager, strict=True):
+                for a, b in zip(got, want, strict=True):
+                    assert_same_run(a, b)
+        passes.clear()
+        run_experiment(cfg, tmp_path / "res")
+        assert sorted(passes) == [(q, seed) for q in cfg.qs for seed in cfg.seeds]
+
+
 class TestLockstep:
     def test_one_drop_per_q_seed_and_one_walk_per_episode(self, tmp_path, monkeypatch):
         drops, walks = [], []
@@ -143,7 +184,8 @@ class TestLockstep:
             return original(position, heading, turns, config)
         monkeypatch.setattr(mdp, "step_mobility", walk)
         cfg = replace(default_config(), rates=rates, episode=EpisodeConfig(num_episodes=episodes))
-        list(run_seeds(KNOWN_AGENTS, (q,), (0,), cfg))
+        [(_, [results])] = run_seeds(KNOWN_AGENTS, (q,), (0,), cfg)
+        results[0].traces  # runs the seed's radio pass
         n = q * cfg.cluster.num_cells
         assert sizes and max(sizes) <= mdp.RADIO_BLOCK_ROWS
         assert max(sizes) > mdp.RADIO_BLOCK_ROWS - n  # the chunks fill up
@@ -192,11 +234,12 @@ class TestLockstep:
     def test_random_and_fifo_share_one_pass(self, seed, rates):
         # random and fifo clear the same alarm every TTI at any rates, the
         # spontaneous clears included, so their registers match every TTI
-        # and their traces hold the same read-only radio arrays
+        # and their traces are one object each, with read-only radio arrays
         cfg = replace(tiny_config(), rates=rates, episode=EpisodeConfig(num_episodes=6))
         [(_, [(rand, fifo, dqn)])] = run_seeds(("random", "fifo", "dqn"), (2,), (seed,), cfg)
         assert_same_run(replace(fifo, agent="random"), rand)
         for a, b in zip(rand.traces, fifo.traces, strict=True):
+            assert a is b
             for name in RADIO_FIELDS:
                 assert getattr(a, name) is getattr(b, name)
                 assert not getattr(a, name).flags.writeable
@@ -287,19 +330,37 @@ class TestRunExperiment:
 
     def test_signed_zeros_get_files_of_their_own(self, tmp_path, monkeypatch):
         # -0.0 == 0.0, yet "%.8g" prints them as -0 and 0: CDF samples that
-        # differ only in the sign of a zero are two inputs and two files
-        samples = [np.array([-0.0, 1.0]), np.array([0.0, 1.0]), np.array([-0.0, 1.0])]
-        given = iter(samples)
+        # differ only in the sign of a zero are two inputs and two files.
+        # fifo's traces are random's, so its samples are not asked for
+        samples = {"random": np.array([-0.0, 1.0]), "dqn": np.array([0.0, 1.0])}
+        given = iter(samples.values())
         monkeypatch.setattr(experiment, "ue_average_sinrs", lambda traces: next(given))
-        cfg = tiny_config()
-        out = run_experiment(cfg, tmp_path / "res")
+        out = run_experiment(tiny_config(), tmp_path / "res")
+        assert next(given, None) is None
         want = tmp_path / "want.csv"
-        files = []
-        for agent, values in zip(cfg.agents, samples, strict=True):
+        for agent, values in samples.items():
             write_cdf_csv(want, values)
-            files.append((out / f"cdf_{agent}.csv").read_bytes())
-            assert files[-1] == want.read_bytes(), agent
-        assert files[0] != files[1] and files[0] == files[2]
+            assert (out / f"cdf_{agent}.csv").read_bytes() == want.read_bytes(), agent
+        files = [(out / f"cdf_{agent}.csv").read_bytes() for agent in ("random", "fifo", "dqn")]
+        assert files[0] == files[1] != files[2]
+
+    def test_memo_keys_hold_no_samples_or_columns(self, tmp_path, monkeypatch):
+        # the pooled files are keyed on the traces' ids, not on copies of
+        # their samples or columns: at q = 50 all keys together take less
+        # than one CDF's samples
+        memos = []
+        def spy(*args, original=experiment._write_cell_outputs):
+            memos.append(args[-2])
+            return original(*args)
+        monkeypatch.setattr(experiment, "_write_cell_outputs", spy)
+        cfg = replace(default_config(), qs=(50,), seeds=(0,),
+                      episode=EpisodeConfig(num_episodes=4))
+        run_experiment(cfg, tmp_path / "res")
+        assert len(memos) == len(cfg.agents) and all(m is memos[0] for m in memos)
+        def size(key):
+            return sys.getsizeof(key) + (sum(map(size, key)) if isinstance(key, tuple) else 0)
+        samples = cfg.episode.num_episodes * 50 * cfg.cluster.num_cells
+        assert sum(map(size, memos[0])) < 8 * samples
 
     def test_output_path_that_is_a_file_rejected(self, tmp_path, capsys):
         # making the output directory fails, naming the path, before any
@@ -376,6 +437,14 @@ class TestCli:
     def test_zero_count_rejected(self, flag, field, capsys):
         assert main(["--dump-effective-config", flag, "0"]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [("--out", "run.output_dir"),
+                                               ("--seeds", "--seeds"),
+                                               ("--config", "No such file")])
+    def test_empty_value_rejected(self, flag, message, capsys):
+        # an empty value is validated, not taken for an absent flag
+        assert main(["--dump-effective-config", flag, ""]) == 1
+        assert message in capsys.readouterr().err
 
     def test_seed_list_parsing(self, capsys):
         assert main(["--dump-effective-config", "--seeds", "4,7"]) == 0

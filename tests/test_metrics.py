@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import operator
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonsim import mdp
+from sonsim import mdp, metrics
 from sonsim.config import KNOWN_AGENTS
 from sonsim.mdp import SonEnv
 from sonsim.metrics import (EpisodeTrace, RunSummary, ThroughputSummary,
@@ -296,6 +297,65 @@ def test_cdf_csv_prints_strictly_increasing_values(tmp_path_factory, samples, ne
     values = [float(v) for v, _ in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert rows[-1][1] == "1"
+
+
+def unique_cdf(samples):
+    """empirical_cdf as ``np.unique`` counts its values."""
+    samples = np.asarray(samples, dtype=float)
+    values, counts = np.unique(samples, return_counts=True)
+    return np.column_stack([values, np.cumsum(counts) / samples.size])
+
+
+def unique_cdf_csv(path, samples):
+    """write_cdf_csv from unique_cdf, with its near test over whole arrays."""
+    steps = unique_cdf(samples)
+    v, p = steps[:, 0], steps[:, 1]
+    near = np.flatnonzero(np.diff(v / 2) <= 1e-7 * np.maximum(abs(v[:-1]), abs(v[1:])))
+    digits = 8
+    while any(float("%.*g" % (digits, v[i])) >= float("%.*g" % (digits, v[i + 1]))
+              for i in near):
+        digits += 1
+    with open(path, "w", newline="") as fh:
+        fh.write("value,probability\r\n")
+        fh.writelines(f"%.{digits}g,%.8g\r\n" % row for row in zip(v.tolist(), p.tolist()))
+
+
+# repeats, signed zeros in either order, NaNs and neighbours near the largest
+# doubles, whose gap would overflow
+CDF_SAMPLES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.nan, 1.7e308, -1.7e308,
+                                                  float(np.nextafter(1.7e308, 0.0))]),
+                                 st.floats(-1.7e308, 1.7e308), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CDF_SAMPLES, st.integers(1, 6))
+def test_cdf_is_unique_bit_for_bit(tmp_path_factory, samples, block):
+    # small blocks put run and near-pair edges across block edges
+    path = tmp_path_factory.mktemp("cdf")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "CSV_BLOCK_ROWS", block)
+        got = empirical_cdf(samples)
+        write_cdf_csv(path / "got.csv", samples)
+    want = unique_cdf(samples)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    unique_cdf_csv(path / "want.csv", samples)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+def test_cdf_writer_peaks_near_twice_its_input(tmp_path):
+    # one q = 50 CDF: the sorted samples and their ranks, built in place,
+    # plus one CSV block's Python objects
+    samples = np.random.default_rng(0).normal(size=52_500)
+    write_cdf_csv(tmp_path / "warm.csv", samples)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_cdf_csv(tmp_path / "cdf.csv", samples)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * samples.nbytes, peak / samples.nbytes
 
 
 # --- csv.writer transcription of the row-at-a-time writers ------------------
