@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import (ConfigError, KNOWN_AGENTS, default_config,
+from .config import (ConfigError, KNOWN_AGENTS, _split_list, default_config,
                      dump_effective_config, load_config)
 from .experiment import run_experiment
 
@@ -16,7 +16,7 @@ MAX_SEED_COUNT = 1_000_000
 
 def _parse_seeds(text: str) -> tuple:
     """A single integer N means seeds 0..N-1; a comma list is taken as-is."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = _split_list(text)
     if not parts:
         raise ConfigError("--seeds needs a count or a comma-separated list")
     values = []

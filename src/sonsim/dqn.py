@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import MdpAction, MdpState, encode_state, NUM_ACTIONS, NUM_STATES
+from .mdp import MdpAction, MdpState, NUM_ACTIONS, NUM_STATES
 from .nn import (AdamState, adam_step, backward, flatten, forward,
                  layer_sizes_of, layer_views)
 
-# the network input of every state, one row each (the identity)
-ALL_STATES = encode_state(np.arange(NUM_STATES))
+# the network input of every state, one-hot, one row each
+ALL_STATES = np.eye(NUM_STATES)
 
 
 class ReplayMemory:
@@ -42,7 +42,7 @@ class ReplayMemory:
     one row; ``sample`` uses row 0.
     """
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
@@ -105,9 +105,9 @@ class ReplayMemory:
 
 @dataclass
 class ExplorationSchedule:
-    epsilon: float = 1.0
-    decay: float = 0.91
-    epsilon_min: float = 0.01
+    epsilon: float
+    decay: float
+    epsilon_min: float
 
 
 def decay_epsilon(schedule: ExplorationSchedule) -> ExplorationSchedule:
@@ -234,16 +234,13 @@ class DqnAgent:
     """
 
     def __init__(self, params, gamma: float, rng: np.random.Generator,
-                 schedule: ExplorationSchedule | None = None,
-                 memory: ReplayMemory | None = None,
-                 batch_size: int = 1,
-                 learning_rate: float = 1e-3):
-        self.schedule = schedule if schedule is not None else ExplorationSchedule()
+                 schedule: ExplorationSchedule, memory: ReplayMemory,
+                 batch_size: int, learning_rate: float):
+        self.schedule = schedule
         self.rng = rng
         flat = flatten(params)[None]
         LearnerStack([self], flat, AdamState.for_params(flat, learning_rate),
-                     layer_sizes_of(params), gamma, batch_size,
-                     memory if memory is not None else ReplayMemory())
+                     layer_sizes_of(params), gamma, batch_size, memory)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

@@ -102,14 +102,14 @@ def _seed_results(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs
                   last: bool) -> list[SeedRunResult]:
     """One seed's results at ``q``, from its runs ``seed_runs``: copies of
     the traces, but the ``last`` q takes them and empties ``seed_runs``.  A
-    trace equal to an earlier agent's, history included, is that trace, and
-    the radio pass on ``env`` waits in the results until one is read."""
-    firsts: dict = {}  # (episode, history, control columns' bytes) -> (history, trace)
+    trace with an earlier agent's history and actions is that trace (under
+    one reward schedule the history fixes the state, reward and alarm
+    columns), and the radio pass on ``env`` waits in the results until read."""
+    firsts: dict = {}  # (episode, history, action bytes) -> (history, trace)
     traces = [[] for _ in seed_runs]
     for e, episode in enumerate(zip(*seed_runs)):
         for agent_traces, (_, trace, history) in zip(traces, episode):
-            key = (e, tuple(history), *(a.tobytes() for a in (
-                trace.tti, trace.state, trace.action, trace.reward, trace.alarm_count)))
+            key = (e, tuple(history), trace.action.tobytes())
             agent_traces.append(firsts.setdefault(
                 key, (history, trace if last else copy.copy(trace)))[1])
     radio = [(env, list(firsts.values()))]

@@ -77,7 +77,8 @@ class FaultRates:
 
 class FaultRegister:
     """Occurrence counters per alarm type, plus the order neighbour cells
-    went down (so restores bring them back oldest-first)."""
+    went down (so restores bring them back oldest-first); ``apply_fault``
+    and ``clear_fault`` write them."""
 
     def __init__(self):
         self._counts = [0] * (NUM_ALARM_TYPES + 1)  # index by alarm kind 1..4
@@ -95,26 +96,9 @@ class FaultRegister:
     def counts(self) -> tuple[int, ...]:
         return tuple(self._counts[1:])
 
-    def increment(self, alarm: int) -> None:
-        self._counts[int(alarm)] += 1
-
-    def decrement(self, alarm: int) -> None:
-        """Clear one instance; a neighbour outage restores the oldest down cell."""
-        if self._counts[int(alarm)] > 0:
-            self._counts[int(alarm)] -= 1
-            if alarm == FaultKind.NEIGHBOR_DOWN and self._down_cells:
-                self._down_cells.pop(0)
-
-    def note_cell_down(self, cell_id: int) -> None:
-        self._down_cells.append(cell_id)
-
     @property
     def down_cells(self) -> tuple[int, ...]:
         return tuple(self._down_cells)
-
-    def clear(self) -> None:
-        self._counts = [0] * (NUM_ALARM_TYPES + 1)
-        self._down_cells = []
 
 
 def sample_event(rates: FaultRates, register: FaultRegister,
@@ -173,8 +157,8 @@ def apply_fault(kind: FaultKind, register: FaultRegister,
         candidates = [c for c in range(num_cells) if c != MANAGED_CELL and c not in down]
         if not candidates:
             return False
-        register.note_cell_down(candidates[int(rng.integers(len(candidates)))])
-    register.increment(kind)
+        register._down_cells.append(candidates[int(rng.integers(len(candidates)))])
+    register._counts[kind] += 1
     return True
 
 
@@ -184,4 +168,7 @@ def clear_fault(alarm: FaultKind, register: FaultRegister) -> None:
     alarm = FaultKind(alarm)
     if alarm not in ALARM_KINDS:
         raise ValueError(f"clear_fault takes alarm kinds 1..4, got {alarm!r}")
-    register.decrement(alarm)
+    if register._counts[alarm] > 0:
+        register._counts[alarm] -= 1
+        if alarm == FaultKind.NEIGHBOR_DOWN:
+            register._down_cells.pop(0)

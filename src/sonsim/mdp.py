@@ -125,15 +125,6 @@ def transition(state: MdpState, prev_count: int, cur_count: int) -> MdpState:
     return MdpState(state)
 
 
-_ONE_HOT = np.eye(NUM_STATES)
-
-
-def encode_state(state) -> np.ndarray:
-    """One-hot feature vector over the three control states; a sequence of
-    states gives one row per state."""
-    return _ONE_HOT.take(state, axis=0)
-
-
 class SonEnv:
     """Fault-injected cluster as a step environment for the healing agents.
 
@@ -200,7 +191,7 @@ class SonEnv:
     def reset(self, episode_index: int = 0) -> MdpState:
         """Empty the register and its history, rewind the TTI clock and
         return the start state of episode ``episode_index``."""
-        self.register.clear()
+        self.register = FaultRegister()
         self.history = []
         self.episode_index = episode_index
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
@@ -270,7 +261,7 @@ def drop_radio(env: SonEnv, runs) -> None:
     # outputs, traces]; the outputs outlive the call, so they precede any walk
     episodes: dict[int, dict[tuple, list]] = {}
     for history, trace in runs:
-        if not history or len(history) != len(trace.tti):
+        if not history or len(history) != len(trace.state):
             raise ValueError("drop_radio takes each trace with its finished episode's history")
         outs = episodes.setdefault(trace.episode, {})
         t = len(history)

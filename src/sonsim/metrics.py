@@ -21,10 +21,9 @@ CSV_BLOCK_ROWS = 512  # rows formatted per "%"; larger blocks are no faster
 
 @dataclass
 class EpisodeTrace:
-    """Per-TTI log of one episode."""
+    """Per-TTI log of one episode; row t is the episode's TTI t + 1."""
 
     episode: int
-    tti: np.ndarray          # (T,) 1-based TTI index
     state: np.ndarray        # (T,) control state the action was taken in
     action: np.ndarray       # (T,)
     reward: np.ndarray       # (T,)
@@ -35,10 +34,6 @@ class EpisodeTrace:
     ue_mbps: np.ndarray | None = None      # (N,)
     tti_sinr_db: np.ndarray | None = None  # (T,)
     cell_mbps: np.ndarray | None = None    # (T, C)
-
-    def __post_init__(self):
-        if len(self.tti) and np.any(np.diff(self.tti) <= 0):
-            raise ValueError("tti column must be strictly increasing")
 
 
 @dataclass
@@ -54,7 +49,6 @@ class RunSummary:
     throughput: ThroughputSummary
     mean_sinr_db: float
     mean_clearance_ttis: float
-    cleared_fraction: float
 
 
 def empirical_cdf(samples) -> np.ndarray:
@@ -108,7 +102,7 @@ def clearance_ttis(trace: EpisodeTrace, ttis_per_episode: int) -> int:
     zeros = np.nonzero(trace.alarm_count == 0)[0]
     if zeros.size == 0:
         return ttis_per_episode
-    return int(trace.tti[zeros[0]])
+    return int(zeros[0]) + 1
 
 
 def summarize_run(traces, ttis_per_episode: int, sinrs=None) -> RunSummary:
@@ -123,7 +117,6 @@ def summarize_run(traces, ttis_per_episode: int, sinrs=None) -> RunSummary:
     cell_means = np.concatenate([tr.cell_mbps.ravel() for tr in traces])
 
     clear = np.array([clearance_ttis(tr, ttis_per_episode) for tr in traces], dtype=float)
-    cleared = np.array([bool(np.any(tr.alarm_count == 0)) for tr in traces])
 
     summary = ThroughputSummary(
         peak_mbps=percentile(rates, 0.95),
@@ -135,7 +128,6 @@ def summarize_run(traces, ttis_per_episode: int, sinrs=None) -> RunSummary:
         throughput=summary,
         mean_sinr_db=float(sinrs.mean()) if sinrs.size else float("nan"),
         mean_clearance_ttis=float(clear.mean()),
-        cleared_fraction=float(cleared.mean()),
     )
 
 
@@ -194,8 +186,8 @@ def trace_columns(traces) -> list[np.ndarray]:
     """The columns of ``write_trace_csv``: one row per TTI of ``traces``,
     with the TTI's mean over its finite UE SINRs."""
     return [np.concatenate(c) for c in zip(*(
-        (np.full(len(tr.tti), tr.episode), tr.tti, tr.state, tr.action, tr.reward,
-         tr.alarm_count, tr.tti_sinr_db) for tr in traces))]
+        (np.full(len(tr.state), tr.episode), np.arange(1, len(tr.state) + 1), tr.state,
+         tr.action, tr.reward, tr.alarm_count, tr.tti_sinr_db) for tr in traces))]
 
 
 def write_trace_csv(path, columns) -> None:

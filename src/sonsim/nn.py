@@ -63,25 +63,18 @@ def layer_views(flat: np.ndarray, layer_sizes) -> list[np.ndarray]:
     return views
 
 
-def _activations(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output, the input first, for one input (in,) or a
-    batch (B, in), or for a stack of networks a batch (A, B, in) or
-    (B, in).  Each row goes through its own vector-matrix product, so a
-    batch row is bit-identical to the same input evaluated alone."""
-    acts = [x]
+def forward(params: list[np.ndarray], x, all_layers: bool = False):
+    """Evaluate the network on one input (in,) or a batch (B, in), or for a
+    stack of networks a batch (A, B, in) or (B, in); returns the value
+    vector for all actions, one row per batch row.  With ``all_layers`` it
+    returns every layer's output, the input first, which :func:`backward`
+    can take as ``acts``.  Each row goes through its own vector-matrix
+    product, so a batch row is bit-identical to the same input alone."""
+    acts = [np.asarray(x, dtype=float)]
     num_layers = len(params) // 2
     for i in range(num_layers):
         z = (acts[-1][..., None, :] @ params[2 * i])[..., 0, :] + params[2 * i + 1]
         acts.append(np.maximum(z, 0.0) if i < num_layers - 1 else z)
-    return acts
-
-
-def forward(params: list[np.ndarray], x, all_layers: bool = False):
-    """Evaluate the network on one input (in,) or a batch (B, in); returns
-    the value vector for all actions, one row per batch row.  With
-    ``all_layers`` it returns every layer's output, the input first, which
-    :func:`backward` can take as ``acts``."""
-    acts = _activations(params, np.asarray(x, dtype=float))
     return acts if all_layers else acts[-1]
 
 
@@ -99,7 +92,7 @@ def backward(params: list[np.ndarray], x, action_index, target,
     pass.
     """
     if acts is None:
-        acts = _activations(params, np.atleast_2d(np.asarray(x, dtype=float)))
+        acts = forward(params, np.atleast_2d(x), all_layers=True)
     q = acts[-1]
     taken = np.arange(q.shape[-1]) == np.asarray(action_index)[..., None]
     delta = np.where(taken, 2.0 * (q - np.asarray(target)[..., None]), 0.0)
@@ -130,14 +123,12 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 1e-3
+    step_count: int
+    learning_rate: float
 
     @classmethod
-    def for_params(cls, params: np.ndarray,
-                   learning_rate: float = 1e-3) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   learning_rate=learning_rate)
+    def for_params(cls, params: np.ndarray, learning_rate: float) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params), 0, learning_rate)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray,

@@ -78,7 +78,6 @@ def _finish(pair: _Pair) -> tuple[EpisodeResult, EpisodeTrace, list]:
     return (EpisodeResult(total_reward=pair.total, ttis=env.t,
                           cleared=env.alarm_count == 0),
             EpisodeTrace(episode=env.episode_index,
-                         tti=np.arange(1, env.t + 1),
                          state=np.array(states, dtype=int),
                          action=np.array(actions, dtype=int),
                          reward=np.array(rewards, dtype=float),

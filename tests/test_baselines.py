@@ -7,8 +7,16 @@ from scipy import stats
 from sonsim.baselines import FifoQueue, fifo_policy, random_policy
 from sonsim.config import default_config
 from sonsim.experiment import run_single
-from sonsim.faults import FaultKind, FaultRates, FaultRegister
+from sonsim.faults import FaultKind, FaultRates, FaultRegister, apply_fault
 from sonsim.mdp import CLEAR_ACTION_FOR, MdpAction
+
+
+def raised(*alarms) -> FaultRegister:
+    """A register with one instance of each alarm of ``alarms`` set."""
+    reg = FaultRegister()
+    for alarm in alarms:
+        apply_fault(alarm, reg, np.random.default_rng(0), 21)
+    return reg
 
 
 class TestRandomPolicy:
@@ -16,16 +24,13 @@ class TestRandomPolicy:
         assert random_policy(FaultRegister(), np.random.default_rng(0)) == MdpAction.NO_ACTION
 
     def test_single_active_alarm_deterministic(self):
-        reg = FaultRegister()
-        reg.increment(FaultKind.FEEDER_FAULT)
+        reg = raised(FaultKind.FEEDER_FAULT)
         rng = np.random.default_rng(0)
         assert all(random_policy(reg, rng) == MdpAction.RECOVER_POWER
                    for _ in range(50))
 
     def test_two_active_alarms_uniform(self):
-        reg = FaultRegister()
-        reg.increment(FaultKind.AZIMUTH_DRIFT)
-        reg.increment(FaultKind.NEIGHBOR_DOWN)
+        reg = raised(FaultKind.AZIMUTH_DRIFT, FaultKind.NEIGHBOR_DOWN)
         rng = np.random.default_rng(3)
         draws = [random_policy(reg, rng) for _ in range(10_000)]
         share_reset = np.mean([a == MdpAction.RESET_AZIMUTH for a in draws])
@@ -35,10 +40,8 @@ class TestRandomPolicy:
         assert share_reset + share_neigh == 1.0
 
     def test_four_active_uniform_chisquare(self):
-        reg = FaultRegister()
-        for kind in (FaultKind.AZIMUTH_DRIFT, FaultKind.NEIGHBOR_DOWN,
-                     FaultKind.DIVERSITY_LOST, FaultKind.FEEDER_FAULT):
-            reg.increment(kind)
+        reg = raised(FaultKind.AZIMUTH_DRIFT, FaultKind.NEIGHBOR_DOWN,
+                     FaultKind.DIVERSITY_LOST, FaultKind.FEEDER_FAULT)
         rng = np.random.default_rng(4)
         draws = [int(random_policy(reg, rng)) for _ in range(10_000)]
         counts = np.bincount(draws, minlength=5)[1:]
@@ -47,10 +50,8 @@ class TestRandomPolicy:
     def test_never_targets_inactive_alarm(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            reg = FaultRegister()
             active = [k for k in (1, 2, 3, 4) if rng.random() < 0.5]
-            for k in active:
-                reg.increment(k)
+            reg = raised(*active)
             action = random_policy(reg, rng)
             if not active:
                 assert action == MdpAction.NO_ACTION

@@ -14,8 +14,7 @@ from sonsim.dqn import (DqnAgent, ExplorationSchedule, LearnerStack, ReplayMemor
                         compute_targets, decay_epsilon, select_action)
 from sonsim.experiment import build_agent, run_single
 from sonsim.faults import FaultRates
-from sonsim.mdp import (NUM_ACTIONS, EpisodeConfig, MdpAction, MdpState, SonEnv,
-                        encode_state)
+from sonsim.mdp import NUM_ACTIONS, EpisodeConfig, MdpAction, MdpState, SonEnv
 from sonsim.nn import (AdamState, adam_step, flatten, forward, init_params,
                        layer_sizes_of, layer_views)
 from sonsim.radio import ClusterConfig
@@ -60,27 +59,27 @@ def params_of(agent):
 
 
 def greedy_values(params, state):
-    return forward(params, encode_state(state))
+    return forward(params, np.eye(3)[state])
 
 
 class TestSelectAction:
     def test_greedy_argmax(self):
         params = params_with_q([0.0, 3.0, 1.0, 1.0, 0.0])
-        sched = ExplorationSchedule(epsilon=0.0)
+        sched = ExplorationSchedule(0.0, 0.91, 0.01)
         a = select_action(greedy_values(params, MdpState.INCREASED), sched,
                           np.random.default_rng(0))
         assert a == MdpAction.RESTORE_NEIGHBOR
 
     def test_greedy_tie_breaks_lowest_index(self):
         params = params_with_q([0.7, 0.7, 0.7, 0.7, 0.7])
-        sched = ExplorationSchedule(epsilon=0.0)
+        sched = ExplorationSchedule(0.0, 0.91, 0.01)
         a = select_action(greedy_values(params, MdpState.DECREASED), sched,
                           np.random.default_rng(0))
         assert a == MdpAction.NO_ACTION
 
     def test_greedy_is_pure_function_of_state_and_weights(self):
         params = params_with_q([0.1, -0.4, 2.0, 0.3, 0.0])
-        sched = ExplorationSchedule(epsilon=0.0)
+        sched = ExplorationSchedule(0.0, 0.91, 0.01)
         actions = {select_action(greedy_values(params, MdpState.TRANSIENT), sched,
                                  np.random.default_rng(seed))
                    for seed in range(50)}
@@ -88,7 +87,7 @@ class TestSelectAction:
 
     def test_full_exploration_is_uniform(self):
         params = params_with_q([9.0, 0.0, 0.0, 0.0, 0.0])
-        sched = ExplorationSchedule(epsilon=1.0)
+        sched = ExplorationSchedule(1.0, 0.91, 0.01)
         rng = np.random.default_rng(7)
         draws = [int(select_action(greedy_values(params, MdpState.TRANSIENT), sched, rng))
                  for _ in range(10_000)]
@@ -231,7 +230,8 @@ class TestReplayMemory:
         # list: a tuple built from a generator is shrunk in place, and
         # one a TTI would fill the 5-tuple free list (up to 160 kB)
         agent = DqnAgent(init_params((3, 24, 24, 5), np.random.default_rng(0)), 0.95,
-                         np.random.default_rng(1), memory=ReplayMemory(64), batch_size=4)
+                         np.random.default_rng(1), ExplorationSchedule(1.0, 0.91, 0.01),
+                         ReplayMemory(64), batch_size=4, learning_rate=1e-3)
 
         def run(ttis):
             for k in range(ttis):
@@ -329,7 +329,7 @@ class PerSampleLearner:
 
     def __init__(self, params, gamma, rng, batch_size, capacity):
         self.params = params
-        self.opt_state = AdamState.for_params(flatten(params))
+        self.opt_state = AdamState.for_params(flatten(params), 1e-3)
         self.memory = DequeMemory(capacity)
         self.gamma, self.rng, self.batch_size = gamma, rng, batch_size
 
@@ -358,7 +358,8 @@ class TestBatchedUpdate:
     def test_matches_per_sample_update_bit_for_bit(self, batch_size):
         params = init_params((3, 24, 24, 5), np.random.default_rng(batch_size))
         agent = DqnAgent([p.copy() for p in params], 0.95, np.random.default_rng(11),
-                         memory=ReplayMemory(100), batch_size=batch_size)
+                         ExplorationSchedule(1.0, 0.91, 0.01), ReplayMemory(100),
+                         batch_size=batch_size, learning_rate=1e-3)
         oracle = PerSampleLearner([p.copy() for p in params], 0.95,
                                   np.random.default_rng(11), batch_size, 100)
         transitions = np.random.default_rng(batch_size + 100)
@@ -380,7 +381,7 @@ def per_call_select(state, params, epsilon, rng):
     """Transcription of action selection with a forward pass per call."""
     if rng.random() < epsilon:
         return MdpAction(int(rng.integers(NUM_ACTIONS)))
-    return MdpAction(int(np.argmax(forward(params, encode_state(state)))))
+    return MdpAction(int(np.argmax(forward(params, np.eye(3)[state]))))
 
 
 class TestStatePass:
@@ -430,7 +431,8 @@ class TestLearnerStack:
             params = init_params((3, 24, 24, 5), np.random.default_rng([seed, i]))
             learners.append(DqnAgent([p.copy() for p in params], 0.95,
                                      np.random.default_rng([seed, i, 1]), schedule=schedule,
-                                     memory=ReplayMemory(capacity), batch_size=batch_size))
+                                     memory=ReplayMemory(capacity), batch_size=batch_size,
+                                     learning_rate=1e-3))
             oracles.append(PerSampleLearner([p.copy() for p in params], 0.95,
                                             np.random.default_rng([seed, i, 1]),
                                             batch_size, capacity))

@@ -14,12 +14,14 @@ from test_mdp import RADIO_FIELDS
 from sonsim import experiment, mdp, seeding
 from sonsim.cli import main
 from sonsim.config import KNOWN_AGENTS, default_config, parse_config
-from sonsim.experiment import run_experiment, run_seeds, run_single
+from sonsim.experiment import build_agent, run_experiment, run_seeds, run_single
 from sonsim.faults import FaultRates
-from sonsim.mdp import EpisodeConfig
-from sonsim.metrics import trace_columns, ue_average_sinrs, write_cdf_csv, write_trace_csv
+from sonsim.mdp import EpisodeConfig, SonEnv
+from sonsim.metrics import (summarize_run, trace_columns, ue_average_sinrs, write_cdf_csv,
+                            write_trace_csv)
 from sonsim.nn import load_params
 from sonsim.radio import ClusterConfig, step_mobility
+from sonsim.runner import run_lockstep
 
 
 def tiny_config(**kw):
@@ -60,6 +62,19 @@ class TestRunSingle:
         with pytest.raises(ValueError):
             run_single("psychic", 2, 0, tiny_config())
 
+    @pytest.mark.parametrize("agent", KNOWN_AGENTS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_mean_clearance_is_the_mean_episode_length(self, agent, seed):
+        # a runner episode ends at its first empty register or at the
+        # budget, so its clearance TTI is its length, spontaneous clears
+        # included
+        cfg = replace(tiny_config(), rates=CLEARING_RATES,
+                      episode=EpisodeConfig(ttis_per_episode=3, num_episodes=30))
+        r = run_single(agent, 2, seed, cfg)
+        assert {e.cleared for e in r.episodes} == {True, False}
+        assert (summarize_run(r.traces, cfg.episode.ttis_per_episode).mean_clearance_ttis
+                == np.mean([e.ttis for e in r.episodes]))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_every_agent_walks_the_same_path(self, monkeypatch, seed):
         # each episode walks the UEs from the drop on that episode's
@@ -79,7 +94,7 @@ class TestRunSingle:
             walked = [episode for walk in walks
                       for episode in ([walk] if walk.ndim == 3 else walk.swapaxes(0, 1))]
             assert len(walked) == len(traces) == cfg.episode.num_episodes
-            tracks[agent] = [w[:len(tr.tti)] for w, tr in zip(walked, traces)]
+            tracks[agent] = [w[:len(tr.state)] for w, tr in zip(walked, traces)]
         pairs = list(zip(tracks["random"], tracks["dqn"]))
         assert any(len(a) != len(b) for a, b in pairs)  # the episodes differ
         for a, b in pairs:
@@ -244,6 +259,26 @@ class TestLockstep:
                 assert getattr(a, name) is getattr(b, name)
                 assert not getattr(a, name).flags.writeable
         assert_same_run(dqn, run_single("dqn", 2, seed, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
+           seeds=st.lists(st.integers(0, 1000), min_size=1, max_size=3, unique=True))
+    def test_a_history_fixes_state_reward_and_alarms(self, weights, seeds):
+        # the merge of equal traces keys on (episode, history, actions):
+        # under one reward schedule, a register history fixes the trace's
+        # state, reward and alarm columns, whatever the agent, seed or episode
+        cfg = replace(tiny_config(), rates=FaultRates(np.array(weights) / sum(weights)),
+                      episode=EpisodeConfig(ttis_per_episode=8, num_episodes=5))
+        pairs = []
+        for seed in seeds:
+            env = SonEnv(cfg.cluster, cfg.rates, cfg.rewards, cfg.episode, seed=seed)
+            pairs += [(env if i == 0 else env.replica(), build_agent(name, cfg, seed))
+                      for i, name in enumerate(KNOWN_AGENTS)]
+        columns = {}
+        for runs in run_lockstep(pairs, range(cfg.episode.num_episodes)):
+            for _, trace, history in runs:
+                got = tuple(c.tobytes() for c in (trace.state, trace.reward, trace.alarm_count))
+                assert columns.setdefault(tuple(history), got) == got
 
 
 class TestRunExperiment:

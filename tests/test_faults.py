@@ -90,8 +90,8 @@ class TestSampleEvent:
     def test_admissible_clear_passes_through(self):
         rates = FaultRates((0, 0, 0, 0, 0, 1.0, 0, 0, 0))
         reg = FaultRegister()
-        reg.increment(FaultKind.AZIMUTH_DRIFT)
         rng = np.random.default_rng(0)
+        apply_fault(FaultKind.AZIMUTH_DRIFT, reg, rng, 21)
         assert sample_event(rates, reg, rng) == FaultKind.AZIMUTH_RESTORED
 
     def test_default_frequencies(self):

@@ -16,10 +16,11 @@ from test_radio import per_cell_rx_oracle
 from sonsim import mdp, radio, seeding
 from sonsim.config import KNOWN_AGENTS, default_config
 from sonsim.experiment import build_agent
-from sonsim.faults import FaultKind, FaultRates, derive_cells
+from sonsim.dqn import ALL_STATES
+from sonsim.faults import FaultKind, FaultRates, apply_fault, derive_cells
 from sonsim.mdp import (ACTION_CLEARS, CLEAR_ACTION_FOR, EpisodeConfig,
                         MdpAction, MdpState, RewardSchedule, SonEnv,
-                        alarm_reward, encode_state, transition)
+                        alarm_reward, transition)
 from sonsim.radio import ClusterConfig
 from sonsim.runner import run_lockstep
 
@@ -46,7 +47,7 @@ RADIO_FIELDS = ("ue_sinr_db", "ue_mbps", "tti_sinr_db", "cell_mbps")
 
 def radio_of(env, history, episode):
     # the radio columns drop_radio fills for one episode's history
-    trace = SimpleNamespace(episode=episode, tti=np.arange(len(history)))
+    trace = SimpleNamespace(episode=episode, state=np.arange(len(history)))
     mdp.drop_radio(env, [(history, trace)])
     return tuple(getattr(trace, name) for name in RADIO_FIELDS)
 
@@ -87,12 +88,14 @@ class TestTransition:
 
 
 class TestEncode:
+    """The network's input of each state, its row of ``ALL_STATES``."""
+
     def test_one_hot(self):
-        assert np.array_equal(encode_state(MdpState.TRANSIENT), [1.0, 0.0, 0.0])
-        assert np.array_equal(encode_state(MdpState.DECREASED), [0.0, 0.0, 1.0])
+        assert np.array_equal(ALL_STATES[MdpState.TRANSIENT], [1.0, 0.0, 0.0])
+        assert np.array_equal(ALL_STATES[MdpState.DECREASED], [0.0, 0.0, 1.0])
 
     def test_orthonormal(self):
-        mat = np.stack([encode_state(MdpState(s)) for s in range(3)])
+        mat = np.stack([ALL_STATES[MdpState(s)] for s in range(3)])
         assert np.array_equal(mat @ mat.T, np.eye(3))
 
 
@@ -124,7 +127,7 @@ class TestEnv:
     def test_clear_last_alarm_terminates_with_objective_reward(self):
         env = SonEnv(SMALL, rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         env.reset(0)
-        env.register.increment(FaultKind.FEEDER_FAULT)
+        apply_fault(FaultKind.FEEDER_FAULT, env.register, np.random.default_rng(0), len(env.cells))
         assert derive_cells(env.cells, [snapshot(env.register)]).tx_power_delta[0, 0] == -3.0
         state, reward, terminal, obs = env.step(MdpAction.RECOVER_POWER)
         assert reward == 5.0
@@ -294,10 +297,10 @@ class TestEnv:
         with pytest.raises(ValueError):  # not run yet
             radio_of(env, [], 0)
         with pytest.raises(ValueError):  # another episode's length
-            mdp.drop_radio(env, [(history, SimpleNamespace(episode=0, tti=np.arange(2)))])
+            mdp.drop_radio(env, [(history, SimpleNamespace(episode=0, state=np.arange(2)))])
         # equal histories of one episode share read-only arrays, and the
         # same history in another episode walks and shadows another way
-        a, b, c = (SimpleNamespace(episode=ep, tti=np.arange(1)) for ep in (0, 0, 1))
+        a, b, c = (SimpleNamespace(episode=ep, state=np.arange(1)) for ep in (0, 0, 1))
         mdp.drop_radio(env, [(history, a), (list(history), b), (history, c)])
         for name in RADIO_FIELDS:
             assert getattr(a, name) is getattr(b, name)
@@ -429,7 +432,7 @@ class TestDropRadio:
         history = env.history
         n, t, c = len(env.ues), len(history), len(env.cells)
         assert t == 400
-        trace, warm = (SimpleNamespace(episode=0, tti=np.arange(t)) for _ in range(2))
+        trace, warm = (SimpleNamespace(episode=0, state=np.arange(t)) for _ in range(2))
         mdp.drop_radio(env, [(history, warm)])
         tracemalloc.start()
         try:

@@ -3,7 +3,6 @@ import functools
 import math
 import operator
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +61,6 @@ def make_trace(episode, rates, sinrs, alarm_counts, cell_rates=None):
         cell_rates = rates.sum(axis=1, keepdims=True)
     return EpisodeTrace(
         episode=episode,
-        tti=np.arange(1, t + 1),
         state=np.zeros(t, dtype=int),
         action=np.zeros(t, dtype=int),
         reward=np.zeros(t),
@@ -138,12 +136,6 @@ class TestSummaries:
         with pytest.raises(ValueError, match="at least one trace"):
             summarize_run([], ttis_per_episode=20)
 
-    @pytest.mark.parametrize("tti", [[1, 1], [2, 1]])
-    def test_tti_that_does_not_increase_rejected(self, tti):
-        tr = make_trace(0, rates=np.ones((2, 1)), sinrs=np.ones((2, 1)), alarm_counts=[1, 0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            replace(tr, tti=np.array(tti))
-
     def test_constant_rates_collapse_percentiles(self):
         tr = make_trace(0, rates=np.full((4, 6), 10.0),
                         sinrs=np.full((4, 6), 12.0),
@@ -160,7 +152,6 @@ class TestSummaries:
         assert clearance_ttis(tr, ttis_per_episode=20) == 20
         s = summarize_run([tr], ttis_per_episode=20)
         assert s.mean_clearance_ttis == 20.0
-        assert s.cleared_fraction == 0.0
 
     def test_clearance_is_first_zero(self):
         tr = make_trace(0, rates=np.ones((4, 2)), sinrs=np.ones((4, 2)),
@@ -183,7 +174,6 @@ class TestSummaries:
         assert s.mean_sinr_db == pytest.approx(np.mean([2.0, 12.0, 6.0, 16.0]))
         assert s.throughput.cell_average_mbps == pytest.approx(np.mean([4.0, 7.0, 12.0]))
         assert s.mean_clearance_ttis == pytest.approx(1.5)  # (2 + 1) / 2
-        assert s.cleared_fraction == 1.0
 
     def test_outage_excluded_from_sinr_included_in_rates(self):
         tr = make_trace(0, rates=[[0.0, 2.0]],
@@ -407,8 +397,8 @@ def trace_csv_oracle(path, traces):
         writer.writerow(["episode", "tti", "state", "action", "reward",
                          "alarm_count", "mean_sinr_db"])
         for tr in traces:
-            for i in range(len(tr.tti)):
-                writer.writerow([tr.episode, int(tr.tti[i]), int(tr.state[i]),
+            for i in range(len(tr.state)):
+                writer.writerow([tr.episode, i + 1, int(tr.state[i]),
                                  int(tr.action[i]), _fmt_oracle(tr.reward[i]),
                                  int(tr.alarm_count[i]),
                                  _fmt_oracle(tr.tti_sinr_db[i])])
@@ -427,10 +417,8 @@ def traces_st(draw):
         # a TTI in outage has a NaN mean
         means = st.floats(-1e6, 1e6) | st.just(math.nan)
         ints = st.lists(small_int, min_size=t, max_size=t)
-        start = draw(small_int)
         traces.append(EpisodeTrace(
             episode=draw(small_int),
-            tti=np.arange(start, start + t),
             state=np.array(draw(ints)),
             action=np.array(draw(ints)),
             reward=np.array(draw(st.lists(any_float, min_size=t, max_size=t))),
@@ -442,7 +430,7 @@ def traces_st(draw):
 summaries_st = st.builds(
     RunSummary,
     throughput=st.builds(ThroughputSummary, any_float, any_float, any_float, any_float),
-    mean_sinr_db=any_float, mean_clearance_ttis=any_float, cleared_fraction=any_float)
+    mean_sinr_db=any_float, mean_clearance_ttis=any_float)
 
 
 def assert_same_bytes(tmp_path, writer, oracle, arg):
@@ -503,7 +491,7 @@ class TestTraceMean:
         # TTI is a block of its own
         t, n = sinr_db.shape
         env = SonEnv(ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=n))
-        trace = SimpleNamespace(episode=0, tti=np.arange(t))
+        trace = SimpleNamespace(episode=0, state=np.arange(t))
         rows = iter(sinr_db)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "compute_sinr_all",

@@ -183,7 +183,7 @@ def per_layer_adam(params, grads, m, v, t, lr):
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):
         params = np.array([1.0, -2.0, 0.5])
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=1e-3)
         new, state = adam_step(params, np.zeros(3), state)
         assert np.array_equal(new[:2], params[:2])
         assert np.array_equal(new[2:], params[2:])
@@ -232,7 +232,7 @@ class TestAdam:
         params = flatten(init_params((3, 24, 24, 5), rng))
         before = params.copy()
         grads = np.ones_like(params)
-        adam_step(params, grads, AdamState.for_params(params))
+        adam_step(params, grads, AdamState.for_params(params, learning_rate=1e-3))
         assert np.array_equal(params, before)
 
     def test_matches_per_layer_update_bit_for_bit(self):
