@@ -30,29 +30,29 @@ from .metrics import (EpisodeTrace, RunSummary, summarize_run, trace_columns,
                       ue_average_sinrs, write_cdf_csv, write_episodes_csv,
                       write_summary_csv, write_trace_csv)
 from .nn import init_params, save_params
-from .runner import EpisodeResult, run_lockstep
+from .runner import run_lockstep
 
 
 @dataclass
 class SeedRunResult:
-    """Everything one (agent, q, seed) cell produced.  Reading ``traces``
-    runs the (q, seed)'s radio pass, once for all its agents' results."""
+    """Everything one (agent, q, seed) cell produced.  ``episodes`` are
+    its traces, radio columns None; reading ``traces`` runs the (q, seed)'s
+    radio pass, once for all its agents' results, and returns them filled."""
 
     agent: str
     q: int
     seed: int
-    episodes: list[EpisodeResult]
+    episodes: list[EpisodeTrace]
     dqn_params: np.ndarray | None    # the dqn agent's flat parameter vector
     dqn_layer_sizes: tuple
     radio: list = field(repr=False, compare=False)  # the (q, seed)'s pass until it runs
-    _traces: list[EpisodeTrace] = field(repr=False, compare=False)
 
     @property
     def traces(self) -> list[EpisodeTrace]:
         if self.radio:
             drop_radio(*self.radio[0])
             self.radio.clear()
-        return self._traces
+        return self.episodes
 
 
 def build_agent(name: str, cfg: ExperimentConfig, seed: int):
@@ -104,20 +104,18 @@ def _seed_results(env: SonEnv, q: int, seed: int, agent_names, agents, seed_runs
     the traces, but the ``last`` q takes them and empties ``seed_runs``.  A
     trace with an earlier agent's history and actions is that trace (under
     one reward schedule the history fixes the state, reward and alarm
-    columns), and the radio pass on ``env`` waits in the results until read."""
-    firsts: dict = {}  # (episode, history, action bytes) -> (history, trace)
+    columns and the total reward), and the radio pass on ``env`` waits in
+    the results until read."""
+    firsts: dict = {}  # (episode, history, action bytes) -> trace
     traces = [[] for _ in seed_runs]
     for e, episode in enumerate(zip(*seed_runs)):
-        for agent_traces, (_, trace, history) in zip(traces, episode):
-            key = (e, tuple(history), trace.action.tobytes())
-            agent_traces.append(firsts.setdefault(
-                key, (history, trace if last else copy.copy(trace)))[1])
+        for agent_traces, trace in zip(traces, episode):
+            key = (e, tuple(trace.history), trace.action.tobytes())
+            agent_traces.append(firsts.setdefault(key, trace if last else copy.copy(trace)))
     radio = [(env, list(firsts.values()))]
-    results = [SeedRunResult(name, q, seed, [summary for summary, _, _ in agent_runs],
-                             getattr(agent, "flat", None), getattr(agent, "layer_sizes", ()),
-                             radio, agent_traces)
-               for name, agent, agent_runs, agent_traces in zip(agent_names, agents, seed_runs,
-                                                                 traces)]
+    results = [SeedRunResult(name, q, seed, agent_traces, getattr(agent, "flat", None),
+                             getattr(agent, "layer_sizes", ()), radio)
+               for name, agent, agent_traces in zip(agent_names, agents, traces)]
     if last:
         seed_runs.clear()
     return results
@@ -145,7 +143,8 @@ def _write_cell_outputs(out: Path, agent: str, q: int, results, written: dict,
     if ("summary", pooled) not in written:
         sinrs.append(ue_average_sinrs(traces))
         written["summary", pooled] = summarize_run(traces, cfg.episode.ttis_per_episode, sinrs[0])
-    rows = [(ep, res) for r in results for ep, res in enumerate(r.episodes)]
+    rows = [(ep, tr.total_reward, len(tr.state), tr.alarm_count[-1] == 0)
+            for r in results for ep, tr in enumerate(r.episodes)]
     files = [(f"episodes_{agent}.csv", repr(rows), write_episodes_csv, rows),  # exact floats
              (f"cdf_{agent}.csv", pooled, lambda path: write_cdf_csv(path, sinrs.pop())),
              (f"traces_{agent}.csv", pooled,
@@ -194,6 +193,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         manifest = [f"created: {stamp}", "config: effective_config.txt"]
         (stage / "manifest.txt").write_text("\n".join(manifest + manifest_runs) + "\n")
 
+        # not shutil.copytree: its copystat would give ``out`` the staging directory's mode
         for item in sorted(stage.rglob("*")):
             rel = item.relative_to(stage)
             target = out / rel

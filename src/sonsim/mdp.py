@@ -4,12 +4,14 @@ TTI-clocked environment wrapping the radio cluster and the fault process.
 One environment step is one TTI (1 ms) of the control loop: the fault
 process draws one event, the agent's action (if any) clears one alarm
 instance, the reward compares the register population before and after,
-and a snapshot of the register is recorded.  An episode ends when the
-register empties or the TTI budget runs out.  The agents see the register
-alone, so the radio observables (SINR and throughput, which only the
-metrics read) are computed after the control loops, by ``drop_radio``, for
-every episode of one drop at once, and each register history keeps only
-the per-UE and per-TTI means of them that the metrics read.
+and the TTI's (state, action, reward, alarm count) row and register
+snapshot are recorded.  An episode ends when the register empties or the
+TTI budget runs out; ``SonEnv.trace`` hands it out as one record.  The
+agents see the register alone, so the radio observables (SINR and
+throughput, which only the metrics read) are computed after the control
+loops, by ``drop_radio``, for every episode of one drop at once, and each
+register history keeps only the per-UE and per-TTI means of them that the
+metrics read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import seeding
 from .faults import (ALARM_KINDS, MANAGED_CELL, FaultKind, FaultRates,
                      FaultRegister, apply_fault, clear_fault, derive_cells,
                      paired_alarm, sample_event, DEFAULT_AZIMUTH_DELTA_DEG)
+from .metrics import EpisodeTrace
 from .radio import (TURN_SIGMA_RAD, ClusterConfig, build_cluster,
                     compute_sinr_all, compute_throughputs, reassign_serving,
                     rx_power_matrix, site_links, step_mobility)
@@ -157,22 +160,19 @@ class SonEnv:
             cluster, seeding.stream(seed, seeding.GEOMETRY))
         self.episode_index = 0
         self.history: list = []  # (counts, down cells) of the register per TTI
+        self.rows: list = []  # (state, action, reward, alarm count) per TTI
+        self.total_reward = 0.0
         self.register = FaultRegister()
         self.state = MdpState.TRANSIENT
-        self.t = 0
         self.terminal = True  # needs reset() before stepping
         self._fault_rng: np.random.Generator | None = None
-
-    @property
-    def alarm_count(self) -> int:
-        return self.register.active_count
 
     def replica(self) -> SonEnv:
         """A new env on this one's drop (the same cells, UEs and seed) with
         a register of its own; it needs reset() before stepping."""
         twin = copy.copy(self)
         twin.register = FaultRegister()
-        twin.history = []
+        twin.history, twin.rows = [], []
         twin.terminal = True
         return twin
 
@@ -189,24 +189,33 @@ class SonEnv:
         return self.episode_shadow(self.episode_index)
 
     def reset(self, episode_index: int = 0) -> MdpState:
-        """Empty the register and its history, rewind the TTI clock and
-        return the start state of episode ``episode_index``."""
+        """Empty the register, start a new record (a trace keeps the last
+        one) and return the start state of episode ``episode_index``."""
         self.register = FaultRegister()
-        self.history = []
+        self.history, self.rows, self.total_reward = [], [], 0.0
         self.episode_index = episode_index
         self._fault_rng = seeding.stream(self.seed, seeding.FAULTS, episode_index)
         self.state = MdpState.TRANSIENT
-        self.t = 0
         self.terminal = False
         return self.state
+
+    def trace(self) -> EpisodeTrace:
+        """The finished episode's record, its register history included (no
+        later step extends it); its radio columns stay None until
+        ``drop_radio`` fills them."""
+        if not (self.terminal and self.rows):
+            raise RuntimeError("no episode has finished since reset()")
+        columns = [np.array(c, dtype=dtype) for c, dtype in zip(zip(*self.rows),
+                                                                (int, int, float, int))]
+        return EpisodeTrace(self.episode_index, *columns, self.total_reward, self.history)
 
     def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:
         """Advance the control loop one TTI under ``action``; returns (state,
         reward, terminal, observables).
 
-        The observables are the TTI (1-based), the fault event and the alarm
-        count; the episode's radio observables come from ``drop_radio``
-        once it has ended.
+        The observables are the TTI (1-based) and the fault event; the
+        episode's radio observables come from ``drop_radio`` once it has
+        ended.
         """
         if self.terminal:
             raise RuntimeError("episode is finished; call reset() first")
@@ -225,20 +234,20 @@ class SonEnv:
 
         cur_count = self.register.active_count
         reward = alarm_reward(prev_count, cur_count, self.rewards)
+        self.rows.append((int(self.state), int(action), reward, cur_count))
+        self.total_reward += reward
         self.state = transition(self.state, prev_count, cur_count)
         snapshot = (self.register.counts, self.register.down_cells)
         # an unchanged register appends its last snapshot object again
         self.history.append(self.history[-1] if self.history[-1:] == [snapshot] else snapshot)
-        self.t += 1
-        self.terminal = (cur_count == 0
-                         or self.t >= self.episode_config.ttis_per_episode)
-        return self.state, reward, self.terminal, {
-            "tti": self.t, "fault_event": event, "alarm_count": cur_count}
+        tti = len(self.history)
+        self.terminal = cur_count == 0 or tti >= self.episode_config.ttis_per_episode
+        return self.state, reward, self.terminal, {"tti": tti, "fault_event": event}
 
 
-def drop_radio(env: SonEnv, runs) -> None:
-    """Fill the radio columns of every finished episode of ``runs``, pairs
-    of (register history, trace) on the drop of ``env``: each trace's
+def drop_radio(env: SonEnv, traces) -> None:
+    """Fill the radio columns of every trace of ``traces``, each a finished
+    episode on the drop of ``env``, from its register ``history``: its
     per-UE means over its TTIs ``ue_sinr_db`` (of the finite SINRs, NaN if
     none) and ``ue_mbps`` (N,), per-TTI mean of the finite UE SINRs
     ``tti_sinr_db`` (T,) and ``cell_mbps`` (T, C).
@@ -260,12 +269,10 @@ def drop_radio(env: SonEnv, runs) -> None:
     # per episode, its distinct histories with [per-UE sums, (T,) and (T, C)
     # outputs, traces]; the outputs outlive the call, so they precede any walk
     episodes: dict[int, dict[tuple, list]] = {}
-    for history, trace in runs:
-        if not history or len(history) != len(trace.state):
-            raise ValueError("drop_radio takes each trace with its finished episode's history")
+    for trace in traces:
         outs = episodes.setdefault(trace.episode, {})
-        t = len(history)
-        outs.setdefault(tuple(history), [None, np.empty(t), np.empty((t, len(cells))), []]
+        t = len(trace.history)
+        outs.setdefault(tuple(trace.history), [None, np.empty(t), np.empty((t, len(cells))), []]
                         )[3].append(trace)
     block = max(1, RADIO_BLOCK_ROWS // n)
     group, rows = [], 0

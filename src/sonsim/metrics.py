@@ -28,6 +28,8 @@ class EpisodeTrace:
     action: np.ndarray       # (T,)
     reward: np.ndarray       # (T,)
     alarm_count: np.ndarray  # (T,) register population after the TTI
+    total_reward: float      # the rewards added in TTI order, from 0.0
+    history: list            # (T,) register snapshots (counts, down cells)
     # from the radio pass: per UE, its mean finite SINR (NaN if none) and
     # throughput; per TTI, its UEs' mean finite SINR and cell throughputs
     ue_sinr_db: np.ndarray | None = None   # (N,)
@@ -165,11 +167,11 @@ def write_cdf_csv(path, samples) -> None:
     _write_csv(path, "value,probability", f"%.{digits}g,{FLOAT_FORMAT}", (v, p))
 
 
-def write_episodes_csv(path, episode_results) -> None:
-    """episodes_<agent>.csv: episode, total_reward, ttis, cleared."""
+def write_episodes_csv(path, rows) -> None:
+    """episodes_<agent>.csv: episode, total_reward, ttis, cleared, from
+    ``rows`` of those four."""
     _write_csv(path, "episode,total_reward,ttis,cleared", f"%s,{FLOAT_FORMAT},%s,%d",
-               list(zip(*((episode, result.total_reward, result.ttis, result.cleared)
-                          for episode, result in episode_results))))
+               list(zip(*rows)))
 
 
 def write_summary_csv(path, rows) -> None:

@@ -255,10 +255,10 @@ class TestTrainEpisode:
         env = SonEnv(ClusterConfig(ues_per_cell=2),
                      rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         agent = build_agent("dqn", cfg, 1)
-        result = run_episode(env, agent, 0)[0]
-        assert result.ttis == 1
-        assert result.total_reward == 5.0
-        assert result.cleared
+        trace = run_episode(env, agent, 0)
+        assert len(trace.state) == 1
+        assert trace.total_reward == 5.0
+        assert trace.alarm_count[-1] == 0
         assert len(agent.memory) == 1
 
     def test_epsilon_decays_once_per_episode(self):
@@ -275,8 +275,8 @@ class TestTrainEpisode:
             cfg = default_config()
             env = SonEnv(ClusterConfig(ues_per_cell=2), seed=seed)
             agent = build_agent("dqn", cfg, seed)
-            return [(run_episode(env, agent, ep)[0].total_reward,
-                     run_episode(env, agent, ep + 1)[0].ttis)
+            return [(run_episode(env, agent, ep).total_reward,
+                     len(run_episode(env, agent, ep + 1).state))
                     for ep in range(0, 10, 2)]
 
         assert run(5) == run(5)

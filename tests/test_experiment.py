@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -71,9 +72,9 @@ class TestRunSingle:
         cfg = replace(tiny_config(), rates=CLEARING_RATES,
                       episode=EpisodeConfig(ttis_per_episode=3, num_episodes=30))
         r = run_single(agent, 2, seed, cfg)
-        assert {e.cleared for e in r.episodes} == {True, False}
+        assert {bool(tr.alarm_count[-1] == 0) for tr in r.episodes} == {True, False}
         assert (summarize_run(r.traces, cfg.episode.ttis_per_episode).mean_clearance_ttis
-                == np.mean([e.ttis for e in r.episodes]))
+                == np.mean([len(tr.state) for tr in r.episodes]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_agent_walks_the_same_path(self, monkeypatch, seed):
@@ -103,13 +104,16 @@ class TestRunSingle:
 
 
 def assert_same_run(got, want):
-    # every trace column, every episode summary and the weights, bit for bit
+    # every trace column, episode total and history, and the weights, bit for bit
     assert (got.agent, got.q, got.seed) == (want.agent, want.q, want.seed)
-    assert got.episodes == want.episodes
+    assert got.traces is got.episodes
     assert len(got.traces) == len(want.traces)
     for a, b in zip(got.traces, want.traces):
-        assert a.episode == b.episode
+        assert a.episode == b.episode and a.history == b.history
+        assert a.total_reward.hex() == b.total_reward.hex()
         for f in fields(a)[1:]:
+            if f.name in ("total_reward", "history"):
+                continue
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert x.shape == y.shape and x.dtype == y.dtype, f.name
             assert x.tobytes() == y.tobytes(), f.name
@@ -123,9 +127,9 @@ class TestLazyRadio:
     @staticmethod
     def count_passes(monkeypatch):
         passes = []
-        def counted(env, runs, original=experiment.drop_radio):
+        def counted(env, traces, original=experiment.drop_radio):
             passes.append((env.config.ues_per_cell, env.seed))
-            return original(env, runs)
+            return original(env, traces)
         monkeypatch.setattr(experiment, "drop_radio", counted)
         return passes
 
@@ -237,7 +241,7 @@ class TestLockstep:
         [(q, together)] = run_seeds(KNOWN_AGENTS, (2,), range(4), cfg)
         assert q == 2
         assert [[r.seed for r in rs] for rs in together] == [[s] * 3 for s in range(4)]
-        ttis = [sum(e.ttis for e in rs[-1].episodes) for rs in together]
+        ttis = [sum(len(tr.state) for tr in rs[-1].episodes) for rs in together]
         assert len(set(ttis)) > 1  # the dqn learners left at different ticks
         for seed, results in enumerate(together):
             [(_, [alone])] = run_seeds(KNOWN_AGENTS, (2,), (seed,), cfg)
@@ -266,7 +270,8 @@ class TestLockstep:
     def test_a_history_fixes_state_reward_and_alarms(self, weights, seeds):
         # the merge of equal traces keys on (episode, history, actions):
         # under one reward schedule, a register history fixes the trace's
-        # state, reward and alarm columns, whatever the agent, seed or episode
+        # state, reward and alarm columns and its total reward, whatever the
+        # agent, seed or episode; the total is the rewards added in TTI order
         cfg = replace(tiny_config(), rates=FaultRates(np.array(weights) / sum(weights)),
                       episode=EpisodeConfig(ttis_per_episode=8, num_episodes=5))
         pairs = []
@@ -276,9 +281,15 @@ class TestLockstep:
                       for i, name in enumerate(KNOWN_AGENTS)]
         columns = {}
         for runs in run_lockstep(pairs, range(cfg.episode.num_episodes)):
-            for _, trace, history in runs:
+            for trace in runs:
+                assert len(trace.history) == len(trace.state)
+                total = 0.0
+                for reward in trace.reward.tolist():
+                    total += reward
+                assert trace.total_reward.hex() == total.hex()
                 got = tuple(c.tobytes() for c in (trace.state, trace.reward, trace.alarm_count))
-                assert columns.setdefault(tuple(history), got) == got
+                got += (trace.total_reward.hex(),)
+                assert columns.setdefault(tuple(trace.history), got) == got
 
 
 class TestRunExperiment:
@@ -396,6 +407,32 @@ class TestRunExperiment:
             return sys.getsizeof(key) + (sum(map(size, key)) if isinstance(key, tuple) else 0)
         samples = cfg.episode.num_episodes * 50 * cfg.cluster.num_cells
         assert sum(map(size, memos[0])) < 8 * samples
+
+    def test_writes_into_an_existing_directory(self, tmp_path):
+        # every file a run writes replaces the one there, other files stay,
+        # and the directories keep their permission bits: the staging
+        # directory is 0o700, which a copystat would hand on
+        out = tmp_path / "res"
+        (out / "q2").mkdir(parents=True)
+        out.chmod(0o755)
+        (out / "q2").chmod(0o751)
+        mine = {Path("notes.txt"): b"mine\n", Path("q2") / "notes.txt": b"also mine\n"}
+        for rel, data in mine.items():
+            (out / rel).write_bytes(data)
+        for rel in (Path("summary.csv"), Path("q2") / "episodes_dqn.csv"):
+            (out / rel).write_bytes(b"stale\n")
+        cfg = replace(tiny_config(), qs=(2, 3))
+        assert run_experiment(cfg, out) == out
+        fresh = read_bytes_tree(run_experiment(cfg, tmp_path / "fresh"))
+        got = read_bytes_tree(out)
+        assert (stat.S_IMODE(out.stat().st_mode), stat.S_IMODE((out / "q2").stat().st_mode)
+                ) == (0o755, 0o751)
+        for rel, data in mine.items():
+            assert got.pop(rel) == data
+        assert set(got) == set(fresh)
+        for rel, data in got.items():
+            if rel.name != "manifest.txt":  # its timestamp may differ
+                assert data == fresh[rel], rel
 
     def test_output_path_that_is_a_file_rejected(self, tmp_path, capsys):
         # making the output directory fails, naming the path, before any

@@ -47,8 +47,8 @@ RADIO_FIELDS = ("ue_sinr_db", "ue_mbps", "tti_sinr_db", "cell_mbps")
 
 def radio_of(env, history, episode):
     # the radio columns drop_radio fills for one episode's history
-    trace = SimpleNamespace(episode=episode, state=np.arange(len(history)))
-    mdp.drop_radio(env, [(history, trace)])
+    trace = SimpleNamespace(episode=episode, history=history)
+    mdp.drop_radio(env, [trace])
     return tuple(getattr(trace, name) for name in RADIO_FIELDS)
 
 
@@ -135,14 +135,15 @@ class TestEnv:
         # the TTI ran under the cleared register
         assert env.history == [((0, 0, 0, 0), ())]
         assert derive_cells(env.cells, env.history).tx_power_delta[0, 0] == 0.0
-        assert obs["alarm_count"] == 0
+        assert env.register.active_count == 0
+        assert env.trace().alarm_count.tolist() == [0]
 
     def test_no_faults_terminates_first_tti(self):
         env = SonEnv(SMALL, rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
         env.reset(0)
         state, reward, terminal, obs = env.step(MdpAction.NO_ACTION)
         assert terminal
-        assert env.t == 1
+        assert len(env.history) == 1
         assert reward == 5.0
 
     def test_timeout_terminates_without_objective_reward(self):
@@ -153,10 +154,41 @@ class TestEnv:
         while not env.terminal:
             _, r, _, _ = env.step(MdpAction.NO_ACTION)
             rewards.append(r)
-        assert env.t == env.episode_config.ttis_per_episode
+        assert len(env.history) == env.episode_config.ttis_per_episode
         assert rewards[0] == -1.0          # first fault raises the count
         assert all(r == 0.0 for r in rewards[1:])  # same-type repeats
-        assert env.alarm_count == 1
+        assert env.register.active_count == 1
+
+    def test_trace_records_every_step(self):
+        # the trace holds each TTI's state, action, reward and register
+        # population as step saw them, the rewards added in TTI order and
+        # the register history itself, which reset() leaves to the trace
+        env = SonEnv(SMALL, FaultRates((1 / 2, 1 / 8, 1 / 8, 1 / 8, 1 / 8)), seed=5)
+        with pytest.raises(RuntimeError):  # not run yet
+            env.trace()
+        actions = np.random.default_rng(5)
+        for ep in range(6):
+            state = env.reset(ep)
+            with pytest.raises(RuntimeError):
+                env.trace()
+            rows, total = [], 0.0
+            while not env.terminal:
+                action = MdpAction(int(actions.integers(len(MdpAction))))
+                next_state, reward, _, obs = env.step(action)
+                rows.append((int(state), int(action), reward, env.register.active_count))
+                total += reward
+                assert obs["tti"] == len(rows) == len(env.history)
+                if not env.terminal:
+                    with pytest.raises(RuntimeError):  # not finished
+                        env.trace()
+                state = next_state
+            trace, history = env.trace(), env.history
+            assert trace.episode == ep and trace.history is history
+            assert list(zip(trace.state.tolist(), trace.action.tolist(), trace.reward.tolist(),
+                            trace.alarm_count.tolist())) == rows
+            assert trace.total_reward == total
+            env.reset(ep + 1)
+            assert trace.history is history and len(history) == len(rows)
 
     def test_step_after_terminal_raises(self):
         env = SonEnv(SMALL, rates=FaultRates((1.0, 0, 0, 0, 0)), seed=1)
@@ -183,7 +215,8 @@ class TestEnv:
             while not env.terminal:
                 env.step(MdpAction(int(rng.integers(5))))
                 budget = env.episode_config.ttis_per_episode
-                assert env.terminal == (env.alarm_count == 0 or env.t >= budget)
+                assert env.terminal == (env.register.active_count == 0
+                                        or len(env.history) >= budget)
 
     def test_deterministic_given_seed_and_actions(self):
         def run(seed):
@@ -214,10 +247,10 @@ class TestEnv:
         env.reset(0)
         while not env.terminal:
             env.step(MdpAction.NO_ACTION)
-        assert env.alarm_count > 0
+        assert env.register.active_count > 0
         assert env.history
         env.reset(1)
-        assert env.alarm_count == 0
+        assert env.register.active_count == 0
         assert env.history == []
         cells = env.cells
         assert cells.is_up.all() and cells.diversity.all()
@@ -245,11 +278,11 @@ class TestEnv:
                 env.step(MdpAction(int(actions.integers(5))))
                 want.append(cells_oracle(healthy, env.register, delta))
                 assert same_bits(env.cells, healthy)  # never written
-            assert len(env.history) == env.t == len(want)
+            assert len(env.history) == len(want)
             got = derive_cells(healthy, env.history, delta)
             for name in FAULT_ARRAYS:
                 rows = getattr(got, name)
-                assert rows.shape == (env.t, len(healthy))
+                assert rows.shape == (len(want), len(healthy))
                 for row, w in zip(rows, want):
                     assert row.tobytes() == getattr(w, name).tobytes()
 
@@ -259,7 +292,7 @@ class TestEnv:
         assert twin.cells is env.cells and twin.ues is env.ues
         env.reset(0)
         env.step(MdpAction.NO_ACTION)
-        assert twin.terminal and twin.history == [] and twin.alarm_count == 0
+        assert twin.terminal and twin.history == [] and twin.register.active_count == 0
         twin.reset(0)
         assert twin.shadow.tobytes() == env.shadow.tobytes()
         twin.step(MdpAction.RESET_AZIMUTH)
@@ -294,14 +327,11 @@ class TestEnv:
         env.reset(0)
         env.step(MdpAction.NO_ACTION)
         history = env.history
-        with pytest.raises(ValueError):  # not run yet
-            radio_of(env, [], 0)
-        with pytest.raises(ValueError):  # another episode's length
-            mdp.drop_radio(env, [(history, SimpleNamespace(episode=0, state=np.arange(2)))])
         # equal histories of one episode share read-only arrays, and the
         # same history in another episode walks and shadows another way
-        a, b, c = (SimpleNamespace(episode=ep, state=np.arange(1)) for ep in (0, 0, 1))
-        mdp.drop_radio(env, [(history, a), (list(history), b), (history, c)])
+        a, b, c = (SimpleNamespace(episode=ep, history=h)
+                   for ep, h in ((0, history), (0, list(history)), (1, history)))
+        mdp.drop_radio(env, [a, b, c])
         for name in RADIO_FIELDS:
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
@@ -398,12 +428,11 @@ class TestDropRadio:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "RADIO_BLOCK_ROWS", ttis_per_block * n + spare_rows)
             episodes = list(zip(*run_lockstep(pairs, range(4))))
-            mdp.drop_radio(env, [(history, trace) for runs in episodes
-                                 for _, trace, history in runs])
+            mdp.drop_radio(env, [trace for runs in episodes for trace in runs])
         for ep, runs in enumerate(episodes):
             shadow = seeding.stream(seed, seeding.SHADOW, ep).normal(
                 0.0, cfg.cluster.shadow_sigma, (n, len(healthy)))
-            for (e, _), (_, trace, _) in zip(pairs, runs):
+            for (e, _), trace in zip(pairs, runs):
                 # every episode walks from the drop, one TTI at a time
                 position, heading = drop.position.copy(), drop.heading.copy()
                 walk = seeding.stream(seed, seeding.MOBILITY, ep)
@@ -432,11 +461,11 @@ class TestDropRadio:
         history = env.history
         n, t, c = len(env.ues), len(history), len(env.cells)
         assert t == 400
-        trace, warm = (SimpleNamespace(episode=0, state=np.arange(t)) for _ in range(2))
-        mdp.drop_radio(env, [(history, warm)])
+        trace, warm = (SimpleNamespace(episode=0, history=history) for _ in range(2))
+        mdp.drop_radio(env, [warm])
         tracemalloc.start()
         try:
-            mdp.drop_radio(env, [(history, trace)])
+            mdp.drop_radio(env, [trace])
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

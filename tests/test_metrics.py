@@ -19,7 +19,6 @@ from sonsim.metrics import (EpisodeTrace, RunSummary, ThroughputSummary,
                             write_cdf_csv, write_episodes_csv, write_summary_csv,
                             write_trace_csv)
 from sonsim.radio import ClusterConfig
-from sonsim.runner import EpisodeResult
 
 
 def write_traces(path, traces):
@@ -65,6 +64,8 @@ def make_trace(episode, rates, sinrs, alarm_counts, cell_rates=None):
         action=np.zeros(t, dtype=int),
         reward=np.zeros(t),
         alarm_count=np.asarray(alarm_counts, dtype=int),
+        total_reward=0.0,
+        history=[],  # no register: the radio columns are given below
         ue_sinr_db=np.array([finite_mean_oracle(ue) for ue in sinrs.T]),
         ue_mbps=rates.mean(axis=0),
         tti_sinr_db=np.array([finite_mean_oracle(row) for row in sinrs]),
@@ -214,8 +215,7 @@ class TestCsvWriters:
 
     def test_episodes_csv(self, tmp_path):
         path = tmp_path / "episodes_fifo.csv"
-        write_episodes_csv(path, [(0, EpisodeResult(4.0, 3, True)),
-                                  (1, EpisodeResult(-2.0, 20, False))])
+        write_episodes_csv(path, [(0, 4.0, 3, True), (1, -2.0, 20, False)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "episode,total_reward,ttis,cleared"
         assert lines[1] == "0,4,3,1"
@@ -369,13 +369,12 @@ def cdf_csv_oracle(path, samples):
             writer.writerow(["%.*g" % (digits, value), _fmt_oracle(prob)])
 
 
-def episodes_csv_oracle(path, episode_results):
+def episodes_csv_oracle(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "total_reward", "ttis", "cleared"])
-        for episode, result in episode_results:
-            writer.writerow([episode, _fmt_oracle(result.total_reward),
-                             result.ttis, int(result.cleared)])
+        for episode, total_reward, ttis, cleared in rows:
+            writer.writerow([episode, _fmt_oracle(total_reward), ttis, int(cleared)])
 
 
 def summary_csv_oracle(path, rows):
@@ -423,6 +422,8 @@ def traces_st(draw):
             action=np.array(draw(ints)),
             reward=np.array(draw(st.lists(any_float, min_size=t, max_size=t))),
             alarm_count=np.array(draw(ints)),
+            total_reward=0.0,
+            history=[],
             tti_sinr_db=np.array(draw(st.lists(means, min_size=t, max_size=t)))))
     return traces
 
@@ -459,8 +460,7 @@ class TestWriterBytes:
         assert path.read_bytes() == b"value,probability\r\n-1.7e+308,0.5\r\n1.7e+308,1\r\n"
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(small_int, st.builds(EpisodeResult, any_float, small_int,
-                                                   st.booleans())), max_size=20))
+    @given(st.lists(st.tuples(small_int, any_float, small_int, st.booleans()), max_size=20))
     def test_episodes(self, tmp_path_factory, rows):
         assert_same_bytes(tmp_path_factory.mktemp("episodes"), write_episodes_csv,
                           episodes_csv_oracle, rows)
@@ -491,12 +491,12 @@ class TestTraceMean:
         # TTI is a block of its own
         t, n = sinr_db.shape
         env = SonEnv(ClusterConfig(num_sites=1, sectors_per_site=1, ues_per_cell=n))
-        trace = SimpleNamespace(episode=0, state=np.arange(t))
+        trace = SimpleNamespace(episode=0, history=[((0, 0, 0, 0), ())] * t)
         rows = iter(sinr_db)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdp, "compute_sinr_all",
                        lambda serving, *_: np.array([next(rows) for _ in serving]))
-            mdp.drop_radio(env, [([((0, 0, 0, 0), ())] * t, trace)])
+            mdp.drop_radio(env, [trace])
         return trace.tti_sinr_db, trace.ue_sinr_db
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 21, 127, 128, 129, 210, 1050])
