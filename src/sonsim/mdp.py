@@ -42,8 +42,8 @@ RADIO_BLOCK_ROWS = 2048
 # about 0.7 GB a seed.
 MAX_EPISODES = 100_000
 # The most TTIs per episode: a TTI keeps about 0.26 kB per agent at any q
-# (its trace row, mean SINR and cell throughputs), so three agents'
-# episodes at the bound keep about 80 MB.
+# (trace row, mean SINR, cell throughputs), so three agents' episodes at
+# the bound keep about 80 MB; the radio pass walks them block by block.
 MAX_TTIS_PER_EPISODE = 100_000
 
 
@@ -252,18 +252,19 @@ def drop_radio(env: SonEnv, traces) -> None:
     none) and ``ue_mbps`` (N,), per-TTI mean of the finite UE SINRs
     ``tti_sinr_db`` (T,) and ``cell_mbps`` (T, C).
 
-    Each episode's UEs walk from the drop as far as its longest history.
-    Consecutive episodes whose walks fit in RADIO_BLOCK_ROWS UE-rows walk
-    side by side; a longer one walks alone and is cut into blocks.  Each
-    block runs the healthy link budget once, every row under its own
-    episode's shadowing.  The rows of every distinct history of a block
-    then go through ``derive_cells``, the managed cell's column (the only
-    one faults move, recomputed where they do), handover, SINR and
-    throughput in chunks of at most RADIO_BLOCK_ROWS UE-rows.  No history's
-    (T, N) SINR and rate exist whole: each block adds its rows to the
-    history's per-UE sums one after another, in TTI order, as numpy's
-    axis-0 sum of the whole does for N > 1.  Traces of one episode with
-    equal histories get the same read-only arrays.
+    Each episode's UEs walk from the drop as far as its longest history,
+    in blocks of at most RADIO_BLOCK_ROWS UE-rows: consecutive episodes
+    that fit in one walk it side by side, and a longer one walks alone, on
+    from block to block.  Each block runs the healthy link budget once,
+    every row under its own episode's shadowing.  The rows of every
+    distinct history of a block then go through ``derive_cells``, the
+    managed cell's column (the only one faults move, recomputed where they
+    do), handover, SINR and throughput in chunks of at most
+    RADIO_BLOCK_ROWS UE-rows.  No history's (T, N) SINR and rate exist
+    whole: each block adds its rows to the history's per-UE sums one after
+    another, in TTI order, as numpy's axis-0 sum of the whole does for
+    N > 1.  Traces of one episode with equal histories get the same
+    read-only arrays.
     """
     cells, n = env.cells, len(env.ues)
     # per episode, its distinct histories with [per-UE sums, (T,) and (T, C)
@@ -298,43 +299,41 @@ def drop_radio(env: SonEnv, traces) -> None:
 
 def _group_radio(env: SonEnv, group, block: int) -> None:
     """The radio of ``group``, consecutive (episode, walk TTIs, {history:
-    outputs}) of ``drop_radio``, in walk blocks of ``block`` rows: several
-    episodes fit in one block, and one episode alone may take several."""
-    cells, config, ues = env.cells, env.config, env.ues
+    outputs}) of ``drop_radio``, in blocks of ``block`` rows, episode after
+    episode.  Each block walks the group's episodes side by side from where
+    the last left them: a group is one block or one lone episode."""
+    cells, config, n = env.cells, env.config, len(env.ues)
     ttis = np.array([t for _, t, _ in group])
-    draws = [seeding.stream(env.seed, seeding.MOBILITY, episode).normal(
-        0.0, TURN_SIGMA_RAD, size=(t, len(ues))) for episode, t, _ in group]
-    shadows = [env.episode_shadow(episode) for episode, _, _ in group]
-    if len(group) == 1:  # alone: no padded turns and no copy of the walk,
-        track = step_mobility(ues.position, ues.heading, draws[0], config)
-        shadow = shadows[0]  # and its (N, C) draw broadcasts over the rows
-    else:
-        turns = np.zeros((ttis.max(), len(group), len(ues)))
-        for j, draw in enumerate(draws):
-            turns[:len(draw), j] = draw
-        track = step_mobility(ues.position, ues.heading, turns, config)
-        # the walk rows, episode after episode, each with its shadowing
-        track = track.swapaxes(0, 1)[np.arange(len(turns)) < ttis[:, None]]
-        shadow = np.stack(shadows)[np.repeat(np.arange(len(group)), ttis)]
     starts = np.cumsum(ttis) - ttis
-    for a in range(0, len(track), block):
-        position = track[a:a + block]
-        b = a + len(position)
-        links = site_links(position, cells.sites, config)
-        healthy = rx_power_matrix(position, shadow, cells, config, links)
+    mobility = [seeding.stream(env.seed, seeding.MOBILITY, episode) for episode, _, _ in group]
+    shadow = np.stack([env.episode_shadow(episode) for episode, _, _ in group])
+    position, heading = env.ues.position, env.ues.heading
+    for a in range(0, ttis.sum(), block):
+        # each episode's walk rows in the block, its next turns from its stream
+        walked = np.clip(a + block - starts, 0, ttis) - np.clip(a - starts, 0, ttis)
+        turns = np.zeros((walked.max(), len(group), n))
+        for j, rng in enumerate(mobility):
+            turns[:walked[j], j] = rng.normal(0.0, TURN_SIGMA_RAD, size=(walked[j], n))
+        walk, heading = step_mobility(position, heading, turns, config)
+        position = walk[-1]
+        # the block's rows, episode after episode, and the episode of each
+        points = walk.swapaxes(0, 1)[np.arange(len(turns)) < walked[:, None]]
+        episode_of = np.repeat(np.arange(len(group)), walked)
+        links = site_links(points, cells.sites, config)
+        healthy = rx_power_matrix(points, shadow[episode_of], cells, config, links)
         # (drop_radio's list, first output row, rows, first gathered row) per
         # history of the block's episodes, its block rows and snapshots gathered
         segments, at, snaps = [], [], []
         for start, (_, _, outs) in zip(starts, group):
             for history, out in outs.items():
-                lo, hi = max(a, start), min(b, start + len(history))
+                lo, hi = max(a, start), min(a + block, start + len(history))
                 if lo < hi:
                     segments.append((out, lo - start, hi - lo, len(snaps)))
                     at.append(np.arange(lo - a, hi - a))
                     snaps += history[lo - start:hi - start]
         at = np.concatenate(at)
         # per row, its UEs' SINR (0 where not finite), rate and finite flags
-        ue, cell = np.empty((len(at), 3, len(ues))), np.empty((len(at), len(cells)))
+        ue, cell = np.empty((len(at), 3, n)), np.empty((len(at), len(cells)))
         for c in range(0, len(at), block):  # bounds the (rows, N, C) temporaries
             rows = at[c:c + block]
             faulted = derive_cells(cells, snaps[c:c + block], env.azimuth_delta)
@@ -342,7 +341,7 @@ def _group_radio(env: SonEnv, group, block: int) -> None:
             if (faulted.azimuth_offset[:, MANAGED_CELL].any()
                     or faulted.tx_power_delta[:, MANAGED_CELL].any()):
                 rx[..., MANAGED_CELL] = rx_power_matrix(
-                    position[rows], shadow if shadow.ndim == 2 else shadow[rows],
+                    None, shadow[episode_of[rows], :, MANAGED_CELL:MANAGED_CELL + 1],
                     faulted, config, (links[0][rows], links[1][rows]), [MANAGED_CELL])[..., 0]
             serving = reassign_serving(rx, faulted)
             sinr_db = ue[c:c + block, 0] = compute_sinr_all(serving, rx, faulted, config)
@@ -354,7 +353,7 @@ def _group_radio(env: SonEnv, group, block: int) -> None:
         with np.errstate(invalid="ignore"):  # 0 / 0 for a row that serves no UE
             tti_sinr = sinr_db.sum(axis=1) / finite.sum(axis=1)
         ue = ue.reshape(len(at), -1)
-        for out, i, n, k in segments:
-            out[1][i:i + n], out[2][i:i + n] = tti_sinr[k:k + n], cell[k:k + n]
-            rows = ue[k:k + n]  # added to the history's sums one after another
+        for out, i, m, k in segments:
+            out[1][i:i + m], out[2][i:i + m] = tti_sinr[k:k + m], cell[k:k + m]
+            rows = ue[k:k + m]  # added to the history's sums one after another
             out[0] = (rows if out[0] is None else np.vstack((out[0], rows))).sum(axis=0)

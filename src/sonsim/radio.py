@@ -218,14 +218,14 @@ def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
                     columns=slice(None)) -> np.ndarray:
     """Received power in dBm from every cell at every UE, a new C-ordered
     array of shape (..., N, C), at the UE positions ``position`` (..., N, 2)
-    under the per-link shadowing ``shadow`` (N, C) dB; fault arrays (..., C)
-    apply per leading index.
+    under the per-link shadowing ``shadow`` (..., N, C) dB; fault arrays
+    (..., C) apply per leading index.
 
     ``links`` is ``site_links(position, cells.sites, config)`` when the
-    caller already has it; ``columns`` (a slice or a list of cell ids)
-    keeps only those cells, with the same bits as their columns of the
-    full matrix.  Down cells are still evaluated; callers mask them via
-    ``is_up``.
+    caller has it (``position`` is then not read); ``columns`` (a slice or
+    a list of cell ids) keeps only those cells, ``shadow`` holding only
+    theirs, with the same bits as their columns of the full matrix.  Down
+    cells are still evaluated; callers mask them via ``is_up``.
     """
     bearing, pl = links if links is not None else site_links(position, cells.sites, config)
     site = cells.site[columns]
@@ -238,7 +238,7 @@ def rx_power_matrix(position: np.ndarray, shadow: np.ndarray, cells: CellTable,
     rx -= config.tilt_offset_db
     rx += (config.bs_tx_power + cells.tx_power_delta)[..., None, columns]
     rx -= pl.take(site, axis=-1)
-    rx += shadow[..., columns]
+    rx += shadow
     return rx
 
 
@@ -329,15 +329,15 @@ def compute_sinr_all(serving: np.ndarray, rx_dbm: np.ndarray, cells: CellTable,
 
 
 def step_mobility(position: np.ndarray, heading: np.ndarray, turns: np.ndarray,
-                  config: ClusterConfig) -> np.ndarray:
+                  config: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Walk every UE one 1 ms TTI per row of ``turns`` (T, ..., N) of a
-    perturbed random walk from ``position`` (N, 2) and ``heading`` (N,),
-    reflecting at the cluster boundary; the inputs are not written.
+    perturbed random walk from ``position`` (..., N, 2) and ``heading``
+    (..., N), reflecting at the cluster boundary; the inputs are not written.
 
     Each row turns the headings by its angles in radians.  Leading axes of
     ``turns`` after the first walk that many copies of the UEs side by
     side, say one per episode, each under its own turns.  Returns the
-    positions after each TTI, shape (T, ..., N, 2).
+    positions after each TTI (T, ..., N, 2) and the final headings (..., N).
     """
     step_m = config.ue_speed / 3.6 * (1.0 / 1000.0)
     radius = config.bounding_radius
@@ -355,7 +355,7 @@ def step_mobility(position: np.ndarray, heading: np.ndarray, turns: np.ndarray,
             position[out] *= ((2.0 * radius - rr[out]) / rr[out])[:, None]
             heading[out] = (heading[out] + math.pi) % (2.0 * math.pi)
         now[:] = position
-    return track
+    return track, heading
 
 
 def compute_throughputs(serving: np.ndarray, sinr_db: np.ndarray, n_cells: int,

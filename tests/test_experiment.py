@@ -86,14 +86,14 @@ class TestRunSingle:
         for agent in ("random", "dqn"):
             walks = []
             def record(*args, **kwargs):
-                walks.append(step_mobility(*args, **kwargs))
-                return walks[-1]
+                walk = step_mobility(*args, **kwargs)
+                walks.append(walk[0])
+                return walk
             monkeypatch.setattr(mdp, "step_mobility", record)
             traces = run_single(agent, 1, seed, cfg).traces
-            # a walk's episodes side by side (or one alone), in order; each
-            # walked as far as the agent's episode ran
-            walked = [episode for walk in walks
-                      for episode in ([walk] if walk.ndim == 3 else walk.swapaxes(0, 1))]
+            # a walk's episodes side by side, in order; each walked as far
+            # as the agent's episode ran (at q = 1 no episode outgrows a block)
+            walked = [episode for walk in walks for episode in walk.swapaxes(0, 1)]
             assert len(walked) == len(traces) == cfg.episode.num_episodes
             tracks[agent] = [w[:len(tr.state)] for w, tr in zip(walked, traces)]
         pairs = list(zip(tracks["random"], tracks["dqn"]))
@@ -191,7 +191,8 @@ class TestLockstep:
     def test_radio_calls_stay_within_the_block(self, monkeypatch, q, rates, episodes):
         # the pass's (rows, N, C) temporaries are bounded by its block of
         # UE-rows, whatever the episodes and histories it packs together,
-        # and so are the walks of the episodes it packs
+        # and so is every walk, of the episodes it packs or of one block of
+        # an episode it cuts
         sizes, walks = [], []
         for name in ("reassign_serving", "compute_sinr_all"):
             def counted(serving_or_rx, *args, original=getattr(mdp, name), **kwargs):
@@ -209,7 +210,7 @@ class TestLockstep:
         assert sizes and max(sizes) <= mdp.RADIO_BLOCK_ROWS
         assert max(sizes) > mdp.RADIO_BLOCK_ROWS - n  # the chunks fill up
         for turns in walks:  # an episode's rows turn, the padding after it not
-            assert turns.ndim == 2 or turns.any(axis=-1).sum() * n <= mdp.RADIO_BLOCK_ROWS
+            assert turns.any(axis=-1).sum() * n <= mdp.RADIO_BLOCK_ROWS
 
     @settings(max_examples=40, deadline=None)
     @given(weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),

@@ -470,3 +470,21 @@ class TestDropRadio:
         finally:
             tracemalloc.stop()
         assert kept < 8 * (2 * n + t + t * c) + 16 * 1024
+
+    def test_a_long_episode_walks_block_by_block(self):
+        # a fifo episode of 3,000 TTIs of 210 UEs under a fault every TTI:
+        # its pass peaks at its kept (T,) and (T, C) outputs plus a few
+        # (rows, N, C) temporaries of one block, about 2.7 MB, where a walk
+        # of the whole episode would hold 15 MB of turns and positions
+        env = SonEnv(ClusterConfig(ues_per_cell=10), FaultRates((0, 1 / 4, 1 / 4, 1 / 4, 1 / 4)),
+                     episode=EpisodeConfig(ttis_per_episode=3000, num_episodes=1), seed=0)
+        [[trace]] = run_lockstep([(env, build_agent("fifo", default_config(), 0))], [0])
+        t, c = len(trace.state), len(env.cells)
+        assert t == 3000
+        tracemalloc.start()
+        try:
+            mdp.drop_radio(env, [trace])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (t + t * c) + 16 * 8 * mdp.RADIO_BLOCK_ROWS * c

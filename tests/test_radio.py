@@ -463,9 +463,10 @@ class TestOutageAsDownServingCell:
 
 
 def walk(position, heading, cfg, rng, ttis=1):
-    # ttis TTIs of the walk under one (ttis, N) draw of turns from rng
+    # the positions of ttis TTIs of the walk under one (ttis, N) draw of
+    # turns from rng
     turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=(ttis, len(position)))
-    return step_mobility(position, heading, turns, cfg)
+    return step_mobility(position, heading, turns, cfg)[0]
 
 
 class TestMobility:
@@ -554,7 +555,8 @@ class TestArrayWalk:
         # two episodes of 20 and 7 TTIs, each walked from the same start
         for episode, ttis in enumerate((20, 7)):
             key = seed + 100 * (episode + 1)
-            track = walk(ues.position, ues.heading, cfg, np.random.default_rng(key), ttis)
+            track, end = step_mobility(ues.position, ues.heading, np.random.default_rng(key).normal(
+                0.0, radio.TURN_SIGMA_RAD, size=(ttis, len(ues))), cfg)
             turns = np.random.default_rng(key)
             assert track.shape == (ttis, len(ues), 2)
             assert ues.tobytes() == start  # the walk never writes its inputs
@@ -565,6 +567,7 @@ class TestArrayWalk:
                 reflected += n
                 assert now.tobytes() == positions.tobytes()
             assert reflected >= len(edge)
+            assert end.tobytes() == headings.tobytes()  # the headings after the last row
             # handover over the whole track at once, its TTIs a leading axis
             serving = reassign_serving(rx_power_matrix(track, shadow, cells, cfg), cells)
             for now, cell in zip(track, serving):
@@ -582,11 +585,33 @@ class TestArrayWalk:
         turns = np.zeros((20, len(draws), len(ues)))
         for j, draw in enumerate(draws):
             turns[:len(draw), j] = draw
-        track = step_mobility(ues.position, ues.heading, turns, cfg)
+        track, _ = step_mobility(ues.position, ues.heading, turns, cfg)
         assert track.shape == (20, len(draws), len(ues), 2)
         for j, draw in enumerate(draws):
-            alone = step_mobility(ues.position, ues.heading, draw, cfg)
+            alone, _ = step_mobility(ues.position, ues.heading, draw, cfg)
             assert track[:len(draw), j].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("speed", [3.0, 300_000.0])
+    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5, 6), (19,)])
+    def test_resumed_walk_equals_whole(self, speed, cuts):
+        # a walk cut into pieces, each resumed from the last row and the end
+        # headings of the one before it, on the next rows of the same draw
+        # (turns chunked from one stream), is the whole walk bit for bit,
+        # reflections included
+        cfg = ClusterConfig(ues_per_cell=2, ue_speed=speed)
+        _, ues = build_cluster(cfg, seed=4)
+        start = ues.tobytes()
+        whole, end = step_mobility(ues.position, ues.heading, np.random.default_rng(9).normal(
+            0.0, radio.TURN_SIGMA_RAD, size=(20, len(ues))), cfg)
+        rng, position, heading, pieces = np.random.default_rng(9), ues.position, ues.heading, []
+        for a, b in zip((0, *cuts), (*cuts, 20)):
+            turns = rng.normal(0.0, radio.TURN_SIGMA_RAD, size=(b - a, 1, len(ues)))
+            piece, heading = step_mobility(position, heading, turns, cfg)
+            position = piece[-1]
+            pieces.append(piece[:, 0])
+        assert ues.tobytes() == start
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert heading[0].tobytes() == end.tobytes()
 
 
 class TestThroughput:

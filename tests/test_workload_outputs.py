@@ -8,6 +8,11 @@ in ``workload_hashes.json``, recorded under the numpy version that keys it.
 installed numpy, from the root of the checkout:
 
     PYTHONPATH=src python tests/test_workload_outputs.py
+
+It adds an entry for a numpy version not yet recorded.  It never replaces
+an entry that differs from the outputs: it prints the differing files and
+exits with status 1.  To re-pin a version, delete its entry from
+``workload_hashes.json`` by hand first.
 """
 
 import hashlib
@@ -66,10 +71,17 @@ def test_workload_outputs_keep_their_bytes(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {name: output_hashes(name, Path(tmp) / name) for name in sorted(RUNS)}
     recorded = json.loads(HASHES.read_text()) if HASHES.exists() else {}
-    recorded[np.__version__] = hashes
+    old, new = ({f"{name}/{path}": sha for name, files in runs.items() for path, sha in files.items()}
+                for runs in (recorded.setdefault(np.__version__, hashes), hashes))
+    differ = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+    if differ:
+        print(f"outputs differ from the hashes recorded under numpy {np.__version__}"
+              " (delete that entry to re-pin):", *differ, sep="\n  ")
+        sys.exit(1)
     HASHES.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
